@@ -28,8 +28,8 @@ class ChannelParams:
     def __post_init__(self):
         if not (0.0 <= self.t <= 1.0):
             raise ValueError(f"t must lie in [0,1], got {self.t}")
-        if self.u < 0.0:
-            raise ValueError(f"u must be nonnegative, got {self.u}")
+        if not (0.0 <= self.u < math.inf):
+            raise ValueError(f"u must be nonnegative and finite, got {self.u}")
 
     def feasible(self) -> bool:
         """Necessary condition 4t > e(1+2u) for a positive security gap."""

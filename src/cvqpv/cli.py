@@ -36,6 +36,7 @@ from .attack import (
 from .bounds import condition_surface, eps_cap, max_eps_tilde
 from .channel import ChannelParams
 from .protocol import (
+    MAX_STRING_BITS,
     HonestProver,
     ProtocolParams,
     acceptance_rate,
@@ -114,6 +115,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
             cfg[key] = float(cfg[key])
         except (TypeError, ValueError):
             errors.append(f"{key}: not a number ({cfg[key]!r})")
+            continue
+        if not math.isfinite(cfg[key]):
+            errors.append(f"{key}: must be finite ({cfg[key]!r})")
     for key in _INT_KEYS:
         try:
             cfg[key] = int(cfg[key])
@@ -134,6 +138,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             errors.append("eps_unit: must be 'nats' or 'bits'")
         if cfg["format"] not in ("csv", "json"):
             errors.append("format: must be 'csv' or 'json'")
+        if args.command == "simulate" and not (1 <= cfg["n"] <= MAX_STRING_BITS):
+            errors.append(f"n: must lie in [1, {MAX_STRING_BITS}] for simulate")
     if errors:
         raise ValueError("invalid configuration:\n  " + "\n  ".join(errors))
     cfg["command"] = args.command
@@ -261,7 +267,16 @@ def cmd_simulate(cfg: dict, out: Path | None, trace: bool = False) -> int:
     ch = ChannelParams(cfg["t"], cfg["u"])
     N = cfg["rounds"]
     if N == 0:
-        plan = rounds_required(cfg["eps"], cfg["u"], cfg["eps_hon"], eps_unit=cfg["eps_unit"])
+        try:
+            plan = rounds_required(cfg["eps"], cfg["u"], cfg["eps_hon"],
+                                   eps_unit=cfg["eps_unit"])
+        except NoMarginError as exc:
+            print(f"no margin: {exc}")
+            if out is not None:
+                (out / "simulate.json").write_text(json.dumps(
+                    {"schema": "cvqpv.simulate/1", "feasible": False, "reason": str(exc)},
+                    indent=2) + "\n")
+            return EXIT_INFEASIBLE
         N = plan.N
     params = ProtocolParams(sigma=cfg["sigma"], n=cfg["n"], N=N, eps_hon=cfg["eps_hon"],
                             f_seed=cfg["seed"])

@@ -1,8 +1,15 @@
-"""Round engine for the coherent-state position-verification protocol.
+"""Session engine for the coherent-state position-verification protocol.
 
-Runs N i.i.d. rounds against a pluggable responder, accumulates the
-normalized score (r' - sqrt(t) r)^2 / (1/2 + u) and compares its mean to
-the threshold gamma.
+A session of N i.i.d. rounds averages the normalized score
+(r' - sqrt(t) r)^2 / (1/2 + u) and compares the mean to the threshold gamma.
+
+Two paths compute that mean. For a ``GaussianResponder`` that keeps the
+built-in ``respond`` (r' = a r + N(0, v)), each residual (a - sqrt(t)) r +
+noise is N(0, s^2) with s^2 = (a - sqrt(t))^2 sigma^2 + v, so the session
+mean is exactly s^2/(1/2+u) * chi2_N / N: one ``chisquare(N)`` draw per
+session. The round engine draws r, the responses and the N score terms; it
+runs for traced sessions, when the score terms are kept, and for every
+responder that supplies its own ``respond``.
 
 Determinism contract: every session derives its randomness from an integer
 seed (or a spawned numpy SeedSequence), so identical seeds give identical
@@ -86,6 +93,10 @@ class ProtocolFunction:
         return _parity64(mixed)
 
 
+#: input strings are drawn as uint64 values below 1 << n
+MAX_STRING_BITS = 63
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     sigma: float
@@ -96,10 +107,10 @@ class ProtocolParams:
     f_seed: int = 0
 
     def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise ValueError("sigma must be positive")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not (0.0 < self.sigma < math.inf):
+            raise ValueError("sigma must be positive and finite")
+        if not (1 <= self.n <= MAX_STRING_BITS):
+            raise ValueError(f"n must lie in [1, {MAX_STRING_BITS}]")
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if not (0.0 < self.eps_hon < 1.0):
@@ -144,8 +155,10 @@ class GaussianResponder(Responder):
     """Responds r' = mean_scale * r + N(0, noise_var)."""
 
     def __init__(self, name: str, mean_scale: float, noise_var: float):
-        if noise_var < 0.0:
-            raise ValueError("noise variance must be nonnegative")
+        if not math.isfinite(mean_scale):
+            raise ValueError("mean scale must be finite")
+        if not (0.0 <= noise_var < math.inf):
+            raise ValueError("noise variance must be nonnegative and finite")
         self.name = name
         self.mean_scale = mean_scale
         self.noise_var = noise_var
@@ -187,19 +200,24 @@ class SessionResult:
     score_terms: Optional[np.ndarray] = field(default=None, repr=False)
 
 
-def run_session(
-    p: ProtocolParams,
-    ch: ChannelParams,
-    responder: Responder,
-    rng,
-    trace: bool = False,
-    keep_terms: bool = False,
-) -> SessionResult:
-    """Simulate one session of N i.i.d. rounds and apply the score test.
+def _residual_variance(p: ProtocolParams, ch: ChannelParams, responder: Responder):
+    """Per-round variance s^2 of r' - sqrt(t) r, or None without a closed form.
 
-    ``rng`` may be an integer seed, a SeedSequence or a Generator.
+    Only a ``GaussianResponder`` whose ``respond`` is the built-in one has
+    the law r' = a r + N(0, v), giving s^2 = (a - sqrt(t))^2 sigma^2 + v.
     """
-    rng = np.random.default_rng(rng)
+    if (not isinstance(responder, GaussianResponder)
+            or type(responder).respond is not GaussianResponder.respond
+            or "respond" in vars(responder)):
+        return None
+    gap = responder.mean_scale - math.sqrt(ch.t)
+    if gap == 0.0:
+        return responder.noise_var
+    return gap * gap * p.sigma**2 + responder.noise_var
+
+
+def _round_engine(p: ProtocolParams, ch: ChannelParams, responder: Responder, rng, trace: bool):
+    """Draw r, the responses and the N score terms: (terms, records or None)."""
     N = p.N
     r = rng.normal(0.0, p.sigma, size=N)
     thetas = None
@@ -216,10 +234,6 @@ def run_session(
         raise RuntimeError(f"responder {responder.name!r} returned wrong shape {r_prime.shape}")
 
     terms = (r_prime - math.sqrt(ch.t) * r) ** 2 / (0.5 + ch.u)
-    mean_score = float(terms.mean())
-    gamma = p.gamma
-    accepted = bool(mean_score < gamma and responder.timing_ok)
-
     records = None
     if trace:
         records = [
@@ -227,12 +241,42 @@ def run_session(
                         responder.timing_ok)
             for i in range(N)
         ]
+    return terms, records
+
+
+def run_session(
+    p: ProtocolParams,
+    ch: ChannelParams,
+    responder: Responder,
+    rng,
+    trace: bool = False,
+    keep_terms: bool = False,
+) -> SessionResult:
+    """Run one session of N i.i.d. rounds and apply the score test.
+
+    ``rng`` may be an integer seed, a SeedSequence or a Generator. Untraced
+    sessions of a built-in Gaussian responder without kept terms draw the
+    session mean s^2/(1/2+u) * chi2_N / N with one ``chisquare(N)`` call;
+    every other session goes through the round engine, which draws r, the
+    responses and the N score terms (and, when traced, the basis angles).
+    """
+    rng = np.random.default_rng(rng)
+    s2 = None if (trace or keep_terms) else _residual_variance(p, ch, responder)
+    terms = records = None
+    if s2 is None:
+        terms, records = _round_engine(p, ch, responder, rng, trace)
+        mean_score = float(terms.mean())
+    elif s2 > 0.0:
+        mean_score = s2 / (0.5 + ch.u) * rng.chisquare(p.N) / p.N
+    else:
+        mean_score = 0.0
+    gamma = p.gamma
     return SessionResult(
         mean_score=mean_score,
         gamma=gamma,
-        accepted=accepted,
+        accepted=bool(mean_score < gamma and responder.timing_ok),
         regime_flags=ch.regime_flags(),
-        n_rounds=N,
+        n_rounds=p.N,
         responder=responder.name,
         records=records,
         score_terms=terms if keep_terms else None,

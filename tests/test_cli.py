@@ -81,6 +81,26 @@ class TestSimulate:
         assert 0.0 <= payload["honest_acceptance"] <= 1.0
         assert payload["rounds"] == 2000
 
+    def test_no_margin_structured(self, capsys, tmp_path):
+        # same NoMarginError and exit code as `rounds --eps 0`
+        assert run(["simulate", "--eps", "0", "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert "no margin" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "simulate.json").read_text())
+        assert payload["feasible"] is False
+
+    @pytest.mark.parametrize("n", ["0", "64", "70"])
+    def test_string_length_checked_before_output(self, capsys, tmp_path, n):
+        out = tmp_path / "run"
+        assert run(["simulate", "--n", n, "--trace", "--rounds", "100", "--sessions", "2",
+                    "--out", str(out)]) == EXIT_ERROR
+        assert "n: must lie in [1, 63]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_longest_strings_run(self, tmp_path):
+        assert run(["simulate", "--n", "63", "--trace", "--rounds", "100", "--sessions", "2",
+                    "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "honest_rounds.csv").exists()
+
 
 class TestSweep:
     def test_table(self, tmp_path):
@@ -112,6 +132,24 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "t: must lie in [0,1]" in err
         assert "u: must be nonnegative" in err
+
+    @pytest.mark.parametrize("key", ["eps", "energy", "t", "u", "sigma", "eps-tilde",
+                                     "eps-hon"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_rejected_before_output(self, capsys, tmp_path, key, value):
+        out = tmp_path / "run"
+        assert run(["simulate", f"--{key}={value}", "--rounds", "100", "--sessions", "2",
+                    "--out", str(out)]) == EXIT_ERROR
+        assert f"{key.replace('-', '_')}: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_rejected_from_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma = inf\n")
+        out = tmp_path / "run"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        assert "sigma: must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_metadata_echoes_config(self, tmp_path):
         assert run(["bounds", "--seed", "77", "--out", str(tmp_path)]) == EXIT_OK

@@ -5,6 +5,7 @@ import pytest
 
 from cvqpv.channel import ChannelParams
 from cvqpv.protocol import (
+    GaussianResponder,
     HonestProver,
     ProtocolFunction,
     ProtocolParams,
@@ -141,6 +142,107 @@ class TestRunSession:
         ch = ChannelParams(1.0, 0.0)
         with pytest.raises(RuntimeError, match="failed"):
             run_session(_params(N=5), ch, Broken(ch), 0)
+
+
+class TestProtocolParams:
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+    def test_sigma_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            _params(sigma=sigma)
+
+    @pytest.mark.parametrize("n", [0, 64, 70])
+    def test_string_length_range(self, n):
+        with pytest.raises(ValueError, match="n must lie in"):
+            _params(n=n)
+
+    def test_longest_strings_trace(self):
+        ch = ChannelParams(1.0, 0.0)
+        res = run_session(_params(N=20, n=63), ch, HonestProver(ch), 1, trace=True)
+        assert len(res.records) == 20
+
+
+class _RoundLevel(GaussianResponder):
+    """Same law as GaussianResponder, but overriding respond forces the round engine."""
+
+    def respond(self, r, theta, rng):
+        return super().respond(r, theta, rng)
+
+
+class TestExactSessionLaw:
+    """Both session paths against the exact law s^2/(1/2+u) * chi2_N / N.
+
+    s^2 = (a - sqrt(t))^2 sigma^2 + v is the per-round residual variance of
+    a responder r' = a r + N(0, v). Each statistical assertion below fails
+    with probability ALPHA = 1e-6 when the code is correct.
+    """
+
+    ALPHA = 1e-6
+    N = 50
+    SESSIONS = 3000
+    CH = ChannelParams(0.8, 0.05)
+    SIGMA = 2.0
+    CASES = {
+        "honest": HonestProver(CH),
+        "biased": GaussianResponder("biased", 0.5, 0.3),
+    }
+
+    def _s2(self, responder):
+        gap = responder.mean_scale - math.sqrt(self.CH.t)
+        return gap * gap * self.SIGMA**2 + responder.noise_var
+
+    def _params(self, eps_hon=0.01):
+        return _params(N=self.N, eps_hon=eps_hon, sigma=self.SIGMA)
+
+    def test_exact_path_is_one_chisquare_draw(self):
+        p = _params(N=139_999)
+        honest = HonestProver(self.CH)
+        res = run_session(p, self.CH, honest, 7)
+        chi2 = np.random.default_rng(7).chisquare(p.N)
+        assert res.mean_score == honest.noise_var / (0.5 + self.CH.u) * chi2 / p.N
+        assert res.score_terms is None and res.records is None
+
+    def test_overriding_respond_takes_round_engine(self):
+        p = self._params()
+        plain = GaussianResponder("biased", 0.5, 0.3)
+        overridden = _RoundLevel("biased", 0.5, 0.3)
+        for seed in range(5):
+            kept = run_session(p, self.CH, plain, seed, keep_terms=True)
+            assert run_session(p, self.CH, overridden, seed).mean_score == kept.mean_score
+            assert run_session(p, self.CH, plain, seed).mean_score != kept.mean_score
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("keep_terms", [False, True], ids=["exact", "rounds"])
+    def test_session_mean_is_scaled_chi2(self, case, keep_terms):
+        from scipy import stats
+
+        responder = self.CASES[case]
+        p = self._params()
+        means = np.array([
+            run_session(p, self.CH, responder, s, keep_terms=keep_terms).mean_score
+            for s in session_seeds(31, self.SESSIONS)
+        ])
+        scaled = means * self.N * (0.5 + self.CH.u) / self._s2(responder)
+        pvalue = stats.kstest(scaled, "chi2", args=(self.N,)).pvalue
+        assert pvalue > self.ALPHA
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("round_level", [False, True], ids=["exact", "rounds"])
+    def test_acceptance_count_in_binomial_region(self, case, round_level):
+        from scipy import special, stats
+
+        responder = self.CASES[case]
+        s2 = self._s2(responder)
+        if round_level:
+            responder = _RoundLevel(responder.name, responder.mean_scale, responder.noise_var)
+        p = self._params(eps_hon=0.3)
+        exact = float(special.gammainc(self.N / 2.0,
+                                       self.N * p.gamma * (0.5 + self.CH.u) / s2 / 2.0))
+        assert 0.05 < exact < 0.99  # both outcomes occur: the count check can fail
+        rate = acceptance_rate(p, self.CH, responder, self.SESSIONS, 17)
+        count = round(rate * self.SESSIONS)
+        lo = stats.binom.ppf(self.ALPHA / 2.0, self.SESSIONS, exact)
+        hi = stats.binom.isf(self.ALPHA / 2.0, self.SESSIONS, exact)
+        assert lo <= count <= hi
 
 
 class TestFailureRates:
