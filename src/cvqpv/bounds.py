@@ -13,7 +13,10 @@ All logs are base 2 (checked empirically against the reference parameter
 tables; a natural-log reading does not reproduce them). The right-hand side
 is increasing in et, so for fixed a the largest admissible et is found by
 bisection; the outer maximization over a uses a log-spaced grid plus
-golden-section refinement. Everything is deterministic.
+golden-section refinement. The grid's bisections run as one array
+bisection over all grid alphas, bit-identical to the per-alpha scalar one;
+the refinement and every reported value use the scalar form. Everything is
+deterministic.
 
 Of the reference parameter table, the eps_tilde column is what this module
 reproduces; the alpha column is not. The objective is flat in a near its
@@ -108,6 +111,50 @@ def condition_holds(b: BoundInputs) -> bool:
     return condition_margin(b) > 0.0
 
 
+def _separation_rhs_array(E, alphas, eps_tilde):
+    """separation_rhs over arrays of alpha and eps_tilde, for sign decisions.
+
+    Follows _bracket and separation_rhs op for op, with np.where for their
+    branches. np.log2 may differ from math.log2 in the last ulp, so callers
+    use this only to compare against a margin; every reported value comes
+    from the scalar form.
+    """
+    x = (1.0 + alphas) / (1.0 - alphas) * eps_tilde
+    p = np.where((x > 0.0) & (x < 0.5), x, 0.25)  # keeps log2 finite off-branch
+    entropy = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    h = np.where(x >= 0.5, 1.0, np.where(x == 0.0, 0.0, entropy))
+    log_term = math.log2(E + 1.0) + np.log2(math.e / (alphas * (1.0 - eps_tilde)))
+    bracket = np.where(eps_tilde == 0.0, 0.0, 2.0 * eps_tilde * log_term + 6.0 * h)
+    return ((1.0 + alphas) / (2.0 * (1.0 - alphas)) + alphas) * bracket
+
+
+def _eps_tilde_grid(eps, E, t, u, alphas, tol):
+    """_eps_tilde_at_alpha at every grid alpha, as one array bisection.
+
+    Same start, midpoint, test and stopping rule as the scalar bisection,
+    applied elementwise, so the result equals
+    [_eps_tilde_at_alpha(eps, E, t, u, a, tol) for a in alphas] bit for bit.
+    The one exception would be a midpoint whose margin lies within the
+    last-ulp difference of np.log2 and math.log2 from zero: a window under
+    1e-16 wide in eps_tilde around the root (the term's slope in eps_tilde
+    is above 2), against a final bisection step of 7.5e-9 in max_eps_tilde.
+    """
+    cap_margin = eps_cap(t, u) - eps
+    top = 1.0 - 1e-12
+    lo = np.zeros_like(alphas)
+    hi = np.full_like(alphas, top)
+    none = cap_margin - _separation_rhs_array(E, alphas, lo) <= 0.0
+    full = ~none & (cap_margin - _separation_rhs_array(E, alphas, hi) > 0.0)
+    active = ~none & ~full & (hi - lo > tol)
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        below = cap_margin - _separation_rhs_array(E, alphas, mid) > 0.0
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active &= hi - lo > tol
+    return np.where(none, 0.0, np.where(full, top, lo))
+
+
 def _eps_tilde_at_alpha(eps, E, t, u, alpha, tol):
     """Largest eps_tilde satisfying the condition at fixed alpha (0 if none)."""
     cap_margin = eps_cap(t, u) - eps
@@ -139,8 +186,10 @@ def max_eps_tilde(
 ) -> BoundResult:
     """Maximize eps_tilde over alpha in [ALPHA_MIN, 1/2].
 
-    Log-spaced grid scan, per-alpha bisection on the monotone boundary,
-    then golden-section refinement of alpha around the best grid point.
+    Log-spaced grid scan, bisecting the monotone boundary at every grid
+    alpha at once (one array bisection, bit-identical to bisecting each
+    alpha with _eps_tilde_at_alpha), then golden-section refinement of
+    alpha around the best grid point on the scalar path.
     eps_tilde_max is the result; alpha_star is one maximizer, fixed only to
     within the flat top of the objective (at the reference points eps_tilde
     stays within 1% of its maximum from about alpha = 0.002 to 0.012).
@@ -154,7 +203,7 @@ def max_eps_tilde(
 
     inner_tol = tol * 1e-2
     alphas = np.logspace(math.log10(ALPHA_MIN), math.log10(ALPHA_MAX), n_alpha)
-    values = [_eps_tilde_at_alpha(eps, E, t, u, a, inner_tol) for a in alphas]
+    values = _eps_tilde_grid(eps, E, t, u, alphas, inner_tol)
     i_best = int(np.argmax(values))
     if values[i_best] <= 0.0:
         return BoundResult(0.0, math.nan, False, math.nan)

@@ -138,6 +138,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
             errors.append("eps_unit: must be 'nats' or 'bits'")
         if cfg["format"] not in ("csv", "json"):
             errors.append("format: must be 'csv' or 'json'")
+        if cfg["rounds"] < 0:
+            errors.append("rounds: must be >= 0 (0 derives it from the Chebyshev plan)")
+        if cfg["sessions"] < 1:
+            errors.append("sessions: must be >= 1")
         if args.command == "simulate" and not (1 <= cfg["n"] <= MAX_STRING_BITS):
             errors.append(f"n: must lie in [1, {MAX_STRING_BITS}] for simulate")
     if errors:

@@ -180,13 +180,13 @@ def cutoff_purified_distance(c: CutoffParams) -> PurifiedDistance:
     """Purified distance lambda^(2^m0) between the TMSV and its truncation.
 
     Computed in log-space; for large m0 the value underflows to 0.0 and the
-    exact log2 is still reported.
+    exact log2 is still reported, until 2^m0 log2(lambda) itself leaves
+    float range and log2 saturates at -inf.
     """
-    if c.m0 >= 63:
-        # 2^m0 no longer fits common fixed-width ints; log-space only.
-        log2 = float(2**c.m0) * math.log2(c.lam)
-    else:
-        log2 = (1 << c.m0) * math.log2(c.lam)
+    try:
+        log2 = math.ldexp(math.log2(c.lam), c.m0)
+    except OverflowError:
+        log2 = -math.inf
     value = 2.0**log2 if log2 > -1074 else 0.0
     return PurifiedDistance(value, log2, value == 0.0)
 
@@ -196,14 +196,20 @@ def cutoff_energy(c: CutoffParams, sigma: float) -> float:
 
     Closed form sigma^2 + 2^m0 * rho^(2^m0) / (rho^(2^m0) - 1) with
     rho = sigma^2/(sigma^2+1) = lambda^2. Strictly below sigma^2 and tends
-    to sigma^2 as m0 grows.
+    to sigma^2 as m0 grows; in floating point it equals sigma^2 once the
+    deficit falls below half an ulp of sigma^2.
     """
     lam = lambda_of_sigma(sigma)
     if abs(lam - c.lam) > 1e-9 * max(1.0, abs(lam)):
         raise ValueError(f"inconsistent (lambda={c.lam}, sigma={sigma}) pair")
     rho = sigma**2 / (sigma**2 + 1.0)
+    try:
+        rho_pow = math.exp(math.ldexp(math.log(rho), c.m0))
+    except OverflowError:  # 2^m0 log(rho) below float range
+        rho_pow = 0.0
+    if rho_pow == 0.0:  # skips 2^m0 * 0.0, which overflows for m0 >= 1024
+        return sigma**2
     big = 2**c.m0
-    rho_pow = math.exp(big * math.log(rho))
     if rho_pow >= 1.0:  # cannot happen for finite sigma, guard anyway
         raise ValueError("rho^(2^m0) >= 1")
     return sigma**2 + big * rho_pow / (rho_pow - 1.0)

@@ -82,19 +82,26 @@ def rounding_size_logfactor(eps_tilde: float) -> float:
     if not net_approx_error(delta) < eps_tilde / 2.0:
         raise AssertionError("net approximation error must stay below eps_tilde/2")
     denom = (4.0 * (2.0 + eps_tilde)) ** (1.0 / 3.0) - 2.0
+    if denom <= 0.0:
+        raise ValueError(f"eps_tilde = {eps_tilde!r} is too small for a resolvable "
+                         "rounding factor")
     return math.log2(1.0 + 4.0 / denom)
 
 
 def count_bound_log2(n: int, m0: int, q: int, eps_tilde: float) -> float:
     """log2 of the counting bound with the ceiled rounding factor.
 
-    Security against q-qubit attackers needs this below -2^n.
+    Security against q-qubit attackers needs this below -2^n. A bound
+    beyond float range is math.inf, so q_max treats it as insecure.
     """
     ResourceInputs(n, m0, q, eps_tilde)
     if n > N_MAX:
         raise ValueError(f"n > {N_MAX} not supported by float-scaled evaluation")
     k_factor = math.ceil(rounding_size_logfactor(eps_tilde))
-    k = k_factor * 2.0 ** (2 * q + 2 * m0)
+    try:
+        k = k_factor * 2.0 ** (2 * q + 2 * m0)
+    except OverflowError:  # 2q + 2m0 >= 1024: the bound exceeds every float
+        return math.inf
     return (2.0 ** (n + 1) + 1.0) * k + 2.0 ** (2 * n) * (H_QUARTER - 1.0)
 
 

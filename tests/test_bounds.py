@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from cvqpv.bounds import (
+    ALPHA_MAX,
+    ALPHA_MIN,
     BoundInputs,
+    _eps_tilde_at_alpha,
+    _eps_tilde_grid,
     condition_holds,
     condition_margin,
     condition_surface,
@@ -138,6 +142,45 @@ class TestMaxEpsTilde:
 
     def test_eps_above_cap_infeasible(self):
         assert not max_eps_tilde(0.3, 1e3, 1.0, 0.0).feasible
+
+
+PUBLISHED = [(0.03, 1e3, 0.8, 0.05), (0.03, 1e3, 0.9, 0.12), (0.07, 1e3, 0.95, 0.075),
+             (0.1, 1e3, 1.0, 0.0)]  # the last one is also the CLI default
+GRID_ALPHAS = np.logspace(math.log10(ALPHA_MIN), math.log10(ALPHA_MAX), 240)  # max_eps_tilde's
+
+
+class TestEpsTildeGrid:
+    """The array bisection equals the per-alpha scalar one bit for bit."""
+
+    @pytest.mark.parametrize("eps,E,t,u", PUBLISHED + [
+        (0.05, 10.0, 0.9, 0.05),
+        (0.27865, 1e3, 1.0, 0.0),  # just under the cap: some alphas admit no eps_tilde
+        (eps_cap(1.0, 0.0), 1e3, 1.0, 0.0),  # no margin at eps_tilde = 0 for any alpha
+        (0.0, 1e3, 1e40, 0.0),  # some alphas admit eps_tilde right up to 1
+    ])
+    def test_equals_scalar_bisection(self, eps, E, t, u):
+        tol = 1e-8  # max_eps_tilde's inner tolerance
+        grid = _eps_tilde_grid(eps, E, t, u, GRID_ALPHAS, tol)
+        scalar = [_eps_tilde_at_alpha(eps, E, t, u, a, tol) for a in GRID_ALPHAS]
+        assert grid.tolist() == scalar
+
+    def test_branches_reached(self):
+        partial = _eps_tilde_grid(0.27865, 1e3, 1.0, 0.0, GRID_ALPHAS, 1e-8)
+        assert 0 < np.count_nonzero(partial == 0.0) < len(GRID_ALPHAS)
+        saturated = _eps_tilde_grid(0.0, 1e3, 1e40, 0.0, GRID_ALPHAS, 1e-8)
+        assert 0 < np.count_nonzero(saturated == 1.0 - 1e-12) < len(GRID_ALPHAS)
+
+    @pytest.mark.parametrize("point,eps_tilde_max,alpha_star", [
+        (PUBLISHED[0], 0.0003167763352390937, 0.004863789334748432),
+        (PUBLISHED[1], 0.0002905577421185449, 0.004827196595482789),
+        (PUBLISHED[2], 0.0013268515467630467, 0.005544531133011271),
+        (PUBLISHED[3], 0.003657825291153111, 0.00615453217074178),
+    ])
+    def test_optimum_unchanged(self, point, eps_tilde_max, alpha_star):
+        # recorded from the per-alpha scalar grid scan the array bisection replaced
+        res = max_eps_tilde(*point)
+        assert res.eps_tilde_max == eps_tilde_max
+        assert res.alpha_star == alpha_star
 
 
 class TestEnergySensitivity:

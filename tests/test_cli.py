@@ -40,6 +40,19 @@ class TestResources:
     def test_no_budget_exit(self, capsys):
         assert run(["resources", "--n", "10", "--m0", "9"]) == EXIT_INFEASIBLE
 
+    def test_overflowing_count_bound_is_no_budget(self, capsys, tmp_path):
+        # 2^(2q+2m0) and 2^m0 log2(lambda) leave float range at m0 = 2000
+        assert run(["resources", "--m0", "2000", "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        out = capsys.readouterr().out
+        assert "numeric q_max = -1" in out
+        assert "log2(lambda^(2^m0)) = -inf" in out
+        payload = json.loads((tmp_path / "resources.json").read_text())
+        assert payload["q_max"] == -1
+
+    def test_unresolvable_eps_tilde_is_an_error(self, capsys):
+        assert run(["resources", "--eps-tilde", "1e-17"]) == EXIT_ERROR
+        assert "too small for a resolvable rounding factor" in capsys.readouterr().err
+
 
 class TestRounds:
     def test_finite_plan(self, capsys):
@@ -96,6 +109,18 @@ class TestSimulate:
         assert "n: must lie in [1, 63]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--rounds", "-5"], "rounds: must be >= 0"),
+        (["--sessions", "0", "--rounds", "100"], "sessions: must be >= 1"),
+        (["--sessions", "-3", "--rounds", "100"], "sessions: must be >= 1"),
+    ])
+    def test_round_and_session_counts_checked_before_output(self, capsys, tmp_path, flags,
+                                                            message):
+        out = tmp_path / "run"
+        assert run(["simulate", *flags, "--out", str(out)]) == EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_longest_strings_run(self, tmp_path):
         assert run(["simulate", "--n", "63", "--trace", "--rounds", "100", "--sessions", "2",
                     "--out", str(tmp_path)]) == EXIT_OK
@@ -109,6 +134,12 @@ class TestSweep:
         lines = (tmp_path / "resource_sweep.csv").read_text().splitlines()
         assert lines[0] == "n,m0,k_factor,q_max,corollary_q"
         assert len(lines) == 7
+
+    def test_overflowing_m0_has_no_budget(self, tmp_path):
+        assert run(["sweep", "--n-lo", "30", "--n-hi", "30", "--m0-lo", "598", "--m0-hi", "600",
+                    "--out", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / "resource_sweep.csv").read_text().splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == ["-1", "-1", "-1"]
 
 
 class TestConfig:

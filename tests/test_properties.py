@@ -1,0 +1,78 @@
+"""Property tests for the monotonicity and ordering facts the numerics rely on.
+
+The bisections in cvqpv.bounds assume the separation term grows with
+eps_tilde; q_max assumes the counting bound never falls as q grows; the
+round planner assumes gamma falls as N grows; the cutoff argument assumes
+the truncated state has less energy than the untruncated one. Examples are
+derandomized so the suite gives the same verdict on every run.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cvqpv.bounds import _separation_rhs_array, separation_rhs
+from cvqpv.gaussian import CutoffParams, cutoff_energy, lambda_of_sigma
+from cvqpv.protocol import gamma_threshold
+from cvqpv.resources import N_MAX, count_bound_log2
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
+
+energies = st.floats(min_value=1e-3, max_value=1e8)
+alphas = st.floats(min_value=1e-6, max_value=0.5)
+eps_tildes = st.floats(min_value=0.0, max_value=1.0 - 1e-12)
+
+
+@SETTINGS
+@given(E=energies, alpha=alphas, et1=eps_tildes, et2=eps_tildes)
+def test_separation_rhs_increasing_in_eps_tilde(E, alpha, et1, et2):
+    lo, hi = sorted((et1, et2))
+    if hi - lo > 1e-9 * hi:
+        assert separation_rhs(E, alpha, lo) < separation_rhs(E, alpha, hi)
+    else:
+        assert separation_rhs(E, alpha, lo) <= separation_rhs(E, alpha, hi)
+
+
+@SETTINGS
+@given(E=energies, cap=st.floats(min_value=-1.0, max_value=2.0),
+       points=st.lists(st.tuples(alphas, eps_tildes), min_size=1, max_size=16))
+def test_array_form_matches_scalar_sign(E, cap, points):
+    a = np.array([p[0] for p in points])
+    et = np.array([p[1] for p in points])
+    array_rhs = _separation_rhs_array(E, a, et)
+    scalar_rhs = np.array([separation_rhs(E, x, y) for x, y in points])
+    # np.log2 and math.log2 may differ in the last ulp, never by more
+    np.testing.assert_allclose(array_rhs, scalar_rhs, rtol=1e-14, atol=0.0)
+    assert ((cap - array_rhs) > 0.0).tolist() == ((cap - scalar_rhs) > 0.0).tolist()
+
+
+@SETTINGS
+@given(n=st.integers(1, N_MAX), m0=st.integers(1, 700), q=st.integers(0, 700),
+       et=st.floats(min_value=1e-12, max_value=0.999))
+def test_count_bound_nondecreasing_in_q(n, m0, q, et):
+    assert count_bound_log2(n, m0, q, et) <= count_bound_log2(n, m0, q + 1, et)
+
+
+@SETTINGS
+@given(N1=st.integers(1, 10**9), N2=st.integers(1, 10**9),
+       eps_hon=st.floats(min_value=1e-300, max_value=0.99))
+def test_gamma_threshold_decreasing_in_N(N1, N2, eps_hon):
+    lo, hi = sorted((N1, N2))
+    if lo < hi:
+        assert gamma_threshold(hi, eps_hon) < gamma_threshold(lo, eps_hon)
+
+
+@SETTINGS
+@given(m0=st.integers(1, 2000), sigma=st.floats(min_value=1e-3, max_value=1e6))
+def test_cutoff_energy_below_sigma_sq(m0, sigma):
+    energy = cutoff_energy(CutoffParams(m0, lambda_of_sigma(sigma)), sigma)
+    assert energy <= sigma**2
+    # strictly below wherever the deficit 2^m0 rho^(2^m0) / (1 - rho^(2^m0))
+    # is at least two ulps of sigma^2, using its lower bound 2^m0 rho^(2^m0)
+    rho = sigma**2 / (sigma**2 + 1.0)
+    scale = 2.0**m0 if m0 < 1024 else math.inf
+    log2_deficit_lower = m0 + scale * math.log2(rho)
+    if log2_deficit_lower >= math.log2(2.0 * math.ulp(sigma**2)):
+        assert energy < sigma**2
