@@ -43,10 +43,6 @@ class ChannelParams:
             flags.add("generic-attack-regime")
         return flags
 
-    @property
-    def response_std(self) -> float:
-        return math.sqrt(0.5 + self.u)
-
 
 @dataclass(frozen=True)
 class ChallengeDraw:

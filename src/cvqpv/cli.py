@@ -158,18 +158,27 @@ def _out_dir(args) -> Path | None:
     return out
 
 
+def _write_json(path: Path, payload: dict, sort_keys: bool = False) -> None:
+    """Strict JSON: a non-finite float raises ValueError instead of being written."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=sort_keys, allow_nan=False) + "\n")
+
+
+def _finite_or_none(x: float) -> float | None:
+    """JSON has no infinities or NaN: a non-finite result is written as null."""
+    return x if math.isfinite(x) else None
+
+
 def _write_metadata(out: Path | None, cfg: dict) -> None:
     if out is None:
         return
     meta = {"schema": "cvqpv.run/1", "version": __version__, "config": cfg}
-    (out / "metadata.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "metadata.json", meta, sort_keys=True)
 
 
 def _write_table(out: Path, name: str, header, rows, fmt: str) -> None:
     if fmt == "json":
-        payload = {"schema": "cvqpv.table/1", "columns": list(header),
-                   "rows": [list(row) for row in rows]}
-        (out / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
+        _write_json(out / f"{name}.json", {"schema": "cvqpv.table/1", "columns": list(header),
+                                            "rows": [list(row) for row in rows]})
     else:
         with open(out / f"{name}.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\r\n")
@@ -206,19 +215,18 @@ def cmd_bounds(cfg: dict, out: Path | None) -> int:
     if not result.feasible:
         print("no positive eps_tilde: channel infeasible or eps above its cap")
         if out is not None:
-            (out / "bounds.json").write_text(json.dumps(
-                {"schema": "cvqpv.bounds/1", "feasible": False, "eps_cap": cap},
-                indent=2) + "\n")
+            _write_json(out / "bounds.json", {"schema": "cvqpv.bounds/1", "feasible": False,
+                                              "eps_cap": _finite_or_none(cap)})
         return EXIT_INFEASIBLE
     print(f"max eps_tilde = {result.eps_tilde_max:.6g} at alpha = {result.alpha_star:.6g}")
     if out is not None:
-        (out / "bounds.json").write_text(json.dumps({
+        _write_json(out / "bounds.json", {
             "schema": "cvqpv.bounds/1",
             "feasible": True,
-            "eps_cap": cap,
+            "eps_cap": _finite_or_none(cap),
             "eps_tilde_max": result.eps_tilde_max,
             "alpha_star": result.alpha_star,
-        }, indent=2) + "\n")
+        })
         alphas = np.logspace(-4, math.log10(0.5), 80)
         ets = np.linspace(1e-5, max(4.0 * result.eps_tilde_max, 1e-4), 80)
         grid = condition_surface(eps, E, t, u, alphas, ets)
@@ -244,7 +252,8 @@ def cmd_resources(cfg: dict, out: Path | None) -> int:
     print(f"cutoff error scale log2(lambda^(2^m0)) = {report.cutoff_error_log2:.4f}")
     if out is not None:
         payload = {"schema": "cvqpv.resources/1", **report.__dict__}
-        (out / "resources.json").write_text(json.dumps(payload, indent=2) + "\n")
+        payload["cutoff_error_log2"] = _finite_or_none(report.cutoff_error_log2)
+        _write_json(out / "resources.json", payload)
     return EXIT_OK if report.q_max >= 0 else EXIT_INFEASIBLE
 
 
@@ -254,16 +263,14 @@ def cmd_rounds(cfg: dict, out: Path | None) -> int:
     except NoMarginError as exc:
         print(f"no margin: {exc}")
         if out is not None:
-            (out / "rounds.json").write_text(json.dumps(
-                {"schema": "cvqpv.rounds/1", "feasible": False, "reason": str(exc)},
-                indent=2) + "\n")
+            _write_json(out / "rounds.json",
+                        {"schema": "cvqpv.rounds/1", "feasible": False, "reason": str(exc)})
         return EXIT_INFEASIBLE
     print(f"N = {plan.N}, gamma = {plan.gamma:.6f}, Delta = {plan.delta:.6f}, "
           f"score variance = {plan.score_variance:.6f}")
     if out is not None:
-        (out / "rounds.json").write_text(json.dumps(
-            {"schema": "cvqpv.rounds/1", "feasible": True, **plan.__dict__},
-            indent=2) + "\n")
+        _write_json(out / "rounds.json",
+                    {"schema": "cvqpv.rounds/1", "feasible": True, **plan.__dict__})
     return EXIT_OK
 
 
@@ -277,9 +284,8 @@ def cmd_simulate(cfg: dict, out: Path | None, trace: bool = False) -> int:
         except NoMarginError as exc:
             print(f"no margin: {exc}")
             if out is not None:
-                (out / "simulate.json").write_text(json.dumps(
-                    {"schema": "cvqpv.simulate/1", "feasible": False, "reason": str(exc)},
-                    indent=2) + "\n")
+                _write_json(out / "simulate.json",
+                            {"schema": "cvqpv.simulate/1", "feasible": False, "reason": str(exc)})
             return EXIT_INFEASIBLE
         N = plan.N
     params = ProtocolParams(sigma=cfg["sigma"], n=cfg["n"], N=N, eps_hon=cfg["eps_hon"],
@@ -295,7 +301,7 @@ def cmd_simulate(cfg: dict, out: Path | None, trace: bool = False) -> int:
     if flags:
         print(f"regime flags: {', '.join(flags)}")
     if out is not None:
-        (out / "simulate.json").write_text(json.dumps({
+        _write_json(out / "simulate.json", {
             "schema": "cvqpv.simulate/1",
             "rounds": N,
             "sessions": cfg["sessions"],
@@ -303,7 +309,7 @@ def cmd_simulate(cfg: dict, out: Path | None, trace: bool = False) -> int:
             "honest_acceptance": honest_rate,
             "attacker_acceptance": attack_rate,
             "regime_flags": flags,
-        }, indent=2) + "\n")
+        })
         if trace:
             traced = run_session(params, ch, honest, cfg["seed"], trace=True)
             write_rounds_csv(traced, out / "honest_rounds.csv")
@@ -376,19 +382,11 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         out = _out_dir(args)
         _write_metadata(out, cfg)
-        if args.command == "feasibility":
-            return cmd_feasibility(cfg, out)
-        if args.command == "bounds":
-            return cmd_bounds(cfg, out)
-        if args.command == "resources":
-            return cmd_resources(cfg, out)
-        if args.command == "rounds":
-            return cmd_rounds(cfg, out)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out, trace=getattr(args, "trace", False))
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out)
-        raise ValueError(f"unknown command {args.command!r}")
+            return cmd_simulate(cfg, out, trace=args.trace)
+        handler = {"feasibility": cmd_feasibility, "bounds": cmd_bounds,
+                   "resources": cmd_resources, "rounds": cmd_rounds, "sweep": cmd_sweep}
+        return handler[args.command](cfg, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -191,25 +191,33 @@ def cutoff_purified_distance(c: CutoffParams) -> PurifiedDistance:
     return PurifiedDistance(value, log2, value == 0.0)
 
 
+def _phi(y: float) -> float:
+    """1/expm1(y) - 1/y + 1/2, from its Bernoulli series below y = 0.1."""
+    if y >= 0.1:
+        return 1.0 / math.expm1(y) - 1.0 / y + 0.5
+    y2 = y * y
+    return y * (1.0 / 12.0 - y2 * (1.0 / 720.0 - y2 * (1.0 / 30240.0 - y2 / 1209600.0)))
+
+
 def cutoff_energy(c: CutoffParams, sigma: float) -> float:
     """Mean photon number of one arm of the truncated TMSV.
 
-    Closed form sigma^2 + 2^m0 * rho^(2^m0) / (rho^(2^m0) - 1) with
-    rho = sigma^2/(sigma^2+1) = lambda^2. Strictly below sigma^2 and tends
-    to sigma^2 as m0 grows; in floating point it equals sigma^2 once the
-    deficit falls below half an ulp of sigma^2.
+    Closed form sigma^2 - K rho^K / (1 - rho^K), K = 2^m0, rho = lambda^2 =
+    exp(-x), x = log1p(1/sigma^2); where rho^K > 1/e that difference cancels
+    and the equal form (K-1)/2 + phi(x) - K phi(K x) is used. Strictly below
+    sigma^2; in floating point it equals sigma^2 once the deficit falls
+    below half an ulp of sigma^2.
     """
     lam = lambda_of_sigma(sigma)
     if abs(lam - c.lam) > 1e-9 * max(1.0, abs(lam)):
         raise ValueError(f"inconsistent (lambda={c.lam}, sigma={sigma}) pair")
-    rho = sigma**2 / (sigma**2 + 1.0)
+    x = math.log1p(1.0 / sigma**2)
     try:
-        rho_pow = math.exp(math.ldexp(math.log(rho), c.m0))
-    except OverflowError:  # 2^m0 log(rho) below float range
-        rho_pow = 0.0
-    if rho_pow == 0.0:  # skips 2^m0 * 0.0, which overflows for m0 >= 1024
+        y = math.ldexp(x, c.m0)  # -log(rho^K)
+    except OverflowError:  # rho^K far below float range
         return sigma**2
-    big = 2**c.m0
-    if rho_pow >= 1.0:  # cannot happen for finite sigma, guard anyway
-        raise ValueError("rho^(2^m0) >= 1")
-    return sigma**2 + big * rho_pow / (rho_pow - 1.0)
+    if y < 1.0:
+        big = 2.0**c.m0
+        return (big - 1.0) / 2.0 + _phi(x) - big * _phi(y)
+    rho_pow = math.exp(-y)
+    return sigma**2 - math.ldexp(rho_pow, c.m0) / (1.0 - rho_pow)

@@ -18,11 +18,10 @@ results no matter how sessions are scheduled.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -178,14 +177,13 @@ class HonestProver(GaussianResponder):
         super().__init__("honest", math.sqrt(ch.t), var)
 
 
-@dataclass
-class RoundRecord:
-    index: int
-    theta: float
-    r: float
-    r_prime: float
-    score_term: float
-    timing_ok: bool = True
+class RoundTrace(NamedTuple):
+    """Per-round columns of a traced session; element i belongs to round i."""
+
+    theta: np.ndarray
+    r: np.ndarray
+    r_prime: np.ndarray
+    score_term: np.ndarray
 
 
 @dataclass
@@ -196,7 +194,7 @@ class SessionResult:
     regime_flags: set
     n_rounds: int
     responder: str
-    records: Optional[list] = None
+    records: Optional[RoundTrace] = None
     score_terms: Optional[np.ndarray] = field(default=None, repr=False)
 
 
@@ -217,14 +215,13 @@ def _residual_variance(p: ProtocolParams, ch: ChannelParams, responder: Responde
 
 
 def _round_engine(p: ProtocolParams, ch: ChannelParams, responder: Responder, rng, trace: bool):
-    """Draw r, the responses and the N score terms: (terms, records or None)."""
-    N = p.N
-    r = rng.normal(0.0, p.sigma, size=N)
+    """Draw r, the responses and the N score terms: (terms, RoundTrace or None)."""
+    r = rng.normal(0.0, p.sigma, size=p.N)
     thetas = None
     if trace or responder.theta_dependent:
         f = p.make_function()
-        x = rng.integers(0, 1 << p.n, size=N, dtype=np.uint64)
-        y = rng.integers(0, 1 << p.n, size=N, dtype=np.uint64)
+        x = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
+        y = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
         thetas = f.evaluate(x, y) * (math.pi / 2.0)
     try:
         r_prime = np.asarray(responder.respond(r, thetas, rng), dtype=float)
@@ -234,14 +231,7 @@ def _round_engine(p: ProtocolParams, ch: ChannelParams, responder: Responder, rn
         raise RuntimeError(f"responder {responder.name!r} returned wrong shape {r_prime.shape}")
 
     terms = (r_prime - math.sqrt(ch.t) * r) ** 2 / (0.5 + ch.u)
-    records = None
-    if trace:
-        records = [
-            RoundRecord(i, float(thetas[i]), float(r[i]), float(r_prime[i]), float(terms[i]),
-                        responder.timing_ok)
-            for i in range(N)
-        ]
-    return terms, records
+    return terms, (RoundTrace(thetas, r, r_prime, terms) if trace else None)
 
 
 def run_session(
@@ -313,16 +303,21 @@ def honest_failure_rate(
     return 1.0 - acceptance_rate(p, ch, HonestProver(ch), repetitions, master_seed)
 
 
+_CSV_CHUNK_ROWS = 8192  # rows per write: bounds the formatted string held at once
+
+
 def write_rounds_csv(result: SessionResult, path) -> None:
     """Per-round trace as RFC-4180 CSV (requires a traced session)."""
-    if result.records is None:
+    trace = result.records
+    if trace is None:
         raise ValueError("session was not run with trace=True")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["index", "theta", "r", "r_prime", "score_term"])
-        for rec in result.records:
-            writer.writerow([rec.index, repr(rec.theta), repr(rec.r), repr(rec.r_prime),
-                             repr(rec.score_term)])
+    with open(path, "w", newline="") as fh:  # int and float repr fields need no quoting
+        fh.write("index,theta,r,r_prime,score_term\r\n")
+        for start in range(0, len(trace.r), _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            rows = zip(range(start, stop), *(col[start:stop].tolist() for col in trace))
+            fh.write("".join([f"{i},{theta!r},{r!r},{r_prime!r},{term!r}\r\n"
+                              for i, theta, r, r_prime, term in rows]))
 
 
 def write_session_json(result: SessionResult, path) -> None:
@@ -336,5 +331,5 @@ def write_session_json(result: SessionResult, path) -> None:
         "regime_flags": sorted(result.regime_flags),
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

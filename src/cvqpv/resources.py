@@ -78,11 +78,11 @@ def rounding_size_logfactor(eps_tilde: float) -> float:
     """log2(1 + 4/(cbrt(4(2+et)) - 2)): the per-dimension rounding factor."""
     if not (0.0 < eps_tilde < 1.0):
         raise ValueError("eps_tilde must lie in (0,1)")
-    delta = delta_for(eps_tilde)
-    if not net_approx_error(delta) < eps_tilde / 2.0:
-        raise AssertionError("net approximation error must stay below eps_tilde/2")
+    # below about 1e-12, rounding decides both the net error (1+delta)^3 - 1
+    # and the cube-root gap cbrt(4(2+et)) - 2
+    net_error = net_approx_error(delta_for(eps_tilde))
     denom = (4.0 * (2.0 + eps_tilde)) ** (1.0 / 3.0) - 2.0
-    if denom <= 0.0:
+    if not (net_error < eps_tilde / 2.0 and denom > 0.0):
         raise ValueError(f"eps_tilde = {eps_tilde!r} is too small for a resolvable "
                          "rounding factor")
     return math.log2(1.0 + 4.0 / denom)

@@ -1,12 +1,27 @@
+import hashlib
 import json
+import math
 
 import pytest
 
-from cvqpv.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
+from cvqpv.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, _write_json, main
 
 
 def run(args):
     return main(args)
+
+
+def strict_json(path):
+    """Load a result file, rejecting the non-standard Infinity and NaN constants."""
+    def reject(name):
+        raise ValueError(f"{path.name}: non-standard JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_non_finite_json_value_fails_loudly(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "x.json", {"value": -math.inf})
 
 
 class TestBounds:
@@ -24,6 +39,12 @@ class TestBounds:
         assert run(["bounds", "--t", "0.5", "--out", str(tmp_path)]) == EXIT_INFEASIBLE
         payload = json.loads((tmp_path / "bounds.json").read_text())
         assert payload["feasible"] is False
+
+    def test_zero_transmission_cap_is_null(self, capsys, tmp_path):
+        assert run(["bounds", "--t", "0", "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert "= -inf" in capsys.readouterr().out
+        payload = strict_json(tmp_path / "bounds.json")
+        assert payload["feasible"] is False and payload["eps_cap"] is None
 
 
 class TestResources:
@@ -49,8 +70,18 @@ class TestResources:
         payload = json.loads((tmp_path / "resources.json").read_text())
         assert payload["q_max"] == -1
 
+    def test_saturated_cutoff_log2_is_null(self, capsys, tmp_path):
+        assert run(["resources", "--m0", "2000", "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert "log2(lambda^(2^m0)) = -inf" in capsys.readouterr().out
+        assert strict_json(tmp_path / "resources.json")["cutoff_error_log2"] is None
+
     def test_unresolvable_eps_tilde_is_an_error(self, capsys):
         assert run(["resources", "--eps-tilde", "1e-17"]) == EXIT_ERROR
+        assert "too small for a resolvable rounding factor" in capsys.readouterr().err
+
+    def test_net_error_above_eps_tilde_is_an_error(self, capsys):
+        # (1+delta)^3 - 1 rounds to at least eps_tilde/2 here
+        assert run(["resources", "--eps-tilde", "1e-15"]) == EXIT_ERROR
         assert "too small for a resolvable rounding factor" in capsys.readouterr().err
 
 
@@ -120,6 +151,13 @@ class TestSimulate:
         assert run(["simulate", *flags, "--out", str(out)]) == EXIT_ERROR
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_trace_bytes_pinned(self, tmp_path):
+        # digest of the row-by-row csv.writer trace this writer replaced
+        assert run(["simulate", "--sessions", "2", "--trace", "--seed", "11",
+                    "--out", str(tmp_path)]) == EXIT_OK
+        digest = hashlib.sha256((tmp_path / "honest_rounds.csv").read_bytes()).hexdigest()
+        assert digest == "3fbe6ab1f0aac91cfe82519ed753e9da960f30e89890ef0d98ed69dee8bbb7e8"
 
     def test_longest_strings_run(self, tmp_path):
         assert run(["simulate", "--n", "63", "--trace", "--rounds", "100", "--sessions", "2",

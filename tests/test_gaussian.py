@@ -231,6 +231,19 @@ class TestCutoff:
             den = (lam**2 - 1.0) * (lam ** (2 * big) - 1.0)
             assert cutoff_energy(CutoffParams(m0, lam), sigma) == pytest.approx(num / den, rel=1e-9)
 
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0, 1e3, 1e5, 1e6, 1e8])
+    def test_energy_matches_direct_sum(self, sigma):
+        # sum_k k rho^k / sum_k rho^k over k < 2^m0, rho^k = exp(-k log1p(1/sigma^2));
+        # the closed form used to cancel to 829.4 at sigma = 1e5, m0 = 1 (exact 0.5)
+        x = math.log1p(1.0 / sigma**2)
+        lam = min(lambda_of_sigma(sigma), math.nextafter(1.0, 0.0))  # 1.0 at sigma = 1e8
+        for m0 in range(1, 13):
+            k = np.arange(2**m0, dtype=np.float64)
+            w = np.exp(-k * x)
+            direct = math.fsum(k * w) / math.fsum(w)
+            closed = cutoff_energy(CutoffParams(m0, lam), sigma)
+            assert closed == pytest.approx(direct, rel=1e-9, abs=0.0)
+
     def test_inconsistent_pair_rejected(self):
         with pytest.raises(ValueError):
             cutoff_energy(CutoffParams(3, 0.5), 2.0)

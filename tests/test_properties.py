@@ -3,19 +3,30 @@
 The bisections in cvqpv.bounds assume the separation term grows with
 eps_tilde; q_max assumes the counting bound never falls as q grows; the
 round planner assumes gamma falls as N grows; the cutoff argument assumes
-the truncated state has less energy than the untruncated one. Examples are
+the truncated state has less energy than the untruncated one. The round
+trace CSV must give back the session's columns exactly. Examples are
 derandomized so the suite gives the same verdict on every run.
 """
 
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqpv.bounds import _separation_rhs_array, separation_rhs
+from cvqpv.channel import ChannelParams
 from cvqpv.gaussian import CutoffParams, cutoff_energy, lambda_of_sigma
-from cvqpv.protocol import gamma_threshold
+from cvqpv.protocol import (
+    HonestProver,
+    ProtocolParams,
+    gamma_threshold,
+    run_session,
+    write_rounds_csv,
+)
 from cvqpv.resources import N_MAX, count_bound_log2
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
@@ -68,7 +79,7 @@ def test_gamma_threshold_decreasing_in_N(N1, N2, eps_hon):
 @given(m0=st.integers(1, 2000), sigma=st.floats(min_value=1e-3, max_value=1e6))
 def test_cutoff_energy_below_sigma_sq(m0, sigma):
     energy = cutoff_energy(CutoffParams(m0, lambda_of_sigma(sigma)), sigma)
-    assert energy <= sigma**2
+    assert 0.0 < energy <= sigma**2
     # strictly below wherever the deficit 2^m0 rho^(2^m0) / (1 - rho^(2^m0))
     # is at least two ulps of sigma^2, using its lower bound 2^m0 rho^(2^m0)
     rho = sigma**2 / (sigma**2 + 1.0)
@@ -76,3 +87,24 @@ def test_cutoff_energy_below_sigma_sq(m0, sigma):
     log2_deficit_lower = m0 + scale * math.log2(rho)
     if log2_deficit_lower >= math.log2(2.0 * math.ulp(sigma**2)):
         assert energy < sigma**2
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 300),
+       t=st.floats(min_value=0.0, max_value=1.0), u=st.floats(min_value=0.0, max_value=0.3))
+def test_trace_csv_gives_back_the_columns(seed, N, t, u):
+    ch = ChannelParams(t, u)
+    params = ProtocolParams(sigma=10.0, n=8, N=N, eps_hon=0.01)
+    res = run_session(params, ch, HonestProver(ch), seed, trace=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rounds.csv"
+        write_rounds_csv(res, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    assert rows[0] == ["index", "theta", "r", "r_prime", "score_term"]
+    assert [int(row[0]) for row in rows[1:]] == list(range(N))
+    parsed = np.array([[float(field) for field in row[1:]] for row in rows[1:]])
+    for j, col in enumerate(res.records):
+        assert parsed[:, j].tobytes() == col.tobytes()  # bit for bit
+    _theta, r, r_prime, term = parsed.T
+    assert ((r_prime - math.sqrt(t) * r) ** 2 / (0.5 + u) == term).all()
