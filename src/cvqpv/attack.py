@@ -65,10 +65,13 @@ def fano_mse_floor(eps: float, eps_unit: str = "nats") -> float:
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    if eps_unit == "nats":
-        return 0.5 * math.exp(eps / 2.0)
-    if eps_unit == "bits":
-        return 0.5 * 2.0 ** (eps / 2.0)
+    try:
+        if eps_unit == "nats":
+            return 0.5 * math.exp(eps / 2.0)
+        if eps_unit == "bits":
+            return 0.5 * 2.0 ** (eps / 2.0)
+    except OverflowError:
+        raise ValueError(f"eps = {eps!r} overflows the estimation-error floor") from None
     raise ValueError(f"unknown eps unit {eps_unit!r}")
 
 
@@ -86,7 +89,10 @@ def delta_margin(eps: float, u: float, gamma: float, eps_unit: str = "nats") -> 
 def attacker_score_variance(eps: float, u: float, eps_unit: str = "nats") -> float:
     """Exact variance 2 (v/(1/2+u))^2 of the pessimistic attacker's score term."""
     v = fano_mse_floor(eps, eps_unit)
-    return 2.0 * (v / (0.5 + u)) ** 2
+    try:
+        return 2.0 * (v / (0.5 + u)) ** 2
+    except OverflowError:
+        raise ValueError(f"eps = {eps!r} overflows the attacker's score variance") from None
 
 
 def rounds_required(

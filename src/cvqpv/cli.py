@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -150,12 +152,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _out_dir(args) -> Path | None:
-    if args.out is None:
-        return None
-    out = Path(args.out)
+def _make_out_dir(out: Path) -> Path | None:
+    """Create --out and its missing parents; return the topmost directory created, if any."""
+    created = next((p for p in reversed([out, *out.parents]) if not p.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return created
 
 
 def _write_json(path: Path, payload: dict, sort_keys: bool = False) -> None:
@@ -192,10 +193,10 @@ def cmd_feasibility(cfg: dict, out: Path | None) -> int:
     if len(us) == 0 or len(ts) == 0:
         raise ValueError("empty (u,t) range")
     rows = []
-    for u in us:
-        for t in ts:
+    for u in us.tolist():
+        for t in ts.tolist():
             margin = 4.0 * t - math.e * (1.0 + 2.0 * u)
-            rows.append([repr(float(u)), repr(float(t)), repr(margin), int(margin > 0.0)])
+            rows.append([repr(u), repr(t), repr(margin), int(margin > 0.0)])
     points = [[repr(u), repr(t), int(ChannelParams(t, u).feasible())]
               for (_eps, t, u) in TABLE_POINTS]
     print("feasibility grid: 4t - e(1+2u) over u in [0,0.3], t in [0.5,1]")
@@ -318,9 +319,12 @@ def cmd_simulate(cfg: dict, out: Path | None, trace: bool = False) -> int:
 
 
 def cmd_sweep(cfg: dict, out: Path | None) -> int:
+    ns, m0s = range(cfg["n_lo"], cfg["n_hi"] + 1), range(cfg["m0_lo"], cfg["m0_hi"] + 1)
+    if not ns or not m0s:
+        raise ValueError("empty (n, m0) range")
     rows = []
-    for n in range(cfg["n_lo"], cfg["n_hi"] + 1):
-        for m0 in range(cfg["m0_lo"], cfg["m0_hi"] + 1):
+    for n in ns:
+        for m0 in m0s:
             report = resource_report(n, m0, cfg["eps_tilde"])
             rows.append([n, m0, report.k_factor_int, report.q_max,
                          report.corollary_q if report.corollary_q is not None else ""])
@@ -331,7 +335,9 @@ def cmd_sweep(cfg: dict, out: Path | None) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every main() call."""
     parser = argparse.ArgumentParser(
         prog="cvqpv",
         description="Coherent-state position-verification security calculator and simulator",
@@ -376,18 +382,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = created = None
     try:
         cfg = resolve_config(args)
-        out = _out_dir(args)
-        _write_metadata(out, cfg)
+        if args.out is not None:
+            out = Path(args.out)
+            created = _make_out_dir(out)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out, trace=args.trace)
-        handler = {"feasibility": cmd_feasibility, "bounds": cmd_bounds,
-                   "resources": cmd_resources, "rounds": cmd_rounds, "sweep": cmd_sweep}
-        return handler[args.command](cfg, out)
+            code = cmd_simulate(cfg, out, trace=args.trace)
+        else:
+            handler = {"feasibility": cmd_feasibility, "bounds": cmd_bounds,
+                       "resources": cmd_resources, "rounds": cmd_rounds, "sweep": cmd_sweep}
+            code = handler[args.command](cfg, out)
+        _write_metadata(out, cfg)
+        return code
     except (ValueError, OSError) as exc:
+        # exit 1 leaves no partial output: drop what this call created, never more
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gaussian import CutoffParams, binary_entropy, cutoff_purified_distance, lambda_of_sigma
+# cutoff_purified_distance is not called here: perfbench's tracer wraps it by this name
+from .gaussian import binary_entropy, cutoff_purified_distance  # noqa: F401
 
 N_MAX = 40  # 2^(2n) stays well inside float64 range up to here
 
@@ -97,7 +98,11 @@ def count_bound_log2(n: int, m0: int, q: int, eps_tilde: float) -> float:
     ResourceInputs(n, m0, q, eps_tilde)
     if n > N_MAX:
         raise ValueError(f"n > {N_MAX} not supported by float-scaled evaluation")
-    k_factor = math.ceil(rounding_size_logfactor(eps_tilde))
+    return _count_bound_log2(n, m0, q, math.ceil(rounding_size_logfactor(eps_tilde)))
+
+
+def _count_bound_log2(n: int, m0: int, q: int, k_factor: int) -> float:
+    """count_bound_log2 for validated inputs and a ceiled rounding factor."""
     try:
         k = k_factor * 2.0 ** (2 * q + 2 * m0)
     except OverflowError:  # 2q + 2m0 >= 1024: the bound exceeds every float
@@ -120,10 +125,11 @@ def corollary_q(n: int, m0: int) -> int | None:
 def q_max(n: int, m0: int, eps_tilde: float) -> int:
     """Largest q with count_bound_log2 < -2^n; -1 when no q >= 0 qualifies."""
     threshold = -(2.0**n)
-    if count_bound_log2(n, m0, 0, eps_tilde) >= threshold:
+    if count_bound_log2(n, m0, 0, eps_tilde) >= threshold:  # also validates the inputs
         return -1
+    k_factor = math.ceil(rounding_size_logfactor(eps_tilde))
     q = 0
-    while count_bound_log2(n, m0, q + 1, eps_tilde) < threshold:
+    while _count_bound_log2(n, m0, q + 1, k_factor) < threshold:
         q += 1
     closed_form = corollary_q(n, m0)
     if closed_form is not None and eps_tilde >= 0.004 and closed_form > q:
@@ -135,10 +141,20 @@ def cutoff_soundness(m0: int, sigma: float) -> float:
     """log2 of the honest-acceptance perturbation scale lambda^(2^m0).
 
     This is the scale inside the O(.) of the imaginary-world substitution;
-    the hidden constant is not known.
+    the hidden constant is not known. log2 lambda comes from
+    log1p(-1/(1+sigma^2)) / (2 ln 2), not from lambda itself, which rounds
+    to 1.0 above sigma of about 7e7. Saturates at -inf like
+    cutoff_purified_distance.
     """
-    lam = lambda_of_sigma(sigma)
-    return cutoff_purified_distance(CutoffParams(m0, lam)).log2
+    if m0 < 1 or int(m0) != m0:
+        raise ValueError("m0 must be a positive integer")
+    if not (sigma > 0.0):
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    log2_lam = math.log1p(-1.0 / (1.0 + sigma * sigma)) / (2.0 * math.log(2.0))
+    try:
+        return math.ldexp(log2_lam, m0)
+    except OverflowError:
+        return -math.inf
 
 
 def resource_report(n: int, m0: int, eps_tilde: float, sigma: float | None = None) -> ResourceReport:

@@ -64,6 +64,15 @@ class TestFanoFloor:
         with pytest.raises(ValueError):
             fano_mse_floor(0.1, "dits")
 
+    @pytest.mark.parametrize("fn,args", [
+        (fano_mse_floor, (1500.0,)),                 # exp(750) overflows
+        (fano_mse_floor, (2100.0, "bits")),          # 2^1050 overflows
+        (attacker_score_variance, (1000.0, 0.0)),    # the floor is finite, its square is not
+    ])
+    def test_overflow_is_a_value_error_naming_eps(self, fn, args):
+        with pytest.raises(ValueError, match="eps = "):
+            fn(*args)
+
     def test_honest_ideal_saturates(self):
         # Gaussian estimator equality case: honest ideal MSE = 1/2 within 1%
         ch = ChannelParams(1.0, 0.0)

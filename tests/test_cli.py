@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -84,6 +85,12 @@ class TestResources:
         assert run(["resources", "--eps-tilde", "1e-15"]) == EXIT_ERROR
         assert "too small for a resolvable rounding factor" in capsys.readouterr().err
 
+    def test_lambda_rounding_to_one_still_reports(self, tmp_path):
+        # lambda_of_sigma(1e8) rounds to 1.0; log2 lambda^(2^m0) does not need it
+        assert run(["resources", "--sigma", "1e8", "--out", str(tmp_path)]) == EXIT_OK
+        value = strict_json(tmp_path / "resources.json")["cutoff_error_log2"]
+        assert value == pytest.approx(-2.3083e-15, rel=1e-4, abs=0.0)
+
 
 class TestRounds:
     def test_finite_plan(self, capsys):
@@ -107,6 +114,16 @@ class TestFeasibility:
         assert run(["feasibility", "--out", str(tmp_path), "--format", "json"]) == EXIT_OK
         payload = json.loads((tmp_path / "feasibility_grid.json").read_text())
         assert payload["columns"] == ["u", "t", "margin", "feasible"]
+
+    def test_margin_fields_are_plain_floats(self, tmp_path):
+        assert run(["feasibility", "--out", str(tmp_path / "csv")]) == EXIT_OK
+        assert run(["feasibility", "--format", "json", "--out", str(tmp_path / "json")]) == EXIT_OK
+        with open(tmp_path / "csv" / "feasibility_grid.csv", newline="") as fh:
+            csv_rows = list(csv.reader(fh))[1:]
+        json_rows = json.loads((tmp_path / "json" / "feasibility_grid.json").read_text())["rows"]
+        assert len(csv_rows) == len(json_rows) == 31 * 26
+        for u, t, margin, _feasible in csv_rows + json_rows:
+            assert float(margin) == 4.0 * float(t) - math.e * (1.0 + 2.0 * float(u))
 
 
 class TestSimulate:
@@ -178,6 +195,44 @@ class TestSweep:
                     "--out", str(tmp_path)]) == EXIT_OK
         lines = (tmp_path / "resource_sweep.csv").read_text().splitlines()
         assert [line.split(",")[3] for line in lines[1:]] == ["-1", "-1", "-1"]
+
+
+class TestErrorExit:
+    @pytest.mark.parametrize("argv", [
+        ["resources", "--n", "41"],
+        ["sweep", "--m0-lo", "0"],
+        ["feasibility", "--u-steps", "0"],
+        ["simulate", "--seed", "-1", "--rounds", "100", "--sessions", "2"],
+        ["rounds", "--eps", "1000"],
+        ["sweep", "--n-lo", "30", "--n-hi", "20"],
+    ])
+    def test_error_after_validation_leaves_no_output(self, capsys, tmp_path, argv):
+        fresh = tmp_path / "new" / "run"
+        assert run(argv + ["--out", str(fresh)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "new").exists()
+        # a directory that was there before survives, with nothing written into it
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("keep\n")
+        assert run(argv + ["--out", str(kept)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+
+
+class TestSharedParser:
+    def test_trace_flag_does_not_carry_over(self, tmp_path):
+        args = ["simulate", "--rounds", "200", "--sessions", "2"]
+        assert run(args + ["--trace", "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert run(args + ["--out", str(tmp_path / "b")]) == EXIT_OK
+        assert (tmp_path / "a" / "honest_rounds.csv").exists()
+        assert not (tmp_path / "b" / "honest_rounds.csv").exists()
+
+    def test_range_flags_do_not_carry_over(self, tmp_path):
+        assert run(["sweep", "--n-lo", "30", "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert run(["sweep", "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert len((tmp_path / "a" / "resource_sweep.csv").read_text().splitlines()) == 1 + 110
+        assert len((tmp_path / "b" / "resource_sweep.csv").read_text().splitlines()) == 1 + 190
 
 
 class TestConfig:

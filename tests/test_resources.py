@@ -119,6 +119,19 @@ class TestQMax:
                 if n > 2 * (m0 + 5) and n + 2 <= 40:
                     assert q_max(n + 2, m0, 0.004) >= q_max(n, m0, 0.004) + 1
 
+    @pytest.mark.parametrize("et", [1e-12, 0.004, 0.1, 0.5, 0.999])
+    def test_equals_public_count_bound_scan(self, et):
+        # oracle: the per-q scan with the public, validating count_bound_log2
+        def scanned(n, m0):
+            q = -1
+            while count_bound_log2(n, m0, q + 1, et) < -(2.0**n):
+                q += 1
+            return q
+
+        for n in range(1, 41):
+            for m0 in range(1, 31):
+                assert q_max(n, m0, et) == scanned(n, m0), (n, m0)
+
     def test_corollary_scan(self):
         # closed-form budget always satisfies the counting bound
         for m0 in range(1, 11):
@@ -140,6 +153,14 @@ class TestCutoffSoundness:
 
     def test_lambda_to_one_no_suppression(self):
         assert cutoff_soundness(4, 1e6) == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("sigma", [1e7, 1e8])
+    def test_large_sigma_matches_series(self, sigma):
+        # lambda^2 = 1 - 1/(1+sigma^2), so 2 ln lambda = -(x - x^2/2 + ...), x = 1/sigma^2;
+        # at sigma = 1e8 lambda itself rounds to 1.0
+        x = 1.0 / sigma**2
+        expected = -32 * (x - x * x / 2) / (2 * math.log(2.0))
+        assert cutoff_soundness(5, sigma) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestResourceReport:
