@@ -56,6 +56,29 @@ def lambda_of_sigma(sigma: float) -> float:
     return sigma / math.hypot(1.0, sigma)
 
 
+def neg_log_rho(sigma: float) -> float:
+    """x = -ln(lambda^2) = log1p(1/sigma^2), without rounding lambda first.
+
+    lambda itself rounds to 1.0 above sigma of about 7e7; x stays accurate
+    for small and large sigma and is 0.0 at sigma = inf.
+    """
+    if not (sigma > 0.0):  # also rejects nan
+        raise ValueError(f"sigma must be positive and finite-or-inf, got {sigma}")
+    if sigma < 1.0:  # 1/sigma^2 leaves float range below about 1e-154
+        return math.log1p(sigma * sigma) - 2.0 * math.log(sigma)
+    return math.log1p(1.0 / (sigma * sigma))
+
+
+def cutoff_log2(m0: int, log2_lam: float) -> float:
+    """log2 lambda^(2^m0) = 2^m0 log2(lambda), saturating at -inf."""
+    if m0 < 1 or int(m0) != m0:
+        raise ValueError("m0 must be a positive integer")
+    try:
+        return math.ldexp(log2_lam, m0)
+    except OverflowError:
+        return -math.inf
+
+
 @dataclass(frozen=True)
 class ModulationParams:
     """Gaussian modulation of std sigma with phase-noise coefficient u0.
@@ -183,10 +206,7 @@ def cutoff_purified_distance(c: CutoffParams) -> PurifiedDistance:
     exact log2 is still reported, until 2^m0 log2(lambda) itself leaves
     float range and log2 saturates at -inf.
     """
-    try:
-        log2 = math.ldexp(math.log2(c.lam), c.m0)
-    except OverflowError:
-        log2 = -math.inf
+    log2 = cutoff_log2(c.m0, math.log2(c.lam))
     value = 2.0**log2 if log2 > -1074 else 0.0
     return PurifiedDistance(value, log2, value == 0.0)
 
@@ -211,7 +231,7 @@ def cutoff_energy(c: CutoffParams, sigma: float) -> float:
     lam = lambda_of_sigma(sigma)
     if abs(lam - c.lam) > 1e-9 * max(1.0, abs(lam)):
         raise ValueError(f"inconsistent (lambda={c.lam}, sigma={sigma}) pair")
-    x = math.log1p(1.0 / sigma**2)
+    x = neg_log_rho(sigma)
     try:
         y = math.ldexp(x, c.m0)  # -log(rho^K)
     except OverflowError:  # rho^K far below float range

@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# cutoff_purified_distance is not called here: perfbench's tracer wraps it by this name
-from .gaussian import binary_entropy, cutoff_purified_distance  # noqa: F401
+from .gaussian import binary_entropy, cutoff_log2, neg_log_rho
+
+# not called here: perfbench's tracer wraps cutoff_purified_distance by this name
+from .gaussian import cutoff_purified_distance  # noqa: F401
 
 N_MAX = 40  # 2^(2n) stays well inside float64 range up to here
 
@@ -141,20 +143,12 @@ def cutoff_soundness(m0: int, sigma: float) -> float:
     """log2 of the honest-acceptance perturbation scale lambda^(2^m0).
 
     This is the scale inside the O(.) of the imaginary-world substitution;
-    the hidden constant is not known. log2 lambda comes from
-    log1p(-1/(1+sigma^2)) / (2 ln 2), not from lambda itself, which rounds
-    to 1.0 above sigma of about 7e7. Saturates at -inf like
+    the hidden constant is not known. log2 lambda = -x / (2 ln 2) with
+    x = neg_log_rho(sigma), not log2 of lambda itself, which rounds to 1.0
+    above sigma of about 7e7. Saturates at -inf like
     cutoff_purified_distance.
     """
-    if m0 < 1 or int(m0) != m0:
-        raise ValueError("m0 must be a positive integer")
-    if not (sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    log2_lam = math.log1p(-1.0 / (1.0 + sigma * sigma)) / (2.0 * math.log(2.0))
-    try:
-        return math.ldexp(log2_lam, m0)
-    except OverflowError:
-        return -math.inf
+    return cutoff_log2(m0, neg_log_rho(sigma) / (-2.0 * math.log(2.0)))
 
 
 def resource_report(n: int, m0: int, eps_tilde: float, sigma: float | None = None) -> ResourceReport:

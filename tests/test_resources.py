@@ -162,6 +162,12 @@ class TestCutoffSoundness:
         expected = -32 * (x - x * x / 2) / (2 * math.log(2.0))
         assert cutoff_soundness(5, sigma) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("sigma", [1e-3, 1.2e-8, 1e-8, 1e-9, 1e-200])
+    def test_small_sigma_matches_log2_lambda(self, sigma):
+        # 1 + sigma^2 rounds to 1.0 below about 1e-8; lambda = sigma/hypot(1, sigma) does not
+        expected = 32 * math.log2(sigma / math.hypot(1.0, sigma))
+        assert cutoff_soundness(5, sigma) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 class TestResourceReport:
     def test_report_fields(self):
