@@ -15,7 +15,7 @@ Submodules:
 __version__ = "0.1.0"
 
 from .channel import ChannelParams
-from .gaussian import EntropyValue, ModulationParams, lambda_of_sigma
+from .gaussian import EntropyValue, lambda_of_sigma
 from .protocol import HonestProver, ProtocolParams, gamma_threshold, run_session
 from .bounds import BoundInputs, BoundResult, condition_holds, eps_cap, max_eps_tilde
 from .resources import q_max, resource_report, rounding_size_logfactor
@@ -25,7 +25,6 @@ __all__ = [
     "__version__",
     "ChannelParams",
     "EntropyValue",
-    "ModulationParams",
     "lambda_of_sigma",
     "HonestProver",
     "ProtocolParams",

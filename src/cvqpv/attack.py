@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .channel import ChannelParams
 from .gaussian import EntropyValue, h_U_given_P_limit
 from .protocol import GaussianResponder, gamma_threshold
@@ -43,17 +41,6 @@ def attacker_entropy_floor(ch: ChannelParams, eps: float) -> EntropyValue:
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
     return EntropyValue(h_U_given_P_limit(ch.t, ch.u).bits + eps / 4.0, "bits")
-
-
-def attacker_r_entropy_floor(eps: float) -> EntropyValue:
-    """Ideal-channel floor (1/2) log2(pi e) + eps/4 bits on h(R|attacker).
-
-    Attackers are granted the ideal channel t=1, u=0, for which the bound
-    is smallest; this is the version the estimation floor is derived from.
-    """
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
-    return EntropyValue(0.5 * math.log2(math.pi * math.e) + eps / 4.0, "bits")
 
 
 def fano_mse_floor(eps: float, eps_unit: str = "nats") -> float:
@@ -101,9 +88,8 @@ def rounds_required(
     eps_hon: float,
     score_variance: float | None = None,
     eps_unit: str = "nats",
-    chebyshev_constant: float = 1.0,
 ) -> RoundPlan:
-    """Smallest N with Delta(N) > 0 and N Delta(N)^2 >= c * var / eps_hon.
+    """Smallest N with Delta(N) > 0 and N Delta(N)^2 >= var / eps_hon.
 
     gamma depends on N, so this is a fixed point; N Delta(N)^2 is monotone
     increasing once Delta is positive, enabling a doubling-plus-bisection
@@ -116,7 +102,7 @@ def rounds_required(
         score_variance = attacker_score_variance(eps, u, eps_unit)
     if score_variance <= 0.0:
         raise ValueError("score_variance must be positive")
-    target = chebyshev_constant * score_variance / eps_hon
+    target = score_variance / eps_hon
 
     def ok(N: int) -> bool:
         d = delta_margin(eps, u, gamma_threshold(N, eps_hon), eps_unit)
@@ -164,32 +150,3 @@ class PessimisticAttacker(GaussianResponder):
 
 def make_pessimistic_attacker(eps: float, ch: ChannelParams, eps_unit: str = "nats"):
     return PessimisticAttacker(eps, ch, eps_unit)
-
-
-def score_variance_estimate(
-    eps: float,
-    u: float,
-    samples: int,
-    rng,
-    eps_unit: str = "nats",
-    check_tol: float = 0.05,
-) -> float:
-    """Empirical variance of the pessimistic attacker's score terms.
-
-    Cross-checked against the closed form 2 (v/(1/2+u))^2; a deviation
-    beyond check_tol indicates a broken sampler, not statistics (use
-    samples >= 1e5 to keep estimator noise well inside the tolerance).
-    """
-    if samples < 10**4:
-        raise ValueError("need samples >= 1e4")
-    rng = np.random.default_rng(rng)
-    v = fano_mse_floor(eps, eps_unit)
-    noise = rng.normal(0.0, math.sqrt(v), size=samples)
-    terms = noise**2 / (0.5 + u)
-    empirical = float(terms.var(ddof=1))
-    exact = attacker_score_variance(eps, u, eps_unit)
-    if abs(empirical / exact - 1.0) > check_tol:
-        raise AssertionError(
-            f"empirical score variance {empirical:.4g} deviates from exact {exact:.4g}"
-        )
-    return empirical

@@ -12,11 +12,10 @@ with the continuity bracket
 All logs are base 2 (checked empirically against the reference parameter
 tables; a natural-log reading does not reproduce them). The right-hand side
 is increasing in et, so for fixed a the largest admissible et is found by
-bisection; the outer maximization over a uses a log-spaced grid plus
-golden-section refinement. The grid's bisections run as one array
-bisection over all grid alphas, bit-identical to the per-alpha scalar one;
-the refinement and every reported value use the scalar form. Everything is
-deterministic.
+bisection; the outer maximization over a takes the best point of a
+log-spaced grid. The grid's bisections run as one numpy array bisection
+over all grid alphas; the reported rhs_at_opt uses the scalar form.
+Everything is deterministic.
 
 Of the reference parameter table, the eps_tilde column is what this module
 reproduces; the alpha column is not. The objective is flat in a near its
@@ -36,6 +35,8 @@ from .gaussian import h_tilde
 
 ALPHA_MIN = 1e-4  # bracket diverges as a -> 0, safe lower cutoff
 ALPHA_MAX = 0.5
+N_ALPHA = 240  # log-spaced grid alphas in [ALPHA_MIN, ALPHA_MAX]
+BISECT_TOL = 1e-8  # final bisection width in eps_tilde
 
 
 @dataclass(frozen=True)
@@ -77,13 +78,6 @@ def _bracket(E: float, alpha: float, eps_tilde: float) -> float:
     return 2.0 * eps_tilde * log_term + 6.0 * h_tilde((1.0 + alpha) / (1.0 - alpha) * eps_tilde)
 
 
-def winter_rhs(E: float, alpha: float, eps_tilde: float) -> float:
-    """Entropy-continuity bound with prefactor (1+a)/(1-a) + 2a, in bits."""
-    if E <= 0.0:
-        raise ValueError("E must be positive")
-    return ((1.0 + alpha) / (1.0 - alpha) + 2.0 * alpha) * _bracket(E, alpha, eps_tilde)
-
-
 def separation_rhs(E: float, alpha: float, eps_tilde: float) -> float:
     """Halved-prefactor form (1+a)/(2(1-a)) + a used in the eps condition."""
     if E <= 0.0:
@@ -116,8 +110,8 @@ def _separation_rhs_array(E, alphas, eps_tilde):
 
     Follows _bracket and separation_rhs op for op, with np.where for their
     branches. np.log2 may differ from math.log2 in the last ulp, so callers
-    use this only to compare against a margin; every reported value comes
-    from the scalar form.
+    use this only to compare against a margin; rhs_at_opt comes from the
+    scalar form.
     """
     x = (1.0 + alphas) / (1.0 - alphas) * eps_tilde
     p = np.where((x > 0.0) & (x < 0.5), x, 0.25)  # keeps log2 finite off-branch
@@ -128,16 +122,17 @@ def _separation_rhs_array(E, alphas, eps_tilde):
     return ((1.0 + alphas) / (2.0 * (1.0 - alphas)) + alphas) * bracket
 
 
-def _eps_tilde_grid(eps, E, t, u, alphas, tol):
-    """_eps_tilde_at_alpha at every grid alpha, as one array bisection.
+def _eps_tilde_grid(eps, E, t, u, alphas):
+    """Largest eps_tilde satisfying the condition at each alpha (0 if none).
 
-    Same start, midpoint, test and stopping rule as the scalar bisection,
-    applied elementwise, so the result equals
-    [_eps_tilde_at_alpha(eps, E, t, u, a, tol) for a in alphas] bit for bit.
-    The one exception would be a midpoint whose margin lies within the
-    last-ulp difference of np.log2 and math.log2 from zero: a window under
-    1e-16 wide in eps_tilde around the root (the term's slope in eps_tilde
-    is above 2), against a final bisection step of 7.5e-9 in max_eps_tilde.
+    One array bisection over all alphas: each starts on [0, 1 - 1e-12],
+    keeps the half whose midpoint still has a positive margin and stops once
+    its bracket is at most BISECT_TOL wide, returning the bracket's lower end. An
+    alpha with no margin at eps_tilde = 0 gives 0; one with margin at the
+    top gives the top. The sign tests use np.log2, which may differ from
+    math.log2 in the last ulp: only a midpoint whose margin lies that close
+    to zero, a window under 1e-16 wide in eps_tilde, could bisect
+    differently from the scalar separation_rhs.
     """
     cap_margin = eps_cap(t, u) - eps
     top = 1.0 - 1e-12
@@ -145,54 +140,25 @@ def _eps_tilde_grid(eps, E, t, u, alphas, tol):
     hi = np.full_like(alphas, top)
     none = cap_margin - _separation_rhs_array(E, alphas, lo) <= 0.0
     full = ~none & (cap_margin - _separation_rhs_array(E, alphas, hi) > 0.0)
-    active = ~none & ~full & (hi - lo > tol)
+    active = ~none & ~full & (hi - lo > BISECT_TOL)
     while active.any():
         mid = 0.5 * (lo + hi)
         below = cap_margin - _separation_rhs_array(E, alphas, mid) > 0.0
         lo = np.where(active & below, mid, lo)
         hi = np.where(active & ~below, mid, hi)
-        active &= hi - lo > tol
+        active &= hi - lo > BISECT_TOL
     return np.where(none, 0.0, np.where(full, top, lo))
 
 
-def _eps_tilde_at_alpha(eps, E, t, u, alpha, tol):
-    """Largest eps_tilde satisfying the condition at fixed alpha (0 if none)."""
-    cap_margin = eps_cap(t, u) - eps
-
-    def margin(et):
-        return cap_margin - separation_rhs(E, alpha, et)
-
-    if margin(0.0) <= 0.0:
-        return 0.0
-    lo, hi = 0.0, 1.0 - 1e-12
-    if margin(hi) > 0.0:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if margin(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def max_eps_tilde(
-    eps: float,
-    E: float,
-    t: float,
-    u: float,
-    n_alpha: int = 240,
-    tol: float = 1e-6,
-) -> BoundResult:
+def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     """Maximize eps_tilde over alpha in [ALPHA_MIN, 1/2].
 
-    Log-spaced grid scan, bisecting the monotone boundary at every grid
-    alpha at once (one array bisection, bit-identical to bisecting each
-    alpha with _eps_tilde_at_alpha), then golden-section refinement of
-    alpha around the best grid point on the scalar path.
-    eps_tilde_max is the result; alpha_star is one maximizer, fixed only to
-    within the flat top of the objective (at the reference points eps_tilde
-    stays within 1% of its maximum from about alpha = 0.002 to 0.012).
+    Bisects the monotone boundary at N_ALPHA log-spaced alphas at once
+    (_eps_tilde_grid, to a width of BISECT_TOL) and returns the best grid
+    point, the first one on a tie. eps_tilde_max is the result; alpha_star
+    is one maximizer, fixed only to within the flat top of the objective
+    (at the reference points eps_tilde stays within 1% of its maximum from
+    about alpha = 0.002 to 0.012).
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
@@ -201,41 +167,17 @@ def max_eps_tilde(
     if not ChannelParams(t, u).feasible() or eps >= eps_cap(t, u):
         return BoundResult(0.0, math.nan, False, math.nan)
 
-    inner_tol = tol * 1e-2
-    alphas = np.logspace(math.log10(ALPHA_MIN), math.log10(ALPHA_MAX), n_alpha)
-    values = _eps_tilde_grid(eps, E, t, u, alphas, inner_tol)
+    alphas = np.logspace(math.log10(ALPHA_MIN), math.log10(ALPHA_MAX), N_ALPHA)
+    values = _eps_tilde_grid(eps, E, t, u, alphas)
     i_best = int(np.argmax(values))
     if values[i_best] <= 0.0:
         return BoundResult(0.0, math.nan, False, math.nan)
-
-    # golden-section refinement between the grid neighbours of the best point
-    lo = alphas[max(i_best - 1, 0)]
-    hi = alphas[min(i_best + 1, n_alpha - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _eps_tilde_at_alpha(eps, E, t, u, c, inner_tol)
-    fd = _eps_tilde_at_alpha(eps, E, t, u, d, inner_tol)
-    for _ in range(60):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _eps_tilde_at_alpha(eps, E, t, u, c, inner_tol)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _eps_tilde_at_alpha(eps, E, t, u, d, inner_tol)
-        if b - a < 1e-7:
-            break
-    alpha_star, et_star = (c, fc) if fc > fd else (d, fd)
-    if values[i_best] > et_star:
-        alpha_star, et_star = alphas[i_best], values[i_best]
+    alpha_star, et_star = float(alphas[i_best]), float(values[i_best])
     return BoundResult(
-        eps_tilde_max=float(et_star),
-        alpha_star=float(alpha_star),
+        eps_tilde_max=et_star,
+        alpha_star=alpha_star,
         feasible=True,
-        rhs_at_opt=float(separation_rhs(E, alpha_star, et_star)),
+        rhs_at_opt=separation_rhs(E, alpha_star, et_star),
     )
 
 

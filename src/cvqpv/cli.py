@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``feasibility`` -- margin grid of 4t - e(1+2u) over a (u,t) rectangle
-* ``bounds``      -- maximize eps_tilde over alpha, emit the condition surface
+* ``bounds``      -- maximize eps_tilde over alpha, report the honest entropy and
+  the attacker floor, emit the condition surface
 * ``resources``   -- rounding size k, qubit budget q_max, cutoff error scale
 * ``rounds``      -- Chebyshev round count N with gamma and Delta
 * ``simulate``    -- honest and pessimistic-attacker Monte Carlo batches
@@ -31,12 +32,13 @@ import numpy as np
 from . import __version__
 from .attack import (
     NoMarginError,
-    attacker_score_variance,
+    attacker_entropy_floor,
     make_pessimistic_attacker,
     rounds_required,
 )
 from .bounds import condition_surface, eps_cap, max_eps_tilde
-from .channel import ChannelParams
+from .channel import ChannelParams, feasibility_margin
+from .gaussian import h_U_given_P_limit
 from .protocol import (
     MAX_STRING_BITS,
     HonestProver,
@@ -169,6 +171,11 @@ def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _fixed_or_exp(x: float) -> str:
+    """Six decimals, in exponent form from 1e6 up so a huge value stays short."""
+    return f"{x:.6f}" if abs(x) < 1e6 else f"{x:.6e}"
+
+
 def _write_metadata(out: Path | None, cfg: dict) -> None:
     if out is None:
         return
@@ -195,7 +202,7 @@ def cmd_feasibility(cfg: dict, out: Path | None) -> int:
     rows = []
     for u in us.tolist():
         for t in ts.tolist():
-            margin = 4.0 * t - math.e * (1.0 + 2.0 * u)
+            margin = feasibility_margin(t, u)
             rows.append([repr(u), repr(t), repr(margin), int(margin > 0.0)])
     points = [[repr(u), repr(t), int(ChannelParams(t, u).feasible())]
               for (_eps, t, u) in TABLE_POINTS]
@@ -220,6 +227,10 @@ def cmd_bounds(cfg: dict, out: Path | None) -> int:
                                               "eps_cap": _finite_or_none(cap)})
         return EXIT_INFEASIBLE
     print(f"max eps_tilde = {result.eps_tilde_max:.6g} at alpha = {result.alpha_star:.6g}")
+    honest = h_U_given_P_limit(t, u).bits
+    floor = attacker_entropy_floor(ChannelParams(t, u), eps).bits
+    print(f"honest entropy h(U|P) = {honest:.6f} bits, attacker floor h(U|P) + eps/4 = "
+          f"{floor:.6f} bits")
     if out is not None:
         _write_json(out / "bounds.json", {
             "schema": "cvqpv.bounds/1",
@@ -227,6 +238,8 @@ def cmd_bounds(cfg: dict, out: Path | None) -> int:
             "eps_cap": _finite_or_none(cap),
             "eps_tilde_max": result.eps_tilde_max,
             "alpha_star": result.alpha_star,
+            "honest_entropy_bits": honest,
+            "attacker_floor_bits": floor,
         })
         alphas = np.logspace(-4, math.log10(0.5), 80)
         ets = np.linspace(1e-5, max(4.0 * result.eps_tilde_max, 1e-4), 80)
@@ -267,8 +280,9 @@ def cmd_rounds(cfg: dict, out: Path | None) -> int:
             _write_json(out / "rounds.json",
                         {"schema": "cvqpv.rounds/1", "feasible": False, "reason": str(exc)})
         return EXIT_INFEASIBLE
-    print(f"N = {plan.N}, gamma = {plan.gamma:.6f}, Delta = {plan.delta:.6f}, "
-          f"score variance = {plan.score_variance:.6f}")
+    print(f"N = {plan.N}, gamma = {_fixed_or_exp(plan.gamma)}, "
+          f"Delta = {_fixed_or_exp(plan.delta)}, "
+          f"score variance = {_fixed_or_exp(plan.score_variance)}")
     if out is not None:
         _write_json(out / "rounds.json",
                     {"schema": "cvqpv.rounds/1", "feasible": True, **plan.__dict__})

@@ -16,9 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-LOG2_2PI = math.log2(2.0 * math.pi)
-LOG2_E = math.log2(math.e)
-
 
 @dataclass(frozen=True)
 class EntropyValue:
@@ -80,40 +77,6 @@ def cutoff_log2(m0: int, log2_lam: float) -> float:
 
 
 @dataclass(frozen=True)
-class ModulationParams:
-    """Gaussian modulation of std sigma with phase-noise coefficient u0.
-
-    Excess noise grows with the modulation as u = u0 * sigma^2.
-    """
-
-    sigma: float
-    u0: float = 0.0
-
-    def __post_init__(self):
-        if not (self.sigma > 0.0):
-            raise ValueError("sigma must be positive")
-        if self.u0 < 0.0:
-            raise ValueError("u0 must be nonnegative")
-
-    @property
-    def lam(self) -> float:
-        return lambda_of_sigma(self.sigma)
-
-    @property
-    def excess_noise(self) -> float:
-        return self.u0 * self.sigma**2
-
-    @classmethod
-    def secure_regime(cls, sigma: float, u0: float = 0.0) -> "ModulationParams":
-        # u > 0.25 renders the protocol insecure, so reject at construction.
-        if u0 * sigma**2 >= 0.25:
-            raise ValueError(
-                f"u = u0*sigma^2 = {u0 * sigma ** 2:.4g} >= 0.25: outside the secure regime"
-            )
-        return cls(sigma, u0)
-
-
-@dataclass(frozen=True)
 class CutoffParams:
     """Photon-number cutoff at 2^m0 of the purifying two-mode squeezed state."""
 
@@ -127,32 +90,6 @@ class CutoffParams:
             raise ValueError("lambda must lie strictly in (0,1)")
 
 
-def honest_sigma_sq(sigma: float, t: float, u: float) -> float:
-    """Residual variance Sigma^2 = (1/sigma^2 + t/(1/2+u))^{-1}.
-
-    This is the honest prover's posterior variance for the displacement r
-    given his homodyne outcome. sigma may be math.inf (the sigma >> 1
-    regime), in which case t must be positive.
-    """
-    if not (sigma > 0.0):
-        raise ValueError("sigma must be positive")
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("t must lie in [0,1]")
-    if u < 0.0:
-        raise ValueError("u must be nonnegative")
-    inv_sig2 = 0.0 if math.isinf(sigma) else 1.0 / sigma**2
-    precision = inv_sig2 + t / (0.5 + u)
-    if precision <= 0.0:
-        raise ValueError("Sigma^2 undefined: t = 0 with sigma = inf")
-    return 1.0 / precision
-
-
-def h_R_given_Rprime(sigma: float, t: float, u: float) -> EntropyValue:
-    """h(R|R') = (1/2) log2(2*pi*e*Sigma^2) in bits."""
-    s2 = honest_sigma_sq(sigma, t, u)
-    return EntropyValue(0.5 * math.log2(2.0 * math.pi * math.e * s2), "bits")
-
-
 def h_U_given_P_limit(t: float, u: float) -> EntropyValue:
     """Honest uncertainty h(U|P) = (1/2) log2(pi*e*(1+2u)/(2t)) in the sigma >> 1 limit."""
     if t <= 0.0:
@@ -160,19 +97,6 @@ def h_U_given_P_limit(t: float, u: float) -> EntropyValue:
     if u < 0.0:
         raise ValueError("u must be nonnegative")
     return EntropyValue(0.5 * math.log2(math.pi * math.e * (1.0 + 2.0 * u) / (2.0 * t)), "bits")
-
-
-def entropy_scale(h: EntropyValue, beta: float) -> EntropyValue:
-    """Differential entropy of a scaled variable: h(beta*X) = h(X) + log(beta)."""
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    shift = math.log2(beta) if h.unit == "bits" else math.log(beta)
-    return EntropyValue(h.value + shift, h.unit)
-
-
-def uncertainty_floor() -> EntropyValue:
-    """Complementarity constant log2(2*pi): floor of h(Q|B) + h(P|C)."""
-    return EntropyValue(LOG2_2PI, "bits")
 
 
 def binary_entropy(p: float) -> float:

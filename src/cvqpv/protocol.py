@@ -136,15 +136,11 @@ def gamma_threshold(N: int, eps_hon: float) -> float:
 class Responder:
     """Round responder interface: produce r' for challenge displacements r.
 
-    ``theta_dependent`` responders additionally receive the basis angles;
-    the built-in Gaussian models ignore them (their response statistics are
-    theta-invariant), which lets the engine skip string sampling on large
-    Monte Carlo batches.
+    ``theta`` holds the rounds' basis angles in a traced session and is None
+    otherwise: the engine draws the input strings x, y only for a trace.
     """
 
     name = "responder"
-    theta_dependent = False
-    timing_ok = True
 
     def respond(self, r: np.ndarray, theta: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -218,7 +214,7 @@ def _round_engine(p: ProtocolParams, ch: ChannelParams, responder: Responder, rn
     """Draw r, the responses and the N score terms: (terms, RoundTrace or None)."""
     r = rng.normal(0.0, p.sigma, size=p.N)
     thetas = None
-    if trace or responder.theta_dependent:
+    if trace:
         f = p.make_function()
         x = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
         y = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
@@ -264,7 +260,7 @@ def run_session(
     return SessionResult(
         mean_score=mean_score,
         gamma=gamma,
-        accepted=bool(mean_score < gamma and responder.timing_ok),
+        accepted=mean_score < gamma,
         regime_flags=ch.regime_flags(),
         n_rounds=p.N,
         responder=responder.name,
@@ -291,16 +287,6 @@ def acceptance_rate(
     seeds = session_seeds(master_seed, sessions)
     accepted = sum(run_session(p, ch, responder, s).accepted for s in seeds)
     return accepted / sessions
-
-
-def honest_failure_rate(
-    p: ProtocolParams,
-    ch: ChannelParams,
-    repetitions: int,
-    master_seed: int,
-) -> float:
-    """Empirical fraction of rejected honest sessions."""
-    return 1.0 - acceptance_rate(p, ch, HonestProver(ch), repetitions, master_seed)
 
 
 _CSV_CHUNK_ROWS = 8192  # rows per write: bounds the formatted string held at once

@@ -1,4 +1,4 @@
-"""Delta-net sizes, classical-rounding arithmetic and the attacker qubit budget.
+"""Delta-net resolution, classical-rounding arithmetic and the attacker qubit budget.
 
 The counting argument works entirely in log2 space: the probability that a
 uniformly random 2n-bit function admits a good rounding is at most
@@ -61,15 +61,6 @@ def delta_for(eps_tilde: float) -> float:
     return DELTA_SAFETY * (((2.0 + eps_tilde) / 2.0) ** (1.0 / 3.0) - 1.0)
 
 
-def net_cardinality_log2(delta: float, n0: int) -> float:
-    """log2 of the delta-net cardinality bound (1 + 2/delta)^n0."""
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if n0 < 1:
-        raise ValueError("n0 must be >= 1")
-    return n0 * math.log2(1.0 + 2.0 / delta)
-
-
 def net_approx_error(delta: float) -> float:
     """Composition error 3d + 3d^2 + d^3 = (1+d)^3 - 1 of net substitutions."""
     if delta < 0.0:
@@ -110,11 +101,6 @@ def _count_bound_log2(n: int, m0: int, q: int, k_factor: int) -> float:
     except OverflowError:  # 2q + 2m0 >= 1024: the bound exceeds every float
         return math.inf
     return (2.0 ** (n + 1) + 1.0) * k + 2.0 ** (2 * n) * (H_QUARTER - 1.0)
-
-
-def count_bound_normalized(n: int, m0: int, q: int, eps_tilde: float) -> float:
-    """Counting bound log2 divided by 2^(2n); security needs < -2^(-n)."""
-    return count_bound_log2(n, m0, q, eps_tilde) / 2.0 ** (2 * n)
 
 
 def corollary_q(n: int, m0: int) -> int | None:

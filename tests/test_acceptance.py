@@ -10,10 +10,11 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from cvqpv.attack import make_pessimistic_attacker, rounds_required
+from cvqpv.attack import attacker_entropy_floor, make_pessimistic_attacker, rounds_required
 from cvqpv.bounds import (
     ALPHA_MAX,
     ALPHA_MIN,
+    BISECT_TOL,
     BoundInputs,
     condition_holds,
     condition_margin,
@@ -35,8 +36,6 @@ from cvqpv.resources import corollary_q, count_bound_log2, rounding_size_logfact
 ENERGY = 1e3
 EPS_TILDE_REL_TOL = 0.10
 EPS_TILDE_ABS_TOL = 5e-5
-# max_eps_tilde bisects eps_tilde to a width of tol * 1e-2 = 1e-8 at its default tol
-OPTIMIZER_BISECT_TOL = 1e-8
 ORACLE_N_ALPHA = 500
 ORACLE_BISECT_TOL = 1e-12
 ORACLE_REL_TOL = 1e-4
@@ -82,7 +81,7 @@ def _check_point(eps, t, u, published_alpha, published_et):
     admissible = condition_holds(
         BoundInputs(eps, ENERGY, t, u, res.alpha_star, res.eps_tilde_max))
     et_at_published_alpha = _oracle_eps_tilde(eps, t, u, published_alpha)
-    dominates = res.eps_tilde_max >= et_at_published_alpha - OPTIMIZER_BISECT_TOL
+    dominates = res.eps_tilde_max >= et_at_published_alpha - BISECT_TOL
     alphas = np.logspace(math.log10(ALPHA_MIN), math.log10(ALPHA_MAX), ORACLE_N_ALPHA)
     oracle_max = max(_oracle_eps_tilde(eps, t, u, a) for a in alphas)
     oracle_rel_err = abs(res.eps_tilde_max - oracle_max) / oracle_max
@@ -126,7 +125,7 @@ def test_criterion_02_perfect_channel_point():
 def test_criterion_03_constants():
     cap = eps_cap(1.0, 0.0)
     honest = h_U_given_P_limit(1.0, 0.0).bits
-    floor = honest + 0.1 / 4.0
+    floor = attacker_entropy_floor(ChannelParams(1.0, 0.0), 0.1).bits
     print(f"criterion 3: eps_cap={cap:.6f}, honest={honest:.4f}, attacker floor={floor:.4f}")
     assert cap == pytest.approx(0.278652, abs=1e-5)
     assert honest == pytest.approx(1.0471, abs=1e-4)

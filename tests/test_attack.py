@@ -6,13 +6,11 @@ import pytest
 from cvqpv.attack import (
     NoMarginError,
     attacker_entropy_floor,
-    attacker_r_entropy_floor,
     attacker_score_variance,
     delta_margin,
     fano_mse_floor,
     make_pessimistic_attacker,
     rounds_required,
-    score_variance_estimate,
 )
 from cvqpv.channel import ChannelParams
 from cvqpv.gaussian import h_U_given_P_limit
@@ -41,11 +39,6 @@ class TestEntropyFloors:
             eps = rng.uniform(0.0, 0.3)
             gap = attacker_entropy_floor(ch, eps).bits - h_U_given_P_limit(ch.t, ch.u).bits
             assert gap == pytest.approx(eps / 4.0, rel=1e-12)
-
-    def test_ideal_channel_r_floor(self):
-        assert attacker_r_entropy_floor(0.1).bits == pytest.approx(
-            0.5 * math.log2(math.pi * math.e) + 0.025
-        )
 
 
 class TestFanoFloor:
@@ -158,9 +151,10 @@ class TestScoreVariance:
         assert ratio == pytest.approx((fano_mse_floor(0.2) / fano_mse_floor(0.1)) ** 2, rel=1e-12)
 
     def test_empirical_matches_exact(self):
-        emp = score_variance_estimate(0.1, 0.0, 10**6, 11)
-        assert emp == pytest.approx(attacker_score_variance(0.1, 0.0), rel=0.02)
-
-    def test_sample_floor(self):
-        with pytest.raises(ValueError):
-            score_variance_estimate(0.1, 0.0, 100, 0)
+        # score terms (r' - sqrt(t) r)^2 / (1/2+u) of the pessimistic attacker
+        ch = ChannelParams(1.0, 0.0)
+        rng = np.random.default_rng(11)
+        r = rng.normal(0.0, 10.0, size=10**6)
+        r_prime = make_pessimistic_attacker(0.1, ch).respond(r, None, rng)
+        terms = (r_prime - r) ** 2 / 0.5
+        assert terms.var(ddof=1) == pytest.approx(attacker_score_variance(0.1, 0.0), rel=0.02)

@@ -6,8 +6,9 @@ import pytest
 from cvqpv.bounds import (
     ALPHA_MAX,
     ALPHA_MIN,
+    BISECT_TOL,
+    N_ALPHA,
     BoundInputs,
-    _eps_tilde_at_alpha,
     _eps_tilde_grid,
     condition_holds,
     condition_margin,
@@ -16,17 +17,19 @@ from cvqpv.bounds import (
     eps_cap,
     max_eps_tilde,
     separation_rhs,
-    winter_rhs,
 )
 from cvqpv.channel import ChannelParams
 
 
 class TestWinterRhs:
+    """Winter's energy-constrained continuity term, in the halved-prefactor
+    form (1+a)/(2(1-a)) + a that the separation condition uses."""
+
     def test_vanishes_at_zero(self):
-        assert winter_rhs(1e3, 0.036, 1e-12) == pytest.approx(0.0, abs=1e-8)
+        assert separation_rhs(1e3, 0.036, 1e-12) == pytest.approx(0.0, abs=1e-8)
 
     def test_monotone_in_energy(self):
-        assert winter_rhs(1e4, 0.036, 0.003) > winter_rhs(10.0, 0.036, 0.003)
+        assert separation_rhs(1e4, 0.036, 0.003) > separation_rhs(10.0, 0.036, 0.003)
 
     def test_monotone_in_eps_tilde_and_energy_random(self):
         rng = np.random.default_rng(17)
@@ -34,24 +37,16 @@ class TestWinterRhs:
             a = rng.uniform(1e-3, 0.5)
             et = rng.uniform(1e-5, 0.2)
             E = rng.uniform(5.0, 1e5)
-            assert winter_rhs(E, a, et * 1.1) > winter_rhs(E, a, et)
-            assert winter_rhs(E * 2.0, a, et) > winter_rhs(E, a, et)
-
-    def test_factor_two_relation_to_separation_form(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            a = rng.uniform(1e-3, 0.5)
-            et = rng.uniform(1e-5, 0.3)
-            assert winter_rhs(1e3, a, et) == pytest.approx(2.0 * separation_rhs(1e3, a, et),
-                                                           rel=1e-12)
+            assert separation_rhs(E, a, et * 1.1) > separation_rhs(E, a, et)
+            assert separation_rhs(E * 2.0, a, et) > separation_rhs(E, a, et)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            winter_rhs(1e3, 0.6, 0.01)
+            separation_rhs(1e3, 0.6, 0.01)
         with pytest.raises(ValueError):
-            winter_rhs(1e3, 0.1, 1.0)
+            separation_rhs(1e3, 0.1, 1.0)
         with pytest.raises(ValueError):
-            winter_rhs(-1.0, 0.1, 0.01)
+            separation_rhs(-1.0, 0.1, 0.01)
 
     def test_half_rhs_near_optimum_matches_budget(self):
         # at the perfect-channel optimum the separation term eats the whole
@@ -146,7 +141,30 @@ class TestMaxEpsTilde:
 
 PUBLISHED = [(0.03, 1e3, 0.8, 0.05), (0.03, 1e3, 0.9, 0.12), (0.07, 1e3, 0.95, 0.075),
              (0.1, 1e3, 1.0, 0.0)]  # the last one is also the CLI default
-GRID_ALPHAS = np.logspace(math.log10(ALPHA_MIN), math.log10(ALPHA_MAX), 240)  # max_eps_tilde's
+GRID_ALPHAS = np.logspace(math.log10(ALPHA_MIN), math.log10(ALPHA_MAX), N_ALPHA)  # max_eps_tilde's
+
+
+def scalar_eps_tilde(eps, E, t, u, alpha):
+    """Oracle: largest eps_tilde the condition admits at one alpha (0 if none),
+    by scalar bisection on separation_rhs with the grid's start, midpoint,
+    test and stopping rule."""
+    cap_margin = eps_cap(t, u) - eps
+
+    def margin(et):
+        return cap_margin - separation_rhs(E, alpha, et)
+
+    if margin(0.0) <= 0.0:
+        return 0.0
+    lo, hi = 0.0, 1.0 - 1e-12
+    if margin(hi) > 0.0:
+        return hi
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if margin(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class TestEpsTildeGrid:
@@ -159,25 +177,37 @@ class TestEpsTildeGrid:
         (0.0, 1e3, 1e40, 0.0),  # some alphas admit eps_tilde right up to 1
     ])
     def test_equals_scalar_bisection(self, eps, E, t, u):
-        tol = 1e-8  # max_eps_tilde's inner tolerance
-        grid = _eps_tilde_grid(eps, E, t, u, GRID_ALPHAS, tol)
-        scalar = [_eps_tilde_at_alpha(eps, E, t, u, a, tol) for a in GRID_ALPHAS]
+        grid = _eps_tilde_grid(eps, E, t, u, GRID_ALPHAS)
+        scalar = [scalar_eps_tilde(eps, E, t, u, a) for a in GRID_ALPHAS]
         assert grid.tolist() == scalar
 
+    @pytest.mark.parametrize("eps,E,t,u", PUBLISHED + [
+        (0.05, 10.0, 0.9, 0.05),
+        (0.27865, 1e3, 1.0, 0.0),
+    ])
+    def test_max_eps_tilde_is_first_argmax_of_scalar_oracle(self, eps, E, t, u):
+        scalar = [scalar_eps_tilde(eps, E, t, u, a) for a in GRID_ALPHAS]
+        best = scalar.index(max(scalar))
+        res = max_eps_tilde(eps, E, t, u)
+        assert res.feasible
+        assert res.eps_tilde_max == scalar[best]
+        assert res.alpha_star == GRID_ALPHAS[best]
+        assert res.rhs_at_opt == separation_rhs(E, res.alpha_star, res.eps_tilde_max)
+
     def test_branches_reached(self):
-        partial = _eps_tilde_grid(0.27865, 1e3, 1.0, 0.0, GRID_ALPHAS, 1e-8)
+        partial = _eps_tilde_grid(0.27865, 1e3, 1.0, 0.0, GRID_ALPHAS)
         assert 0 < np.count_nonzero(partial == 0.0) < len(GRID_ALPHAS)
-        saturated = _eps_tilde_grid(0.0, 1e3, 1e40, 0.0, GRID_ALPHAS, 1e-8)
+        saturated = _eps_tilde_grid(0.0, 1e3, 1e40, 0.0, GRID_ALPHAS)
         assert 0 < np.count_nonzero(saturated == 1.0 - 1e-12) < len(GRID_ALPHAS)
 
     @pytest.mark.parametrize("point,eps_tilde_max,alpha_star", [
-        (PUBLISHED[0], 0.0003167763352390937, 0.004863789334748432),
-        (PUBLISHED[1], 0.0002905577421185449, 0.004827196595482789),
-        (PUBLISHED[2], 0.0013268515467630467, 0.005544531133011271),
-        (PUBLISHED[3], 0.003657825291153111, 0.00615453217074178),
+        (PUBLISHED[0], 0.0003167763352390937, 0.0046935461212164725),
+        (PUBLISHED[1], 0.0002905577421185449, 0.0046935461212164725),
+        (PUBLISHED[2], 0.0013268515467630467, 0.005412632458574202),
+        (PUBLISHED[3], 0.003657817840572514, 0.006023364200565755),
     ])
     def test_optimum_unchanged(self, point, eps_tilde_max, alpha_star):
-        # recorded from the per-alpha scalar grid scan the array bisection replaced
+        # recorded from max_eps_tilde's grid optimum
         res = max_eps_tilde(*point)
         assert res.eps_tilde_max == eps_tilde_max
         assert res.alpha_star == alpha_star

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cvqpv.channel import ChallengeDraw, ChannelParams, honest_response, sample_challenge
+from cvqpv.channel import ChannelParams
+from cvqpv.protocol import HonestProver, ProtocolParams, run_session
 
 
 class TestFeasibility:
@@ -22,6 +23,7 @@ class TestFeasibility:
             t = rng.uniform(0.0, 1.0)
             u = rng.uniform(0.0, 0.4)
             ch = ChannelParams(t, u)
+            assert ch.feasible() == (4.0 * t > math.e * (1.0 + 2.0 * u))
             if ch.feasible():
                 assert ChannelParams(min(1.0, t + 0.1), u).feasible()
             else:
@@ -40,51 +42,55 @@ class TestFeasibility:
 
 
 class TestSampleChallenge:
-    def test_theta_zero_algebra(self):
-        rng = np.random.default_rng(0)
-        draw = sample_challenge(2.0, lambda x, y: 0, 3, 5, rng)
-        assert draw.theta == 0.0
-        assert draw.x0 == pytest.approx(draw.r)
-        assert draw.p0 == pytest.approx(-draw.r_perp)
-
-    def test_theta_pi_half_algebra(self):
-        rng = np.random.default_rng(1)
-        draw = sample_challenge(2.0, lambda x, y: 1, 3, 5, rng)
-        assert draw.theta == pytest.approx(math.pi / 2.0)
-        assert draw.x0 == pytest.approx(draw.r_perp)
-        assert draw.p0 == pytest.approx(draw.r)
-
-    def test_rotation_preserves_norm(self):
-        rng = np.random.default_rng(2)
-        for bit in (0, 1):
-            for _ in range(50):
-                d = sample_challenge(3.0, lambda x, y, b=bit: b, 0, 0, rng)
-                assert d.x0**2 + d.p0**2 == pytest.approx(d.r**2 + d.r_perp**2, rel=1e-12)
+    """The challenge draw of the protocol's round engine."""
 
     def test_empirical_variance(self):
-        rng = np.random.default_rng(3)
-        rs = np.array([sample_challenge(2.0, lambda x, y: 0, 0, 0, rng).r for _ in range(10**4)])
+        # r ~ N(0, sigma^2), read off a traced session's r column
+        ch = ChannelParams(1.0, 0.0)
+        p = ProtocolParams(sigma=2.0, n=8, N=10**4, eps_hon=0.01)
+        rs = run_session(p, ch, HonestProver(ch), 3, trace=True).records.r
         assert rs.var() == pytest.approx(4.0, abs=0.25)
 
-    def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
-            sample_challenge(0.0, lambda x, y: 0, 0, 0, np.random.default_rng(0))
+    @staticmethod
+    def _bases(seed):
+        """Trace theta column and f(x, y) for the strings drawn right after r."""
+        ch = ChannelParams(1.0, 0.0)
+        p = ProtocolParams(sigma=2.0, n=8, N=500, eps_hon=0.01, f_seed=3)
+        theta = run_session(p, ch, HonestProver(ch), seed, trace=True).records.theta
+        rng = np.random.default_rng(seed)
+        rng.normal(0.0, p.sigma, size=p.N)
+        x = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
+        y = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
+        return theta, p.make_function().evaluate(x, y)
+
+    def test_theta_zero_algebra(self):
+        theta, bits = self._bases(9)
+        assert 0 < np.count_nonzero(bits == 0) < len(bits)
+        assert (theta[bits == 0] == 0.0).all()
+
+    def test_theta_pi_half_algebra(self):
+        theta, bits = self._bases(9)
+        assert 0 < np.count_nonzero(bits == 1) < len(bits)
+        assert (theta[bits == 1] == math.pi / 2.0).all()
 
 
 class TestHonestResponse:
+    """HonestProver.respond: r' ~ N(sqrt(t) r, 1/2 + u)."""
+
     def test_deterministic_limit(self):
-        draw = ChallengeDraw(r=1.7, r_perp=-0.3, theta=0.0, x=0, y=0)
-        ch = ChannelParams(1.0, 0.0)
-        rng = np.random.default_rng(0)
-        assert honest_response(draw, ch, rng, variance_override=0.0) == pytest.approx(1.7)
+        ch = ChannelParams(0.64, 0.05)
+        prover = HonestProver(ch, variance_override=0.0)
+        r = np.array([1.7, -0.3, 0.0])
+        expected = (math.sqrt(ch.t) * r).tolist()
+        for seed in (0, 1):
+            assert prover.respond(r, None, np.random.default_rng(seed)).tolist() == expected
 
     def test_conditional_moments(self):
         # r' ~ N(sqrt(t) r, 1/2 + u): moment test at 3 sigma
         ch = ChannelParams(0.8, 0.05)
         rng = np.random.default_rng(4)
-        draw = ChallengeDraw(r=2.5, r_perp=0.0, theta=0.0, x=0, y=0)
         n = 10**5
-        out = np.array([honest_response(draw, ch, rng) for _ in range(n)])
+        out = HonestProver(ch).respond(np.full(n, 2.5), None, rng)
         var = 0.5 + ch.u
         se_mean = math.sqrt(var / n)
         assert out.mean() == pytest.approx(math.sqrt(0.8) * 2.5, abs=3 * se_mean)
@@ -95,6 +101,5 @@ class TestHonestResponse:
         # fixed r = 5, t = 0.64: mean of r'/r -> 0.8 within 1%
         ch = ChannelParams(0.64, 0.0)
         rng = np.random.default_rng(5)
-        draw = ChallengeDraw(r=5.0, r_perp=0.0, theta=0.0, x=0, y=0)
-        out = np.array([honest_response(draw, ch, rng) for _ in range(10**5)])
+        out = HonestProver(ch).respond(np.full(10**5, 5.0), None, rng)
         assert (out / 5.0).mean() == pytest.approx(0.8, abs=0.008)

@@ -30,9 +30,13 @@ class TestBounds:
         assert run(["bounds", "--out", str(tmp_path)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "eps_tilde" in out
+        assert ("honest entropy h(U|P) = 1.047096 bits, "
+                "attacker floor h(U|P) + eps/4 = 1.072096 bits") in out
         payload = json.loads((tmp_path / "bounds.json").read_text())
         assert payload["feasible"]
         assert abs(payload["eps_tilde_max"] - 0.0037) < 5e-5
+        assert payload["honest_entropy_bits"] == pytest.approx(1.0471, abs=1e-4)
+        assert payload["attacker_floor_bits"] == payload["honest_entropy_bits"] + 0.1 / 4.0
         assert (tmp_path / "condition_surface.csv").exists()
         assert (tmp_path / "metadata.json").exists()
 
@@ -96,6 +100,20 @@ class TestRounds:
     def test_finite_plan(self, capsys):
         assert run(["rounds", "--eps", "0.1", "--u", "0", "--eps-hon", "0.01"]) == EXIT_OK
         assert "N = " in capsys.readouterr().out
+
+    def test_default_line(self, capsys):
+        assert run(["rounds"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "N = 139999, gamma = 1.011537, Delta = 0.039735, score variance = 2.210342\n")
+
+    def test_huge_values_print_in_exponent_form(self, capsys):
+        # Delta ~ 1e152 and the score variance ~ 2e304 at eps = 700
+        assert run(["rounds", "--eps", "700"]) == EXIT_OK
+        (line,) = capsys.readouterr().out.splitlines()
+        for field in line.split(", "):
+            _name, value = field.split(" = ")
+            assert len(value) <= 20
+            float(value)
 
     def test_no_margin_structured(self, capsys):
         assert run(["rounds", "--eps", "0"]) == EXIT_INFEASIBLE

@@ -6,17 +6,12 @@ import pytest
 from cvqpv.gaussian import (
     CutoffParams,
     EntropyValue,
-    ModulationParams,
     binary_entropy,
     cutoff_energy,
     cutoff_purified_distance,
-    entropy_scale,
-    h_R_given_Rprime,
     h_tilde,
     h_U_given_P_limit,
-    honest_sigma_sq,
     lambda_of_sigma,
-    uncertainty_floor,
 )
 
 
@@ -54,48 +49,7 @@ class TestLambdaOfSigma:
         assert all(a < b for a, b in zip(lams, lams[1:]))
 
 
-class TestHonestSigmaSq:
-    def test_ideal_limit(self):
-        assert honest_sigma_sq(math.inf, 1.0, 0.0) == pytest.approx(0.5)
-
-    def test_sigma_ten(self):
-        assert honest_sigma_sq(10.0, 1.0, 0.0) == pytest.approx(1.0 / 2.01)
-
-    def test_noisy_channel(self):
-        assert honest_sigma_sq(math.inf, 0.8, 0.05) == pytest.approx(0.6875)
-
-    def test_undefined_at_t0_sigma_inf(self):
-        with pytest.raises(ValueError):
-            honest_sigma_sq(math.inf, 0.0, 0.0)
-
-    def test_monotone_in_u_and_t(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            sigma = rng.uniform(0.5, 50.0)
-            t = rng.uniform(0.05, 1.0)
-            u = rng.uniform(0.0, 0.3)
-            assert honest_sigma_sq(sigma, t, u + 0.01) > honest_sigma_sq(sigma, t, u)
-            if t > 0.1:
-                assert honest_sigma_sq(sigma, t - 0.05, u) > honest_sigma_sq(sigma, t, u)
-
-
 class TestEntropies:
-    def test_h_r_given_rprime_ideal(self):
-        h = h_R_given_Rprime(math.inf, 1.0, 0.0)
-        assert h.bits == pytest.approx(0.5 * math.log2(math.pi * math.e), abs=1e-12)
-        assert h.bits == pytest.approx(1.5471, abs=1e-4)
-
-    def test_h_r_given_rprime_unit_variance(self):
-        # Sigma^2 = 1 at t = 1/2 + u with sigma = inf
-        h = h_R_given_Rprime(math.inf, 0.5, 0.0)
-        assert h.bits == pytest.approx(0.5 * math.log2(2.0 * math.pi * math.e))
-        assert h.bits == pytest.approx(2.0471, abs=1e-4)
-
-    def test_h_r_given_rprime_noisy(self):
-        h = h_R_given_Rprime(math.inf, 0.8, 0.05)
-        assert h.bits == pytest.approx(0.5 * math.log2(2 * math.pi * math.e * 0.6875))
-        assert h.bits == pytest.approx(1.7769, abs=1e-4)
-
     def test_h_u_given_p_ideal(self):
         assert h_U_given_P_limit(1.0, 0.0).bits == pytest.approx(1.0471, abs=1e-4)
 
@@ -109,32 +63,6 @@ class TestEntropies:
         with pytest.raises(ValueError):
             h_U_given_P_limit(0.0, 0.0)
 
-    def test_rescaling_chain(self):
-        # h(R|R') - h(U|P) -> log2(sqrt 2) as sigma -> inf (U = R/(sqrt2 lambda))
-        gap = h_R_given_Rprime(1e6, 0.7, 0.03).bits - h_U_given_P_limit(0.7, 0.03).bits
-        assert gap == pytest.approx(0.5, abs=1e-4)
-
-
-class TestEntropyScale:
-    def test_identity(self):
-        assert entropy_scale(EntropyValue(1.0), 1.0).value == pytest.approx(1.0)
-
-    def test_doubling(self):
-        assert entropy_scale(EntropyValue(1.0), 2.0).value == pytest.approx(2.0)
-
-    def test_u_from_r_conversion(self):
-        # U = R/(sqrt2 lambda) at lambda = 1 drops exactly half a bit
-        h = entropy_scale(EntropyValue(0.5 * math.log2(math.pi * math.e)), 1.0 / math.sqrt(2.0))
-        assert h.value == pytest.approx(1.0471, abs=1e-4)
-
-    def test_nats_unit(self):
-        h = entropy_scale(EntropyValue(1.0, "nats"), 2.0)
-        assert h.nats == pytest.approx(1.0 + math.log(2.0))
-
-    def test_nonpositive_beta(self):
-        with pytest.raises(ValueError):
-            entropy_scale(EntropyValue(1.0), 0.0)
-
 
 class TestEntropyValue:
     def test_unit_conversion_exact(self):
@@ -145,18 +73,6 @@ class TestEntropyValue:
     def test_bad_unit(self):
         with pytest.raises(ValueError):
             EntropyValue(1.0, "dits")
-
-
-class TestUncertaintyFloor:
-    def test_value(self):
-        assert uncertainty_floor().bits == pytest.approx(2.6515, abs=1e-4)
-
-    def test_nats(self):
-        assert uncertainty_floor().nats == pytest.approx(math.log(2.0 * math.pi), rel=1e-12)
-
-    def test_gap_to_honest(self):
-        gap = uncertainty_floor().bits - h_U_given_P_limit(1.0, 0.0).bits
-        assert gap == pytest.approx(1.6044, abs=1e-4)
 
 
 class TestBinaryEntropies:
@@ -247,14 +163,3 @@ class TestCutoff:
     def test_inconsistent_pair_rejected(self):
         with pytest.raises(ValueError):
             cutoff_energy(CutoffParams(3, 0.5), 2.0)
-
-
-class TestModulationParams:
-    def test_secure_regime_rejects_large_u(self):
-        with pytest.raises(ValueError):
-            ModulationParams.secure_regime(sigma=10.0, u0=0.01)
-
-    def test_secure_regime_accepts(self):
-        p = ModulationParams.secure_regime(sigma=4.0, u0=0.01)
-        assert p.excess_noise == pytest.approx(0.16)
-        assert 0.0 < p.lam < 1.0

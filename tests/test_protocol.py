@@ -13,7 +13,6 @@ from cvqpv.protocol import (
     SessionResult,
     acceptance_rate,
     gamma_threshold,
-    honest_failure_rate,
     run_session,
     session_seeds,
     write_rounds_csv,
@@ -250,17 +249,17 @@ class TestExactSessionLaw:
 class TestFailureRates:
     def test_honest_failure_below_budget(self):
         ch = ChannelParams(1.0, 0.0)
-        rate = honest_failure_rate(_params(N=2000, eps_hon=0.05), ch, 1000, 7)
+        rate = 1.0 - acceptance_rate(_params(N=2000, eps_hon=0.05), ch, HonestProver(ch), 1000, 7)
         assert rate <= 0.05
 
     def test_honest_failure_noisy_edge(self):
         ch = ChannelParams(0.9, 0.2)
-        rate = honest_failure_rate(_params(N=2000, eps_hon=0.05), ch, 500, 8)
+        rate = 1.0 - acceptance_rate(_params(N=2000, eps_hon=0.05), ch, HonestProver(ch), 500, 8)
         assert rate <= 0.05
 
     def test_single_round_rate_well_defined(self):
         ch = ChannelParams(1.0, 0.0)
-        rate = honest_failure_rate(_params(N=1, eps_hon=0.3), ch, 50, 9)
+        rate = 1.0 - acceptance_rate(_params(N=1, eps_hon=0.3), ch, HonestProver(ch), 50, 9)
         assert 0.0 <= rate <= 1.0
 
     def test_acceptance_rate_deterministic_in_master_seed(self):

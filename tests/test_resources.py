@@ -9,31 +9,13 @@ from cvqpv.resources import (
     ResourceInputs,
     corollary_q,
     count_bound_log2,
-    count_bound_normalized,
     cutoff_soundness,
     delta_for,
     net_approx_error,
-    net_cardinality_log2,
     q_max,
     resource_report,
     rounding_size_logfactor,
 )
-
-
-class TestNetCardinality:
-    def test_delta_two(self):
-        assert net_cardinality_log2(2.0, 1) == pytest.approx(1.0)
-
-    def test_fine_net(self):
-        assert net_cardinality_log2(0.01, 4) == pytest.approx(4 * math.log2(201.0), rel=1e-12)
-        assert net_cardinality_log2(0.01, 4) == pytest.approx(30.60, abs=0.01)
-
-    def test_linear_in_dimension(self):
-        assert net_cardinality_log2(0.3, 8) == pytest.approx(2 * net_cardinality_log2(0.3, 4))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            net_cardinality_log2(0.0, 4)
 
 
 class TestNetApproxError:
@@ -76,7 +58,7 @@ class TestRoundingFactor:
 class TestCountBound:
     def test_normalized_hand_estimate(self):
         # q at the closed-form budget: first term ~ 12*2^(n+1)*2^(n-10)/2^(2n)
-        norm = count_bound_normalized(30, 5, 5, 0.004)
+        norm = count_bound_log2(30, 5, 5, 0.004) / 2.0**60  # log2 bound over 2^(2n)
         assert norm == pytest.approx(12.0 * 2.0 / 2.0**10 + H_QUARTER - 1.0, rel=1e-3)
         assert norm < -(2.0**-30)
 
