@@ -40,6 +40,11 @@ class TestEntropyFloors:
             gap = attacker_entropy_floor(ch, eps).bits - h_U_given_P_limit(ch.t, ch.u).bits
             assert gap == pytest.approx(eps / 4.0, rel=1e-12)
 
+    def test_ideal_channel_r_floor(self):
+        # R = sqrt(2) U at lambda = 1 adds half a bit: h(R|R') floor at t=1, u=0
+        r_floor = attacker_entropy_floor(ChannelParams(1.0, 0.0), 0.1).bits + 0.5
+        assert r_floor == pytest.approx(0.5 * math.log2(math.pi * math.e) + 0.025)
+
 
 class TestFanoFloor:
     def test_zero_eps_shot_noise(self):

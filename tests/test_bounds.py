@@ -9,6 +9,7 @@ from cvqpv.bounds import (
     BISECT_TOL,
     N_ALPHA,
     BoundInputs,
+    _bracket,
     _eps_tilde_grid,
     condition_holds,
     condition_margin,
@@ -39,6 +40,15 @@ class TestWinterRhs:
             E = rng.uniform(5.0, 1e5)
             assert separation_rhs(E, a, et * 1.1) > separation_rhs(E, a, et)
             assert separation_rhs(E * 2.0, a, et) > separation_rhs(E, a, et)
+
+    def test_factor_two_relation_to_separation_form(self):
+        # Winter's full prefactor (1+a)/(1-a) + 2a is exactly twice the halved one
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            a = rng.uniform(1e-3, 0.5)
+            et = rng.uniform(1e-5, 0.3)
+            winter = ((1.0 + a) / (1.0 - a) + 2.0 * a) * _bracket(1e3, a, et)
+            assert winter == pytest.approx(2.0 * separation_rhs(1e3, a, et), rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

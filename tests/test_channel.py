@@ -51,6 +51,11 @@ class TestSampleChallenge:
         rs = run_session(p, ch, HonestProver(ch), 3, trace=True).records.r
         assert rs.var() == pytest.approx(4.0, abs=0.25)
 
+    def test_invalid_sigma(self):
+        # r ~ N(0, sigma^2) needs sigma > 0; the parameters reject it up front
+        with pytest.raises(ValueError):
+            ProtocolParams(sigma=0.0, n=8, N=100, eps_hon=0.01)
+
     @staticmethod
     def _bases(seed):
         """Trace theta column and f(x, y) for the strings drawn right after r."""

@@ -63,6 +63,13 @@ class TestEntropies:
         with pytest.raises(ValueError):
             h_U_given_P_limit(0.0, 0.0)
 
+    def test_rescaling_chain(self):
+        # h(R|R') - h(U|P) = log2(sqrt 2) as sigma -> inf (U = R/(sqrt2 lambda)),
+        # with h(R|R') = (1/2) log2(2 pi e Sigma^2) and Sigma^2 -> (1/2 + u)/t
+        t, u = 0.7, 0.03
+        h_r = 0.5 * math.log2(2.0 * math.pi * math.e * (0.5 + u) / t)
+        assert h_r - h_U_given_P_limit(t, u).bits == pytest.approx(0.5, abs=1e-12)
+
 
 class TestEntropyValue:
     def test_unit_conversion_exact(self):
