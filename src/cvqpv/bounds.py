@@ -105,21 +105,26 @@ def condition_holds(b: BoundInputs) -> bool:
     return condition_margin(b) > 0.0
 
 
-def _separation_rhs_array(E, alphas, eps_tilde):
-    """separation_rhs over arrays of alpha and eps_tilde, for sign decisions.
+def _separation_rhs_array(E, alphas, eps_tilde, log2=np.log2):
+    """separation_rhs over arrays of alpha and eps_tilde, broadcast together.
 
     Follows _bracket and separation_rhs op for op, with np.where for their
-    branches. np.log2 may differ from math.log2 in the last ulp, so callers
-    use this only to compare against a margin; rhs_at_opt comes from the
-    scalar form.
+    branches. np.log2 may differ from math.log2 in the last ulp, so with the
+    default log2 the result serves only sign decisions; with _math_log2 it
+    equals separation_rhs bit for bit.
     """
     x = (1.0 + alphas) / (1.0 - alphas) * eps_tilde
     p = np.where((x > 0.0) & (x < 0.5), x, 0.25)  # keeps log2 finite off-branch
-    entropy = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    entropy = -p * log2(p) - (1.0 - p) * log2(1.0 - p)
     h = np.where(x >= 0.5, 1.0, np.where(x == 0.0, 0.0, entropy))
-    log_term = math.log2(E + 1.0) + np.log2(math.e / (alphas * (1.0 - eps_tilde)))
+    log_term = math.log2(E + 1.0) + log2(math.e / (alphas * (1.0 - eps_tilde)))
     bracket = np.where(eps_tilde == 0.0, 0.0, 2.0 * eps_tilde * log_term + 6.0 * h)
     return ((1.0 + alphas) / (2.0 * (1.0 - alphas)) + alphas) * bracket
+
+
+def _math_log2(x: np.ndarray) -> np.ndarray:
+    """math.log2 of each element, so array results match the scalar forms exactly."""
+    return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _eps_tilde_grid(eps, E, t, u, alphas):
@@ -202,9 +207,17 @@ def energy_sensitivity(eps: float, t: float, u: float, E_list) -> dict:
 
 
 def condition_surface(eps: float, E: float, t: float, u: float, alphas, eps_tildes):
-    """RHS grid (separation form) over (alpha, eps_tilde) for surface plots."""
-    grid = np.empty((len(alphas), len(eps_tildes)))
-    for i, a in enumerate(alphas):
-        for j, et in enumerate(eps_tildes):
-            grid[i, j] = eps_cap(t, u) - separation_rhs(E, a, et)
-    return grid
+    """Margin eps_cap(t, u) - separation_rhs over the (alpha, eps_tilde) grid.
+
+    Row i, column j holds the value at alphas[i], eps_tildes[j], equal bit
+    for bit to eps_cap(t, u) - separation_rhs(E, alphas[i], eps_tildes[j]).
+    """
+    alphas = np.asarray(alphas, dtype=float).reshape(-1, 1)
+    eps_tildes = np.asarray(eps_tildes, dtype=float).reshape(1, -1)
+    if E <= 0.0:
+        raise ValueError("E must be positive")
+    if not ((alphas > 0.0) & (alphas <= 0.5)).all():
+        raise ValueError("alpha must lie in (0, 1/2]")
+    if not ((eps_tildes >= 0.0) & (eps_tildes < 1.0)).all():
+        raise ValueError("eps_tilde must lie in [0,1)")
+    return eps_cap(t, u) - _separation_rhs_array(E, alphas, eps_tildes, log2=_math_log2)

@@ -19,12 +19,12 @@ structured infeasible-parameter outcomes, 1 on errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
 import shutil
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +148,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             errors.append("sessions: must be >= 1")
         if args.command == "simulate" and not (1 <= cfg["n"] <= MAX_STRING_BITS):
             errors.append(f"n: must lie in [1, {MAX_STRING_BITS}] for simulate")
+        if args.command == "simulate" and not (0 <= cfg["seed"] < 2**64):
+            errors.append("seed: must lie in [0, 2^64) for simulate")
     if errors:
         raise ValueError("invalid configuration:\n  " + "\n  ".join(errors))
     cfg["command"] = args.command
@@ -183,15 +185,51 @@ def _write_metadata(out: Path | None, cfg: dict) -> None:
     _write_json(out / "metadata.json", meta, sort_keys=True)
 
 
+def _int_cell(value) -> str:
+    """The digits of an int table cell; a cell neither str nor int raises."""
+    if type(value) is int:
+        return int.__repr__(value)
+    raise ValueError(f"table cell {value!r}: only str and int cells are written")
+
+
+def _csv_line(row) -> str:
+    line = ",".join([v if type(v) is str else _int_cell(v) for v in row])
+    # csv.writer quotes a field holding a comma, quote or line break, and a lone empty field
+    if ('"' in line or "\r" in line or "\n" in line
+            or (line.count(",") != len(row) - 1 if line else len(row) == 1)):
+        raise ValueError(f"table row {row!r}: a field would need CSV quoting")
+    return line + "\r\n"
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of encoded items, laid out as json.dumps(indent=2) at this indent."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _json_cells(row, indent: str) -> str:
+    return _json_array([encode_basestring_ascii(v) if type(v) is str else _int_cell(v)
+                        for v in row], indent)
+
+
 def _write_table(out: Path, name: str, header, rows, fmt: str) -> None:
+    """Write str and int cells as CSV or as cvqpv.table/1 JSON, built as one text.
+
+    The bytes are those of csv.writer(lineterminator="\\r\\n") and of
+    json.dumps(indent=2) + "\\n". Any other cell type, and a CSV field that
+    csv.writer would quote, raise ValueError instead.
+    """
     if fmt == "json":
-        _write_json(out / f"{name}.json", {"schema": "cvqpv.table/1", "columns": list(header),
-                                            "rows": [list(row) for row in rows]})
+        rows_text = _json_array([_json_cells(row, "    ") for row in rows], "  ")
+        (out / f"{name}.json").write_text(
+            '{\n  "schema": "cvqpv.table/1",\n  "columns": ' + _json_cells(header, "  ")
+            + ',\n  "rows": ' + rows_text + "\n}\n")
     else:
+        text = "".join([_csv_line(row) for row in [header, *rows]])
         with open(out / f"{name}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(text)
 
 
 def cmd_feasibility(cfg: dict, out: Path | None) -> int:
@@ -199,11 +237,14 @@ def cmd_feasibility(cfg: dict, out: Path | None) -> int:
     ts = np.linspace(0.5, 1.0, cfg["t_steps"])
     if len(us) == 0 or len(ts) == 0:
         raise ValueError("empty (u,t) range")
+    t_values = ts.tolist()
+    t_texts = [repr(t) for t in t_values]
     rows = []
     for u in us.tolist():
-        for t in ts.tolist():
+        u_text = repr(u)
+        for t, t_text in zip(t_values, t_texts):
             margin = feasibility_margin(t, u)
-            rows.append([repr(u), repr(t), repr(margin), int(margin > 0.0)])
+            rows.append([u_text, t_text, repr(margin), int(margin > 0.0)])
     points = [[repr(u), repr(t), int(ChannelParams(t, u).feasible())]
               for (_eps, t, u) in TABLE_POINTS]
     print("feasibility grid: 4t - e(1+2u) over u in [0,0.3], t in [0.5,1]")
@@ -244,10 +285,10 @@ def cmd_bounds(cfg: dict, out: Path | None) -> int:
         alphas = np.logspace(-4, math.log10(0.5), 80)
         ets = np.linspace(1e-5, max(4.0 * result.eps_tilde_max, 1e-4), 80)
         grid = condition_surface(eps, E, t, u, alphas, ets)
-        rows = []
-        for i, a in enumerate(alphas):
-            for j, et in enumerate(ets):
-                rows.append([repr(float(a)), repr(float(et)), repr(float(grid[i, j]))])
+        et_texts = [repr(et) for et in ets.tolist()]
+        rows = [[a_text, et_text, repr(margin)]
+                for a_text, grid_row in zip(map(repr, alphas.tolist()), grid.tolist())
+                for et_text, margin in zip(et_texts, grid_row)]
         _write_table(out, "condition_surface", ["alpha", "eps_tilde", "margin_vs_eps0"],
                      rows, cfg["format"])
     return EXIT_OK

@@ -54,32 +54,41 @@ class ResourceReport:
     cutoff_error_log2: float | None
 
 
+def _cbrt_gap(eps_tilde: float) -> float:
+    """cbrt((2+et)/2) - 1, as expm1(log1p(et/2)/3) so that small et does not cancel."""
+    return math.expm1(math.log1p(eps_tilde / 2.0) / 3.0)
+
+
 def delta_for(eps_tilde: float) -> float:
     """Net resolution delta just inside cbrt((2+et)/2) - 1."""
     if not (0.0 < eps_tilde < 1.0):
         raise ValueError("eps_tilde must lie in (0,1)")
-    return DELTA_SAFETY * (((2.0 + eps_tilde) / 2.0) ** (1.0 / 3.0) - 1.0)
+    return DELTA_SAFETY * _cbrt_gap(eps_tilde)
 
 
 def net_approx_error(delta: float) -> float:
     """Composition error 3d + 3d^2 + d^3 = (1+d)^3 - 1 of net substitutions."""
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
-    return (1.0 + delta) ** 3 - 1.0
+    return math.expm1(3.0 * math.log1p(delta))
 
 
 def rounding_size_logfactor(eps_tilde: float) -> float:
-    """log2(1 + 4/(cbrt(4(2+et)) - 2)): the per-dimension rounding factor."""
+    """log2(1 + 4/(cbrt(4(2+et)) - 2)): the per-dimension rounding factor.
+
+    The gap cbrt(4(2+et)) - 2 is taken as 2 (cbrt((2+et)/2) - 1), without
+    cancellation. Only below eps_tilde of about 7e-308, where et/2
+    underflows or 4/gap overflows, is there no finite factor.
+    """
     if not (0.0 < eps_tilde < 1.0):
         raise ValueError("eps_tilde must lie in (0,1)")
-    # below about 1e-12, rounding decides both the net error (1+delta)^3 - 1
-    # and the cube-root gap cbrt(4(2+et)) - 2
     net_error = net_approx_error(delta_for(eps_tilde))
-    denom = (4.0 * (2.0 + eps_tilde)) ** (1.0 / 3.0) - 2.0
-    if not (net_error < eps_tilde / 2.0 and denom > 0.0):
+    gap = 2.0 * _cbrt_gap(eps_tilde)
+    factor = math.log2(1.0 + 4.0 / gap) if gap > 0.0 else math.inf
+    if not (net_error < eps_tilde / 2.0 and math.isfinite(factor)):
         raise ValueError(f"eps_tilde = {eps_tilde!r} is too small for a resolvable "
                          "rounding factor")
-    return math.log2(1.0 + 4.0 / denom)
+    return factor
 
 
 def count_bound_log2(n: int, m0: int, q: int, eps_tilde: float) -> float:
@@ -112,8 +121,9 @@ def corollary_q(n: int, m0: int) -> int | None:
 
 def q_max(n: int, m0: int, eps_tilde: float) -> int:
     """Largest q with count_bound_log2 < -2^n; -1 when no q >= 0 qualifies."""
+    bound_at_zero = count_bound_log2(n, m0, 0, eps_tilde)  # also validates the inputs
     threshold = -(2.0**n)
-    if count_bound_log2(n, m0, 0, eps_tilde) >= threshold:  # also validates the inputs
+    if bound_at_zero >= threshold:
         return -1
     k_factor = math.ceil(rounding_size_logfactor(eps_tilde))
     q = 0

@@ -81,13 +81,20 @@ class TestResources:
         assert strict_json(tmp_path / "resources.json")["cutoff_error_log2"] is None
 
     def test_unresolvable_eps_tilde_is_an_error(self, capsys):
-        assert run(["resources", "--eps-tilde", "1e-17"]) == EXIT_ERROR
+        # 4 / (cbrt(4(2+et)) - 2) overflows below eps_tilde of about 7e-308
+        assert run(["resources", "--eps-tilde", "1e-310"]) == EXIT_ERROR
         assert "too small for a resolvable rounding factor" in capsys.readouterr().err
 
-    def test_net_error_above_eps_tilde_is_an_error(self, capsys):
-        # (1+delta)^3 - 1 rounds to at least eps_tilde/2 here
-        assert run(["resources", "--eps-tilde", "1e-15"]) == EXIT_ERROR
-        assert "too small for a resolvable rounding factor" in capsys.readouterr().err
+    @pytest.mark.parametrize("eps_tilde,factor", [
+        # the double nearest log2(1 + 4/(cbrt(4(2+et)) - 2)), from 50-digit decimal arithmetic
+        ("1e-15", 53.413883924031595),
+        ("1e-17", 60.05774011380632),
+    ], ids=["1e-15", "1e-17"])
+    def test_tiny_eps_tilde_reports_exact_factor(self, tmp_path, eps_tilde, factor):
+        assert run(["resources", "--eps-tilde", eps_tilde, "--out", str(tmp_path)]) == EXIT_OK
+        payload = strict_json(tmp_path / "resources.json")
+        assert payload["k_factor_real"] == pytest.approx(factor, rel=4e-16)
+        assert payload["k_factor_int"] == math.ceil(factor)
 
     def test_lambda_rounding_to_one_still_reports(self, tmp_path):
         # lambda_of_sigma(1e8) rounds to 1.0; log2 lambda^(2^m0) does not need it
@@ -179,6 +186,8 @@ class TestSimulate:
         (["--rounds", "-5"], "rounds: must be >= 0"),
         (["--sessions", "0", "--rounds", "100"], "sessions: must be >= 1"),
         (["--sessions", "-3", "--rounds", "100"], "sessions: must be >= 1"),
+        (["--seed", "-1", "--rounds", "100"], "seed: must lie in [0, 2^64)"),
+        (["--seed", str(2**64), "--trace", "--rounds", "100"], "seed: must lie in [0, 2^64)"),
     ])
     def test_round_and_session_counts_checked_before_output(self, capsys, tmp_path, flags,
                                                             message):
@@ -186,13 +195,6 @@ class TestSimulate:
         assert run(["simulate", *flags, "--out", str(out)]) == EXIT_ERROR
         assert message in capsys.readouterr().err
         assert not out.exists()
-
-    def test_trace_bytes_pinned(self, tmp_path):
-        # digest of the row-by-row csv.writer trace this writer replaced
-        assert run(["simulate", "--sessions", "2", "--trace", "--seed", "11",
-                    "--out", str(tmp_path)]) == EXIT_OK
-        digest = hashlib.sha256((tmp_path / "honest_rounds.csv").read_bytes()).hexdigest()
-        assert digest == "3fbe6ab1f0aac91cfe82519ed753e9da960f30e89890ef0d98ed69dee8bbb7e8"
 
     def test_longest_strings_run(self, tmp_path):
         assert run(["simulate", "--n", "63", "--trace", "--rounds", "100", "--sessions", "2",
@@ -220,7 +222,7 @@ class TestErrorExit:
         ["resources", "--n", "41"],
         ["sweep", "--m0-lo", "0"],
         ["feasibility", "--u-steps", "0"],
-        ["simulate", "--seed", "-1", "--rounds", "100", "--sessions", "2"],
+        ["simulate", "--eps", "800", "--sessions", "2"],
         ["rounds", "--eps", "1000"],
         ["sweep", "--n-lo", "30", "--n-hi", "20"],
     ])
@@ -298,3 +300,86 @@ class TestConfig:
         meta = json.loads((tmp_path / "metadata.json").read_text())
         assert meta["config"]["seed"] == 77
         assert meta["config"]["command"] == "bounds"
+
+
+# SHA-256 of every --out file at seed 11: the perfbench cli_outputs calls and
+# bounds --format json at the three TABLE_POINTS. Recorded with the per-cell
+# csv.writer/json.dumps table writers and the per-row repr trace writer (whose
+# honest_rounds.csv matched the row-by-row csv.writer trace before it), except
+# resources.json, recorded after rounding_size_logfactor stopped cancelling
+# (k_factor_real 11.552188332945317 -> 11.552188332945429).
+GOLDEN = [
+    ('feasibility --format csv', 0, {
+        'feasibility_grid.csv': 'fd5c166c5007f92821c4971a83182bcea33745b624cfb65caba7ca9e167c0f42',
+        'metadata.json': 'c6396253e363f05d6288bfbdeafb1bc60a7e9908952fa0987d2ad8107f2b3232',
+        'reference_points.csv': '24fa026c075c44f0725168d683c6ffdf20e2beb611a802f19a5e9fa9e3a411e6',
+    }),
+    ('feasibility --format json', 0, {
+        'feasibility_grid.json': 'f4999de30903bd2ce70c52aac59ed688fc273c50b60d0d53a48b3396342333b6',
+        'metadata.json': 'd7e2ba32c490860c41d8e2725a6e04553134a9792f056a7a10a478f30388793e',
+        'reference_points.json': '8debd8c22ccae3149b0383a78a10e7b05f9a3867da663770b952f02ab2db57bf',
+    }),
+    ('bounds --format csv', 0, {
+        'bounds.json': '159aedc7606d854aded5f8d8597a4747e0a1e584cf1181332743402510369ca1',
+        'condition_surface.csv': 'eb34dd0e53aa0f82c720715ed90f930fb62eefeba2d900f77b7d2496d0557ddb',
+        'metadata.json': 'e497c394ef73d4a48fd168094d5a6e4e6dce6bd466dd982aab04a078bab87482',
+    }),
+    ('bounds --format json', 0, {
+        'bounds.json': '159aedc7606d854aded5f8d8597a4747e0a1e584cf1181332743402510369ca1',
+        'condition_surface.json': '8180c4b98392dfd0b2f907dffd34540e81e3db36f03b10512e2d873988d37cb1',
+        'metadata.json': '6095ca4818ce3de9a3fd35d56c83c0db54215e1d7c9363944aefc37a683be016',
+    }),
+    ('sweep --format csv', 0, {
+        'metadata.json': 'd2283c0aed2bdf9bec0f766034e165a699b0bcf5ff7498b85323e9caccdc883b',
+        'resource_sweep.csv': '50f3f1356267a6c09f676c6f66aa34139ee54e298e6a7b5cb9651da848914175',
+    }),
+    ('sweep --format json', 0, {
+        'metadata.json': 'f617f95022b5da5a02f2b1e55903b939c6882284bdab71e140e2e22e1abc36fd',
+        'resource_sweep.json': 'b625bf7d3e3c4117a5da74c2de1e784178d728e054327b3ea0bbe41328f7e4d6',
+    }),
+    ('resources', 0, {
+        'metadata.json': '0906834777b5907279164f90550eb88daac1ed13d12007c85a339cf58e3c8c93',
+        'resources.json': '39650b53b6c22ab0e2312ae50866f75e3f215265e8748333807a3d3f168e49e4',
+    }),
+    ('rounds', 0, {
+        'metadata.json': 'eee4f670ae4f36365213c92082a4b7ea9dae68416ffe0e9c00fb6eb139272afd',
+        'rounds.json': 'd3bde7078984e49ffccae64c8272038579188903a4c6bacb79881dfbc79ffa47',
+    }),
+    ('simulate --sessions 2', 0, {
+        'metadata.json': 'ca9bdcb4685bbdba06fd0e216763ce4132e2b0918581102a2c532730c58ae802',
+        'simulate.json': '7e1cbfe68c8d4f0fd39cb493cbf04f57ced0d420557a9661de988d39d49b3e3c',
+    }),
+    ('simulate --sessions 2 --trace', 0, {
+        'honest_rounds.csv': '3fbe6ab1f0aac91cfe82519ed753e9da960f30e89890ef0d98ed69dee8bbb7e8',
+        'honest_session.json': '4e73245626b860073cb3719e35db97a0c81ce0de8b56c789a633a2b969642321',
+        'metadata.json': 'ca9bdcb4685bbdba06fd0e216763ce4132e2b0918581102a2c532730c58ae802',
+        'simulate.json': '7e1cbfe68c8d4f0fd39cb493cbf04f57ced0d420557a9661de988d39d49b3e3c',
+    }),
+    ('bounds --t 0.6', 2, {
+        'bounds.json': '06131d029576ebb1b74b2a6e07e2eee73777438a9b9e20b51bac56969bca4f70',
+        'metadata.json': '8825251eee8c8b5acdb4cda2166c4e437143d01937e107efefd8261813955c59',
+    }),
+    ('bounds --eps 0.03 --t 0.8 --u 0.05 --format json', 0, {
+        'bounds.json': '27797747fed5a1222d6a1280a6a280bcf0e11a226237a4f9b86b55d94b996834',
+        'condition_surface.json': 'bedcac18f7f97dc21ef7cc25faf586cff7e3921b428bc34bacd7f5ac1f0922dc',
+        'metadata.json': 'cc0a22b4a182f3edbcd8100693cc9fb410cbad2f4eda4bd23cfd2ace055e110e',
+    }),
+    ('bounds --eps 0.03 --t 0.9 --u 0.12 --format json', 0, {
+        'bounds.json': 'da7415d315df816dbea15127ff7aed741d476c8146fb2835df0d397b4920978c',
+        'condition_surface.json': '9a70a837abd325ecda4ac6cffe0dd4b420a6dc8b7f76b0056bfe6e555f6ab013',
+        'metadata.json': '0b72e4497dcf490975510845a9ecfeb69702c2f47b2e0936d56a3636a53d2f55',
+    }),
+    ('bounds --eps 0.07 --t 0.95 --u 0.075 --format json', 0, {
+        'bounds.json': '55ba066e831f3bb002e93be686294d2969a491b587b684664d13162790d107b3',
+        'condition_surface.json': 'a1564bb7567576f76bc0e9b3ac9efb4239f1c5dd03109e9cd7fd5afc34124cb6',
+        'metadata.json': 'c523e71d5f2cb9f094eac7a7fe3f605f383a0ef3da0a51077876ed303b4c16bb',
+    }),
+]
+
+
+@pytest.mark.parametrize("command,code,digests", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_out_files_pinned(tmp_path, command, code, digests):
+    assert run(command.split() + ["--seed", "11", "--out", str(tmp_path)]) == code
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert written == digests

@@ -4,20 +4,33 @@ The bisections in cvqpv.bounds assume the separation term grows with
 eps_tilde; q_max assumes the counting bound never falls as q grows; the
 round planner assumes gamma falls as N grows; the cutoff argument assumes
 the truncated state has less energy than the untruncated one. The round
-trace CSV must give back the session's columns exactly. Examples are
-derandomized so the suite gives the same verdict on every run.
+trace CSV must give back the session's columns exactly. The table writer
+and the condition surface must equal the reference implementations kept
+here: csv.writer and json.dumps, and the scalar double loop over
+separation_rhs. Examples are derandomized so the suite gives the same
+verdict on every run.
 """
 
 import csv
+import io
+import json
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqpv.bounds import _separation_rhs_array, separation_rhs
+from cvqpv.bounds import (
+    _separation_rhs_array,
+    condition_surface,
+    eps_cap,
+    max_eps_tilde,
+    separation_rhs,
+)
+from cvqpv.cli import _write_table
 from cvqpv.channel import ChannelParams
 from cvqpv.gaussian import CutoffParams, cutoff_energy, lambda_of_sigma
 from cvqpv.protocol import (
@@ -108,3 +121,73 @@ def test_trace_csv_gives_back_the_columns(seed, N, t, u):
         assert parsed[:, j].tobytes() == col.tobytes()  # bit for bit
     _theta, r, r_prime, term = parsed.T
     assert ((r_prime - math.sqrt(t) * r) ** 2 / (0.5 + u) == term).all()
+
+
+# csv.writer quotes a field holding one of these, so the table writer rejects them
+plain_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'))
+cells = st.one_of(plain_text, st.just(""), st.integers(), st.integers(-(2**80), 2**80))
+table_rows = st.lists(cells, max_size=5).filter(lambda row: row != [""])  # [""] is quoted
+
+
+@settings(SETTINGS, max_examples=150)
+@given(header=table_rows, rows=st.lists(table_rows, max_size=8))
+def test_write_table_matches_csv_and_json_modules(header, rows):
+    sink = io.StringIO()
+    writer = csv.writer(sink, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    payload = {"schema": "cvqpv.table/1", "columns": header, "rows": rows}
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_table(Path(tmp), "t", header, rows, "csv")
+        _write_table(Path(tmp), "t", header, rows, "json")
+        with open(Path(tmp) / "t.csv", newline="") as fh:
+            assert fh.read() == sink.getvalue()
+        assert (Path(tmp) / "t.json").read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cell", [0.5, True, None, np.int64(3), np.float64(0.5), b"x"])
+def test_write_table_rejects_other_cell_types(fmt, cell):
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(ValueError, match="only str and int cells"):
+            _write_table(Path(tmp), "t", ["a", "b"], [["1", cell]], fmt)
+
+
+@pytest.mark.parametrize("row", [["a,b"], ['say "x"'], ["two\nlines"], ["cr\r"], [""]])
+def test_write_table_rejects_fields_csv_would_quote(row):
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(ValueError, match="CSV quoting"):
+            _write_table(Path(tmp), "t", ["a"], [row], "csv")
+        assert not (Path(tmp) / "t.csv").exists()
+
+
+def scalar_condition_surface(E, t, u, alphas, eps_tildes):
+    """The double loop condition_surface replaced: one separation_rhs call per cell."""
+    grid = np.empty((len(alphas), len(eps_tildes)))
+    for i, a in enumerate(alphas):
+        for j, et in enumerate(eps_tildes):
+            grid[i, j] = eps_cap(t, u) - separation_rhs(E, a, et)
+    return grid
+
+
+@SETTINGS
+@given(E=energies, t=st.floats(min_value=1e-3, max_value=1.0),
+       u=st.floats(min_value=0.0, max_value=0.3),
+       grid_alphas=st.lists(alphas, min_size=1, max_size=6),
+       grid_ets=st.lists(st.one_of(st.just(0.0), eps_tildes), min_size=1, max_size=6))
+def test_condition_surface_matches_scalar_loop(E, t, u, grid_alphas, grid_ets):
+    # eps_tilde up to 1 - 1e-12 puts many cells at x = (1+a)/(1-a) et >= 1/2
+    expected = scalar_condition_surface(E, t, u, grid_alphas, grid_ets)
+    got = condition_surface(0.1, E, t, u, np.array(grid_alphas), np.array(grid_ets))
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()  # bit for bit
+
+
+def test_condition_surface_matches_scalar_loop_on_the_cli_grid():
+    # the 80 x 80 grid of `cvqpv bounds` at its defaults, where np.log2 in place of
+    # math.log2 would change 3 cells
+    alphas_cli = np.logspace(-4, math.log10(0.5), 80)
+    ets_cli = np.linspace(1e-5, 4.0 * max_eps_tilde(0.1, 1e3, 1.0, 0.0).eps_tilde_max, 80)
+    expected = scalar_condition_surface(1e3, 1.0, 0.0, alphas_cli, ets_cli)
+    assert condition_surface(0.1, 1e3, 1.0, 0.0, alphas_cli, ets_cli).tobytes() == \
+        expected.tobytes()

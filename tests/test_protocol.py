@@ -10,6 +10,7 @@ from cvqpv.protocol import (
     HonestProver,
     ProtocolFunction,
     ProtocolParams,
+    RoundTrace,
     SessionResult,
     acceptance_rate,
     gamma_threshold,
@@ -303,6 +304,23 @@ class TestEmission:
         assert len(data) == 3604
         assert hashlib.sha256(data).hexdigest() == (
             "8ccf06a3b176d3fcd059fdbad5b36e44175f49a49f5a9fe9f9fbcd954cadc24c")
+
+    def test_round_csv_theta_is_each_values_repr(self, tmp_path):
+        # theta reprs are looked up by bit pattern: -0.0 must not print as 0.0
+        thetas = np.array([0.0, -0.0, math.pi / 2, math.nan, -0.0, 0.0, math.pi / 2])
+        ones = np.ones_like(thetas)
+        res = SessionResult(0.0, 1.0, True, set(), len(thetas), "honest",
+                            records=RoundTrace(thetas, ones, ones, ones))
+        write_rounds_csv(res, tmp_path / "rounds.csv")
+        lines = (tmp_path / "rounds.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[1] for line in lines] == [repr(t) for t in thetas.tolist()]
+
+    def test_overflowing_score_terms_raise(self):
+        # r draws at sigma near the float maximum overflow to inf, and inf - inf is nan
+        ch = ChannelParams(1.0, 0.0)
+        params = ProtocolParams(sigma=1.7976931348623157e308, n=8, N=100, eps_hon=0.01)
+        with pytest.raises(ValueError, match="leave float range"):
+            run_session(params, ch, HonestProver(ch), 0, trace=True)
 
     def test_round_csv_requires_trace(self, tmp_path):
         ch = ChannelParams(1.0, 0.0)

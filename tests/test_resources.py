@@ -54,6 +54,20 @@ class TestRoundingFactor:
         factors = [rounding_size_logfactor(e) for e in ets]
         assert all(a > b for a, b in zip(factors, factors[1:]))
 
+    def test_resolvable_from_one_cutoff_up(self):
+        # once the cube-root gap stopped cancelling, eps_tilde from 1e-15 to 1e-12
+        # no longer switched between an error and a noisy factor; only where
+        # 4 / gap overflows (below about 7e-308) is there no factor
+        ets = np.logspace(-320, -0.01, 3000).tolist()
+        factors = []
+        for et in ets:
+            try:
+                factors.append(rounding_size_logfactor(et))
+            except ValueError:
+                assert not factors and et < 7e-308
+        assert len(factors) >= sum(et >= 7e-308 for et in ets)
+        assert all(a > b for a, b in zip(factors, factors[1:]))
+
 
 class TestCountBound:
     def test_normalized_hand_estimate(self):
