@@ -368,6 +368,8 @@ def cmd_simulate(cfg: dict, out: Path | None, trace: bool = False) -> int:
         })
         if trace:
             traced = run_session(params, ch, honest, cfg["seed"], trace=True)
+            if not math.isfinite(traced.mean_score):  # r draws overflow at sigma near 1e308
+                raise ValueError("score terms leave float range: sigma is too large to trace")
             write_rounds_csv(traced, out / "honest_rounds.csv")
             write_session_json(traced, out / "honest_session.json")
     return EXIT_OK

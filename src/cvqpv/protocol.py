@@ -228,10 +228,8 @@ def _round_engine(p: ProtocolParams, ch: ChannelParams, responder: Responder, rn
     if r_prime.shape != r.shape:
         raise RuntimeError(f"responder {responder.name!r} returned wrong shape {r_prime.shape}")
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan terms reject the session
         terms = (r_prime - math.sqrt(ch.t) * r) ** 2 / (0.5 + ch.u)
-    if not np.isfinite(terms).all():  # e.g. r draws beyond float range at sigma near 1e308
-        raise ValueError("score terms leave float range: sigma or the responses are too large")
     return terms, (RoundTrace(thetas, r, r_prime, terms) if trace else None)
 
 
@@ -297,30 +295,29 @@ def acceptance_rate(
 _CSV_CHUNK_ROWS = 8192  # rows per write: bounds the formatted string held at once
 
 
-class _ReprByBits(dict):
-    """repr of a float64, keyed by its bit pattern (so -0.0 stays apart from 0.0)."""
+class _ReprCache(dict):
+    """repr of each float, formed on first lookup."""
 
-    def __missing__(self, bits: int) -> str:
-        text = self[bits] = repr(float(np.uint64(bits).view(np.float64)))
+    def __missing__(self, value: float) -> str:
+        text = self[value] = repr(value)
         return text
 
 
 def write_rounds_csv(result: SessionResult, path) -> None:
     """Per-round trace as RFC-4180 CSV (requires a traced session).
 
-    theta takes few distinct values, so the repr of each one is formed once
-    and looked up per row.
+    The round engine's theta is 0 or pi/2, so the repr of each value is
+    formed once and looked up per row.
     """
     trace = result.records
     if trace is None:
         raise ValueError("session was not run with trace=True")
-    theta_bits = np.asarray(trace.theta, dtype=np.float64).view(np.uint64)
-    theta_texts = _ReprByBits()
+    theta_texts = _ReprCache()
     with open(path, "w", newline="") as fh:  # int and float repr fields need no quoting
         fh.write("index,theta,r,r_prime,score_term\r\n")
         for start in range(0, len(trace.r), _CSV_CHUNK_ROWS):
             stop = start + _CSV_CHUNK_ROWS
-            thetas = map(theta_texts.__getitem__, theta_bits[start:stop].tolist())
+            thetas = map(theta_texts.__getitem__, trace.theta[start:stop].tolist())
             rows = zip(range(start, stop), thetas,
                        *(col[start:stop].tolist() for col in trace[1:]))
             fh.write("".join([f"{i},{theta},{r!r},{r_prime!r},{term!r}\r\n"

@@ -174,6 +174,15 @@ class TestSimulate:
         payload = json.loads((tmp_path / "simulate.json").read_text())
         assert payload["feasible"] is False
 
+    def test_trace_out_of_float_range_is_an_error(self, capsys, tmp_path):
+        # r draws overflow at this sigma, so the traced session has no finite score
+        out = tmp_path / "run"
+        assert run(["simulate", "--sigma", "1.7976931348623157e308", "--trace", "--rounds",
+                    "100", "--sessions", "2", "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: score terms leave float range")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", ["0", "64", "70"])
     def test_string_length_checked_before_output(self, capsys, tmp_path, n):
         out = tmp_path / "run"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -306,8 +307,8 @@ class TestEmission:
             "8ccf06a3b176d3fcd059fdbad5b36e44175f49a49f5a9fe9f9fbcd954cadc24c")
 
     def test_round_csv_theta_is_each_values_repr(self, tmp_path):
-        # theta reprs are looked up by bit pattern: -0.0 must not print as 0.0
-        thetas = np.array([0.0, -0.0, math.pi / 2, math.nan, -0.0, 0.0, math.pi / 2])
+        # the engine's two theta values, each repr formed once and looked up per row
+        thetas = np.array([0.0, math.pi / 2, math.pi / 2, 0.0, 0.0])
         ones = np.ones_like(thetas)
         res = SessionResult(0.0, 1.0, True, set(), len(thetas), "honest",
                             records=RoundTrace(thetas, ones, ones, ones))
@@ -315,12 +316,16 @@ class TestEmission:
         lines = (tmp_path / "rounds.csv").read_text().splitlines()[1:]
         assert [line.split(",")[1] for line in lines] == [repr(t) for t in thetas.tolist()]
 
-    def test_overflowing_score_terms_raise(self):
-        # r draws at sigma near the float maximum overflow to inf, and inf - inf is nan
+    def test_overflowing_score_terms_reject_the_session(self):
+        # r draws at sigma near the float maximum overflow to inf, and inf - inf is nan:
+        # a non-finite mean score is a rejected session, without numpy warnings
         ch = ChannelParams(1.0, 0.0)
         params = ProtocolParams(sigma=1.7976931348623157e308, n=8, N=100, eps_hon=0.01)
-        with pytest.raises(ValueError, match="leave float range"):
-            run_session(params, ch, HonestProver(ch), 0, trace=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_session(params, ch, HonestProver(ch), 0, trace=True)
+        assert not math.isfinite(res.mean_score)
+        assert not res.accepted
 
     def test_round_csv_requires_trace(self, tmp_path):
         ch = ChannelParams(1.0, 0.0)

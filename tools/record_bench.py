@@ -5,15 +5,14 @@ Run from anywhere in a checkout:
     python3 tools/record_bench.py 10            # writes BENCH_10.json in the repo root
 
 It runs perfbench's three workloads one after another with ``--trace 0``
-(each for ``--seconds``, at ``--seed``), then times every CLI subcommand at
-its defaults as a fresh process, importing ``cvqpv`` from ``src/``, ``--repeats``
-times one after another, and reports the median and the spread. A bare
-interpreter start is timed the same way as the floor those times sit on.
+(each for 15 s, at seed 11), then times every CLI subcommand at its defaults
+as a fresh process, importing ``cvqpv`` from ``src/``, 5 times one after
+another, and reports the median and the quartiles. A bare interpreter start
+is timed the same way as the floor those times sit on.
 
 The file is a report: nothing here compares it with an earlier one or
 fails on a slow number. It holds each workload's JSON result line, the
-environment record perfbench prints, the settings and the fresh-process
-times.
+environment record perfbench prints and the fresh-process times.
 """
 
 from __future__ import annotations
@@ -30,27 +29,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ["mc_plan", "calc_table", "cli_outputs"]
 SUBCOMMANDS = ["feasibility", "bounds", "resources", "rounds", "simulate", "sweep"]
+SEED, SECONDS, REPEATS = 11, 15, 5
 
 
-def run_workload(name: str, seed: int, seconds: int) -> tuple[dict, dict]:
+def run_workload(name: str) -> tuple[dict, dict]:
     """perfbench's JSON result line and its environment record for one workload."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(SEED),
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     env = next(json.loads(line[len("env "):]) for line in lines if line.startswith("env "))
     return json.loads(lines[-1]), env
 
 
-def wall_times(argv: list[str], repeats: int) -> dict:
+def wall_times(argv: list[str]) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     runs = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         subprocess.run(argv, env=env, cwd=ROOT, stdout=subprocess.DEVNULL, check=True)
         runs.append(time.perf_counter() - start)
-    quartiles = statistics.quantiles(runs, n=4) if len(runs) > 1 else [runs[0]] * 3
+    quartiles = statistics.quantiles(runs, n=4)
     return {"median_s": statistics.median(runs), "q1_s": quartiles[0], "q3_s": quartiles[2],
             "runs_s": runs}
 
@@ -58,27 +58,19 @@ def wall_times(argv: list[str], repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="written to BENCH_<label>.json in the repo root")
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--seconds", type=int, default=15)
-    parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
 
     workloads, env = {}, None
     for name in WORKLOADS:
-        print(f"running {name} for {args.seconds} s ...", file=sys.stderr)
-        workloads[name], env = run_workload(name, args.seed, args.seconds)
+        print(f"running {name} for {SECONDS} s ...", file=sys.stderr)
+        workloads[name], env = run_workload(name)
 
-    fresh = {"python -c pass": wall_times([sys.executable, "-c", "pass"], args.repeats)}
+    fresh = {"python -c pass": wall_times([sys.executable, "-c", "pass"])}
     for command in SUBCOMMANDS:
-        fresh[f"cvqpv {command}"] = wall_times(
-            [sys.executable, "-m", "cvqpv.cli", command], args.repeats)
+        fresh[f"cvqpv {command}"] = wall_times([sys.executable, "-m", "cvqpv.cli", command])
 
     record = {
         "schema": "cvqpv.bench/1",
-        "settings": {"seed": args.seed, "seconds": args.seconds, "trace": 0,
-                     "repeats": args.repeats},
         "env": env,
         "workloads": workloads,
         "fresh_process": fresh,
