@@ -1,19 +1,23 @@
 """Command-line front end.
 
-Subcommands:
+``PARAMS`` has one row per configuration key: its type, default, domain,
+the subcommands that take it and its help. The parser, the validation and
+the metadata echo are built from it. Each subcommand (see ``COMMANDS``)
+takes --config, --out, --seed and the keys of the rows that list it:
 
-* ``feasibility`` -- margin grid of 4t - e(1+2u) over a (u,t) rectangle
-* ``bounds``      -- maximize eps_tilde over alpha, report the honest entropy and
-  the attacker floor, emit the condition surface
-* ``resources``   -- rounding size k, qubit budget q_max, cutoff error scale
-* ``rounds``      -- Chebyshev round count N with gamma and Delta
-* ``simulate``    -- honest and pessimistic-attacker Monte Carlo batches
-* ``sweep``       -- (n, m0) resource sweep table
+    feasibility  --u-steps --t-steps --format
+    bounds       --eps --energy --t --u --format
+    resources    --n --m0 --eps-tilde --sigma
+    rounds       --eps --u --eps-hon --eps-unit
+    simulate     --eps --t --u --sigma --n --eps-hon --rounds --sessions --eps-unit --trace
+    sweep        --eps-tilde --n-lo --n-hi --m0-lo --m0-hi --format
 
-Parameters resolve as: built-in defaults < config file (flat key=value,
-'#' comments) < command-line flags. Every run echoes its fully resolved
-configuration into the output metadata. Exit code 0 on success, 2 on
-structured infeasible-parameter outcomes, 1 on errors.
+A key resolves as: default < config file (flat key=value, '#' comments) <
+flag. A config file may set any key of the table; a subcommand ignores the
+keys it does not take, and a key outside the table is an error. Every run
+echoes its resolved keys into the output metadata. Exit code 0 on success,
+2 on structured infeasible-parameter outcomes, 1 on errors, usage errors
+included.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ import json
 import math
 import shutil
 import sys
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,39 +60,98 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 
-# zero-config defaults reproduce the perfect-channel headline numbers
-DEFAULTS = {
-    "eps": 0.1,
-    "energy": 1e3,
-    "t": 1.0,
-    "u": 0.0,
-    "sigma": 10.0,
-    "n": 30,
-    "m0": 5,
-    "eps_tilde": 0.004,
-    "eps_hon": 0.01,
-    "rounds": 0,  # 0: derive from the Chebyshev plan
-    "sessions": 200,
-    "seed": 0,
-    "eps_unit": "nats",
-    "format": "csv",
-    "u_steps": 31,
-    "t_steps": 26,
-    "n_lo": 22,
-    "n_hi": 40,
-    "m0_lo": 1,
-    "m0_hi": 10,
+COMMANDS = {
+    "feasibility": "channel feasibility margin grid over (u,t)",
+    "bounds": "maximize eps_tilde over alpha for the separation condition",
+    "resources": "rounding size, counting bound and attacker qubit budget",
+    "rounds": "Chebyshev round count for honest/attacker separation",
+    "simulate": "Monte Carlo honest and attacker session batches",
+    "sweep": "resource sweep over (n, m0)",
 }
+
+
+def _bound_text(x) -> str:
+    """A domain bound as text; a power of two past 2^53, such as the seed's 2^64, as 2^k."""
+    if type(x) is int and x > 2**53 and x & (x - 1) == 0:
+        return f"2^{x.bit_length() - 1}"
+    return f"{x:g}"
+
+
+@dataclass(frozen=True)
+class Interval:
+    """The numbers from lo to hi; an open end leaves its bound out."""
+
+    lo: float
+    hi: float = math.inf
+    open_lo: bool = False
+    open_hi: bool = False
+
+    def __contains__(self, x) -> bool:
+        return ((self.lo < x if self.open_lo else self.lo <= x)
+                and (x < self.hi if self.open_hi else x <= self.hi))
+
+    def __str__(self) -> str:
+        lo = _bound_text(self.lo)
+        if self.hi == math.inf:
+            return f"be {'>' if self.open_lo else '>='} {lo}"
+        return (f"lie in {'(' if self.open_lo else '['}{lo}, "
+                f"{_bound_text(self.hi)}{')' if self.open_hi else ']'}")
+
+
+class Choices(tuple):
+    """The allowed strings of a key."""
+
+    def __str__(self) -> str:
+        return "be " + " or ".join(map(repr, self))
+
+
+class Param(NamedTuple):
+    """One configuration key: a float or int must be finite and lie in its domain."""
+
+    name: str
+    type: type
+    default: object
+    domain: Interval | Choices
+    commands: str  # the subcommands that take the key, space-separated
+    help: str
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+UNIT, COUNT = Interval(0.0, 1.0, open_lo=True, open_hi=True), Interval(1)
+# zero-config defaults reproduce the perfect-channel headline numbers
+PARAMS = {p.name: p for p in [
+    Param("eps", float, 0.1, Interval(0.0), "bounds rounds simulate", "entropy gap eps"),
+    Param("energy", float, 1e3, Interval(0.0, open_lo=True), "bounds", "attacker energy bound E"),
+    Param("t", float, 1.0, Interval(0.0, 1.0), "bounds simulate", "channel transmission t"),
+    Param("u", float, 0.0, Interval(0.0), "bounds rounds simulate", "channel excess noise u"),
+    Param("sigma", float, 10.0, Interval(0.0, open_lo=True), "resources simulate",
+          "standard deviation of the Gaussian modulation"),
+    Param("n", int, 30, Interval(1, MAX_STRING_BITS), "resources simulate", "input string bits"),
+    Param("m0", int, 5, COUNT, "resources", "photon-number cutoff exponent: cutoff 2^m0"),
+    Param("eps_tilde", float, 0.004, UNIT, "resources sweep", "entropy slack of the rounding"),
+    Param("eps_hon", float, 0.01, UNIT, "rounds simulate", "honest failure budget"),
+    Param("rounds", int, 0, Interval(0), "simulate", "rounds N per session, 0: Chebyshev plan"),
+    Param("sessions", int, 200, COUNT, "simulate", "sessions per acceptance-rate batch"),
+    Param("seed", int, 0, Interval(0, 2**64, open_hi=True), " ".join(COMMANDS), "master seed"),
+    Param("eps_unit", str, "nats", Choices(["nats", "bits"]), "rounds simulate", "unit of eps"),
+    Param("format", str, "csv", Choices(["csv", "json"]), "feasibility bounds sweep",
+          "table file format"),
+    Param("u_steps", int, 31, COUNT, "feasibility", "grid points in u over [0, 0.3]"),
+    Param("t_steps", int, 26, COUNT, "feasibility", "grid points in t over [0.5, 1]"),
+    Param("n_lo", int, 22, COUNT, "sweep", "smallest n of the sweep"),
+    Param("n_hi", int, 40, COUNT, "sweep", "largest n of the sweep"),
+    Param("m0_lo", int, 1, COUNT, "sweep", "smallest m0 of the sweep"),
+    Param("m0_hi", int, 10, COUNT, "sweep", "largest m0 of the sweep"),
+]}
 
 TABLE_POINTS = [  # reference (eps, t, u) channel points
     (0.03, 0.8, 0.05),
     (0.03, 0.9, 0.12),
     (0.07, 0.95, 0.075),
 ]
-
-_FLOAT_KEYS = {"eps", "energy", "t", "u", "sigma", "eps_tilde", "eps_hon"}
-_INT_KEYS = {"n", "m0", "rounds", "sessions", "seed", "u_steps", "t_steps",
-             "n_lo", "n_hi", "m0_lo", "m0_hi"}
 
 
 def read_config_file(path) -> dict:
@@ -102,54 +167,36 @@ def read_config_file(path) -> dict:
     return cfg
 
 
+def _checked(p: Param, raw):
+    """raw as the key's type, if it converts, is finite and lies in the key's domain."""
+    try:
+        value = p.type(raw)
+    except (TypeError, ValueError):
+        kind = "a number" if p.type is float else "an integer"
+        raise ValueError(f"{p.name}: not {kind} ({raw!r})") from None
+    if p.type is float and not math.isfinite(value):
+        raise ValueError(f"{p.name}: must be finite ({value!r})")
+    if value not in p.domain:
+        raise ValueError(f"{p.name}: must {p.domain}")
+    return value
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
+    params = [p for p in PARAMS.values() if args.command in p.commands.split()]
+    raw = {p.name: p.default for p in params}
     if args.config:
         for key, value in read_config_file(args.config).items():
-            if key not in DEFAULTS:
+            if key not in PARAMS:
                 raise ValueError(f"unknown config key {key!r}")
-            cfg[key] = value
-    for key in DEFAULTS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            cfg[key] = flag_value
-    errors = []
-    for key in _FLOAT_KEYS:
+            if key in raw:
+                raw[key] = value
+    cfg, errors = {}, []
+    for p in params:
+        flag_value = getattr(args, p.name)
         try:
-            cfg[key] = float(cfg[key])
-        except (TypeError, ValueError):
-            errors.append(f"{key}: not a number ({cfg[key]!r})")
-            continue
-        if not math.isfinite(cfg[key]):
-            errors.append(f"{key}: must be finite ({cfg[key]!r})")
-    for key in _INT_KEYS:
-        try:
-            cfg[key] = int(cfg[key])
-        except (TypeError, ValueError):
-            errors.append(f"{key}: not an integer ({cfg[key]!r})")
-    if not errors:
-        if not (0.0 <= cfg["t"] <= 1.0):
-            errors.append("t: must lie in [0,1]")
-        if cfg["u"] < 0.0:
-            errors.append("u: must be nonnegative")
-        if cfg["sigma"] <= 0.0:
-            errors.append("sigma: must be positive")
-        if not (0.0 < cfg["eps_hon"] < 1.0):
-            errors.append("eps_hon: must lie in (0,1)")
-        if not (0.0 < cfg["eps_tilde"] < 1.0):
-            errors.append("eps_tilde: must lie in (0,1)")
-        if cfg["eps_unit"] not in ("nats", "bits"):
-            errors.append("eps_unit: must be 'nats' or 'bits'")
-        if cfg["format"] not in ("csv", "json"):
-            errors.append("format: must be 'csv' or 'json'")
-        if cfg["rounds"] < 0:
-            errors.append("rounds: must be >= 0 (0 derives it from the Chebyshev plan)")
-        if cfg["sessions"] < 1:
-            errors.append("sessions: must be >= 1")
-        if args.command == "simulate" and not (1 <= cfg["n"] <= MAX_STRING_BITS):
-            errors.append(f"n: must lie in [1, {MAX_STRING_BITS}] for simulate")
-        if args.command == "simulate" and not (0 <= cfg["seed"] < 2**64):
-            errors.append("seed: must lie in [0, 2^64) for simulate")
+            cfg[p.name] = _checked(p, raw[p.name] if flag_value is None else flag_value)
+        except ValueError as exc:
+            errors.append(str(exc))
     if errors:
         raise ValueError("invalid configuration:\n  " + "\n  ".join(errors))
     cfg["command"] = args.command
@@ -235,8 +282,6 @@ def _write_table(out: Path, name: str, header, rows, fmt: str) -> None:
 def cmd_feasibility(cfg: dict, out: Path | None) -> int:
     us = np.linspace(0.0, 0.3, cfg["u_steps"])
     ts = np.linspace(0.5, 1.0, cfg["t_steps"])
-    if len(us) == 0 or len(ts) == 0:
-        raise ValueError("empty (u,t) range")
     t_values = ts.tolist()
     t_texts = [repr(t) for t in t_values]
     rows = []
@@ -392,66 +437,50 @@ def cmd_sweep(cfg: dict, out: Path | None) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is exit 1, like any other error
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every main() call."""
-    parser = argparse.ArgumentParser(
-        prog="cvqpv",
+    """The argument parser, built on first use and shared by every main() call.
+
+    Abbreviated flags are refused, so that a flag a subcommand does not take
+    is an error rather than a prefix of one it does (feasibility --t).
+    """
+    parser = _Parser(
+        prog="cvqpv", allow_abbrev=False,
         description="Coherent-state position-verification security calculator and simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("feasibility", "channel feasibility margin grid over (u,t)"),
-        ("bounds", "maximize eps_tilde over alpha for the separation condition"),
-        ("resources", "rounding size, counting bound and attacker qubit budget"),
-        ("rounds", "Chebyshev round count for honest/attacker separation"),
-        ("simulate", "Monte Carlo honest and attacker session batches"),
-        ("sweep", "resource sweep over (n, m0)"),
-    ]:
-        cmd = sub.add_parser(name, help=helptext)
+    for name, helptext in COMMANDS.items():
+        cmd = sub.add_parser(name, help=helptext, allow_abbrev=False)
         cmd.add_argument("--config", help="flat key=value config file")
-        cmd.add_argument("--eps", type=float)
-        cmd.add_argument("--energy", type=float)
-        cmd.add_argument("--t", type=float)
-        cmd.add_argument("--u", type=float)
-        cmd.add_argument("--sigma", type=float)
-        cmd.add_argument("--n", type=int)
-        cmd.add_argument("--m0", type=int)
-        cmd.add_argument("--eps-tilde", dest="eps_tilde", type=float)
-        cmd.add_argument("--eps-hon", dest="eps_hon", type=float)
-        cmd.add_argument("--rounds", type=int)
-        cmd.add_argument("--sessions", type=int)
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--eps-unit", dest="eps_unit", choices=["nats", "bits"])
         cmd.add_argument("--out", help="output directory")
-        cmd.add_argument("--format", choices=["csv", "json"])
-        if name == "feasibility":
-            cmd.add_argument("--u-steps", dest="u_steps", type=int)
-            cmd.add_argument("--t-steps", dest="t_steps", type=int)
-        if name == "sweep":
-            cmd.add_argument("--n-lo", dest="n_lo", type=int)
-            cmd.add_argument("--n-hi", dest="n_hi", type=int)
-            cmd.add_argument("--m0-lo", dest="m0_lo", type=int)
-            cmd.add_argument("--m0-hi", dest="m0_hi", type=int)
+        for p in PARAMS.values():
+            if name in p.commands.split():
+                cmd.add_argument(p.flag, dest=p.name, metavar=p.type.__name__.upper(),
+                                 help=f"{p.help}; must {p.domain} (default {p.default})")
         if name == "simulate":
-            cmd.add_argument("--trace", action="store_true")
+            cmd.add_argument("--trace", action="store_true",
+                             help="also write the rounds of one traced honest session")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     out = created = None
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         if args.out is not None:
             out = Path(args.out)
             created = _make_out_dir(out)
+        # handlers are looked up per call, so a replaced module attribute is what runs
         if args.command == "simulate":
             code = cmd_simulate(cfg, out, trace=args.trace)
         else:
-            handler = {"feasibility": cmd_feasibility, "bounds": cmd_bounds,
-                       "resources": cmd_resources, "rounds": cmd_rounds, "sweep": cmd_sweep}
-            code = handler[args.command](cfg, out)
+            code = globals()[f"cmd_{args.command}"](cfg, out)
         _write_metadata(out, cfg)
         return code
     except (ValueError, OSError) as exc:

@@ -32,17 +32,6 @@ class EntropyValue:
     def bits(self) -> float:
         return self.value if self.unit == "bits" else self.value / math.log(2.0)
 
-    @property
-    def nats(self) -> float:
-        return self.value if self.unit == "nats" else self.value * math.log(2.0)
-
-    def to(self, unit: str) -> "EntropyValue":
-        if unit == "bits":
-            return EntropyValue(self.bits, "bits")
-        if unit == "nats":
-            return EntropyValue(self.nats, "nats")
-        raise ValueError(f"unknown entropy unit {unit!r}")
-
 
 def lambda_of_sigma(sigma: float) -> float:
     """Schmidt parameter lambda = tanh(asinh(sigma)) = sigma/sqrt(1+sigma^2)."""

@@ -8,8 +8,8 @@ built-in ``respond`` (r' = a r + N(0, v)), each residual (a - sqrt(t)) r +
 noise is N(0, s^2) with s^2 = (a - sqrt(t))^2 sigma^2 + v, so the session
 mean is exactly s^2/(1/2+u) * chi2_N / N: one ``chisquare(N)`` draw per
 session. The round engine draws r, the responses and the N score terms; it
-runs for traced sessions, when the score terms are kept, and for every
-responder that supplies its own ``respond``.
+runs for traced sessions and for every responder that supplies its own
+``respond``.
 
 Determinism contract: every session derives its randomness from an integer
 seed (or a spawned numpy SeedSequence), so identical seeds give identical
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -46,38 +46,24 @@ def _parity64(z: np.ndarray) -> np.ndarray:
 class ProtocolFunction:
     """Boolean function f: {0,1}^n x {0,1}^n -> {0,1} selecting the basis.
 
-    kind 'random' uses a seeded uniform truth table for n <= 12 and a keyed
-    pseudorandom mix for larger n (a modeling stand-in for a uniformly
-    random f). kind 'inner-product' is the inner product mod 2. An explicit
-    truth table (flat array of 2^(2n) bits, index (x << n) | y) can be
-    supplied via kind 'table'.
+    A modeling stand-in for a uniformly random f: a seeded uniform truth
+    table for n <= 12 and a keyed pseudorandom mix for larger n. ``kind``
+    names that construction; 'random' is the only one.
     """
 
     RANDOM_TABLE_MAX_N = 12
 
-    def __init__(self, n: int, kind: str = "random", seed: int = 0, table=None):
+    def __init__(self, n: int, kind: str = "random", seed: int = 0):
         if n < 1:
             raise ValueError("n must be a positive integer")
+        if kind != "random":
+            raise ValueError(f"unknown protocol function kind {kind!r}")
         self.n = n
-        self.kind = kind
         self.seed = seed
         self._table = None
-        if kind == "table":
-            table = np.asarray(table, dtype=np.uint8)
-            if table.shape != (1 << (2 * n),):
-                raise ValueError("truth table must have 2^(2n) entries")
-            self._table = table
-        elif kind == "random":
-            if n <= self.RANDOM_TABLE_MAX_N:
-                rng = np.random.default_rng(seed)
-                self._table = rng.integers(0, 2, size=1 << (2 * n), dtype=np.uint8)
-        elif kind != "inner-product":
-            raise ValueError(f"unknown protocol function kind {kind!r}")
-
-    def __call__(self, x: int, y: int) -> int:
-        return int(
-            self.evaluate(np.asarray([x], dtype=np.uint64), np.asarray([y], dtype=np.uint64))[0]
-        )
+        if n <= self.RANDOM_TABLE_MAX_N:
+            rng = np.random.default_rng(seed)
+            self._table = rng.integers(0, 2, size=1 << (2 * n), dtype=np.uint8)
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.uint64)
@@ -85,9 +71,6 @@ class ProtocolFunction:
         if self._table is not None:
             idx = (x << np.uint64(self.n)) | y
             return self._table[idx.astype(np.int64)]
-        if self.kind == "inner-product":
-            return _parity64(x & y)
-        # keyed pseudorandom bit for large-n 'random' functions
         mixed = _splitmix64(_splitmix64(x ^ np.uint64(self.seed)) ^ y)
         return _parity64(mixed)
 
@@ -102,7 +85,6 @@ class ProtocolParams:
     n: int
     N: int
     eps_hon: float
-    f_kind: str = "random"
     f_seed: int = 0
 
     def __post_init__(self):
@@ -118,7 +100,7 @@ class ProtocolParams:
             raise ValueError("f_seed must lie in [0, 2^64)")
 
     def make_function(self) -> ProtocolFunction:
-        return ProtocolFunction(self.n, self.f_kind, self.f_seed)
+        return ProtocolFunction(self.n, seed=self.f_seed)
 
     @property
     def gamma(self) -> float:
@@ -131,7 +113,8 @@ def gamma_threshold(N: int, eps_hon: float) -> float:
         raise ValueError("N must be >= 1")
     if not (0.0 < eps_hon < 1.0):
         raise ValueError("eps_hon must lie in (0,1)")
-    log_term = math.log(1.0 / eps_hon)
+    inverse = 1.0 / eps_hon  # inf below about 5.6e-309: only there is -log(eps_hon) taken
+    log_term = math.log(inverse) if inverse < math.inf else -math.log(eps_hon)
     return 1.0 + 2.0 / math.sqrt(N) * math.sqrt(log_term) + 2.0 / N * log_term
 
 
@@ -193,7 +176,6 @@ class SessionResult:
     n_rounds: int
     responder: str
     records: Optional[RoundTrace] = None
-    score_terms: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 def _residual_variance(p: ProtocolParams, ch: ChannelParams, responder: Responder):
@@ -239,19 +221,18 @@ def run_session(
     responder: Responder,
     rng,
     trace: bool = False,
-    keep_terms: bool = False,
 ) -> SessionResult:
     """Run one session of N i.i.d. rounds and apply the score test.
 
     ``rng`` may be an integer seed, a SeedSequence or a Generator. Untraced
-    sessions of a built-in Gaussian responder without kept terms draw the
-    session mean s^2/(1/2+u) * chi2_N / N with one ``chisquare(N)`` call;
-    every other session goes through the round engine, which draws r, the
-    responses and the N score terms (and, when traced, the basis angles).
+    sessions of a built-in Gaussian responder draw the session mean
+    s^2/(1/2+u) * chi2_N / N with one ``chisquare(N)`` call; every other
+    session goes through the round engine, which draws r, the responses and
+    the N score terms (and, when traced, the basis angles).
     """
     rng = np.random.default_rng(rng)
-    s2 = None if (trace or keep_terms) else _residual_variance(p, ch, responder)
-    terms = records = None
+    s2 = None if trace else _residual_variance(p, ch, responder)
+    records = None
     if s2 is None:
         terms, records = _round_engine(p, ch, responder, rng, trace)
         mean_score = float(terms.mean())
@@ -268,7 +249,6 @@ def run_session(
         n_rounds=p.N,
         responder=responder.name,
         records=records,
-        score_terms=terms if keep_terms else None,
     )
 
 

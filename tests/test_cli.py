@@ -5,7 +5,16 @@ import math
 
 import pytest
 
-from cvqpv.cli import EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, _write_json, main
+from cvqpv.cli import (
+    COMMANDS,
+    EXIT_ERROR,
+    EXIT_INFEASIBLE,
+    EXIT_OK,
+    PARAMS,
+    _write_json,
+    build_parser,
+    main,
+)
 
 
 def run(args):
@@ -126,6 +135,11 @@ class TestRounds:
         assert run(["rounds", "--eps", "0"]) == EXIT_INFEASIBLE
         assert "no margin" in capsys.readouterr().out
 
+    def test_tiny_honest_budget_has_no_plan(self, capsys):
+        # score_variance / eps_hon overflows, so no N meets the Chebyshev condition
+        assert run(["rounds", "--eps-hon", "1e-310"]) == EXIT_INFEASIBLE
+        assert "no margin" in capsys.readouterr().out
+
 
 class TestFeasibility:
     def test_reference_points_feasible(self, capsys, tmp_path):
@@ -205,6 +219,14 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tiny_honest_budget_has_finite_gamma(self, tmp_path):
+        # 1/eps_hon overflows below about 5.6e-309; gamma takes -log(eps_hon) there
+        assert run(["simulate", "--eps-hon", "1e-310", "--rounds", "100", "--sessions", "2",
+                    "--out", str(tmp_path)]) == EXIT_OK
+        log_term = 310.0 * math.log(10.0)
+        assert strict_json(tmp_path / "simulate.json")["gamma"] == pytest.approx(
+            1.0 + 2.0 * math.sqrt(log_term / 100) + 2.0 * log_term / 100)
+
     def test_longest_strings_run(self, tmp_path):
         assert run(["simulate", "--n", "63", "--trace", "--rounds", "100", "--sessions", "2",
                     "--out", str(tmp_path)]) == EXIT_OK
@@ -249,6 +271,60 @@ class TestErrorExit:
         assert [p.name for p in kept.iterdir()] == ["notes.txt"]
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["feasibility", "--sessions", "3"],  # a flag the subcommand does not take
+        ["rounds", "--format", "json"],
+        ["feasibility", "--t", "1"],  # not taken, and no abbreviation of --t-steps
+        ["feasibility", "--bogus", "1"],
+        ["bounds", "--eps"],  # a flag without its value
+        [],  # no subcommand
+    ], ids=["dropped", "dropped-format", "no-abbreviation", "unknown", "no-value", "no-command"])
+    def test_usage_error_exits_1_without_output(self, capsys, tmp_path, argv):
+        out = tmp_path / "run"
+        assert run(argv + ["--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "--eps-hon" in capsys.readouterr().out
+
+
+# the keys each subcommand reads, besides seed
+TAKES = {
+    "feasibility": {"u_steps", "t_steps", "format"},
+    "bounds": {"eps", "energy", "t", "u", "format"},
+    "resources": {"n", "m0", "eps_tilde", "sigma"},
+    "rounds": {"eps", "u", "eps_hon", "eps_unit"},
+    "simulate": {"eps", "t", "u", "sigma", "n", "eps_hon", "rounds", "sessions", "eps_unit"},
+    "sweep": {"eps_tilde", "n_lo", "n_hi", "m0_lo", "m0_hi", "format"},
+}
+
+
+class TestParamTable:
+    @pytest.mark.parametrize("command", sorted(TAKES))
+    def test_parser_takes_the_table_rows(self, command):
+        rows = {key for key, p in PARAMS.items() if command in p.commands.split()}
+        assert rows == TAKES[command] | {"seed"}
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        flags = {flag for action in subparsers[command]._actions
+                 for flag in action.option_strings} - {"-h", "--help"}
+        expected = {PARAMS[key].flag for key in rows} | {"--config", "--out"}
+        assert flags == expected | ({"--trace"} if command == "simulate" else set())
+
+    @pytest.mark.parametrize("command", sorted(TAKES))
+    def test_metadata_echoes_the_taken_keys(self, tmp_path, command):
+        argv = [command, "--out", str(tmp_path)]
+        if command == "simulate":
+            argv += ["--rounds", "100", "--sessions", "2"]
+        assert run(argv) == EXIT_OK
+        config = strict_json(tmp_path / "metadata.json")["config"]
+        assert set(config) == TAKES[command] | {"seed", "command"}
+
+
 class TestSharedParser:
     def test_trace_flag_does_not_carry_over(self, tmp_path):
         args = ["simulate", "--rounds", "200", "--sessions", "2"]
@@ -283,16 +359,17 @@ class TestConfig:
     def test_aggregated_validation_errors(self, capsys):
         assert run(["bounds", "--t", "1.5", "--u", "-1"]) == EXIT_ERROR
         err = capsys.readouterr().err
-        assert "t: must lie in [0,1]" in err
-        assert "u: must be nonnegative" in err
+        assert "t: must lie in [0, 1]" in err
+        assert "u: must be >= 0" in err
 
     @pytest.mark.parametrize("key", ["eps", "energy", "t", "u", "sigma", "eps-tilde",
                                      "eps-hon"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     def test_non_finite_rejected_before_output(self, capsys, tmp_path, key, value):
         out = tmp_path / "run"
-        assert run(["simulate", f"--{key}={value}", "--rounds", "100", "--sessions", "2",
-                    "--out", str(out)]) == EXIT_ERROR
+        command = {"energy": ["bounds"], "eps-tilde": ["resources"]}.get(
+            key, ["simulate", "--rounds", "100", "--sessions", "2"])
+        assert run([*command, f"--{key}={value}", "--out", str(out)]) == EXIT_ERROR
         assert f"{key.replace('-', '_')}: must be finite" in capsys.readouterr().err
         assert not out.exists()
 
@@ -310,78 +387,95 @@ class TestConfig:
         assert meta["config"]["seed"] == 77
         assert meta["config"]["command"] == "bounds"
 
+    def test_every_table_key_in_one_file(self, tmp_path):
+        values = {key: p.default for key, p in PARAMS.items()} | {"seed": 5}
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        for command in COMMANDS:
+            out = tmp_path / command
+            assert run([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK, command
+            assert json.loads((out / "metadata.json").read_text())["config"]["seed"] == 5
+        # a key the subcommand does not take is ignored, not checked
+        cfg.write_text("sessions = 0\n")
+        assert run(["feasibility", "--config", str(cfg)]) == EXIT_OK
+
+    def test_seed_domain_holds_for_every_subcommand(self, capsys):
+        assert run(["bounds", "--seed", "-1"]) == EXIT_ERROR
+        assert "seed: must lie in [0, 2^64)" in capsys.readouterr().err
+
 
 # SHA-256 of every --out file at seed 11: the perfbench cli_outputs calls and
 # bounds --format json at the three TABLE_POINTS. Recorded with the per-cell
 # csv.writer/json.dumps table writers and the per-row repr trace writer (whose
 # honest_rounds.csv matched the row-by-row csv.writer trace before it), except
 # resources.json, recorded after rounding_size_logfactor stopped cancelling
-# (k_factor_real 11.552188332945317 -> 11.552188332945429).
+# (k_factor_real 11.552188332945317 -> 11.552188332945429), and metadata.json,
+# recorded once it echoed only the keys its subcommand takes.
 GOLDEN = [
     ('feasibility --format csv', 0, {
         'feasibility_grid.csv': 'fd5c166c5007f92821c4971a83182bcea33745b624cfb65caba7ca9e167c0f42',
-        'metadata.json': 'c6396253e363f05d6288bfbdeafb1bc60a7e9908952fa0987d2ad8107f2b3232',
+        'metadata.json': '3e78f9802614fdf3778f0e4695953cfd85a836a1b07c7be20a89c088bdef46b2',
         'reference_points.csv': '24fa026c075c44f0725168d683c6ffdf20e2beb611a802f19a5e9fa9e3a411e6',
     }),
     ('feasibility --format json', 0, {
         'feasibility_grid.json': 'f4999de30903bd2ce70c52aac59ed688fc273c50b60d0d53a48b3396342333b6',
-        'metadata.json': 'd7e2ba32c490860c41d8e2725a6e04553134a9792f056a7a10a478f30388793e',
+        'metadata.json': '2916465072d773b28c3cb29576415aef82a8c693179c52e8faa4175dc62612bc',
         'reference_points.json': '8debd8c22ccae3149b0383a78a10e7b05f9a3867da663770b952f02ab2db57bf',
     }),
     ('bounds --format csv', 0, {
         'bounds.json': '159aedc7606d854aded5f8d8597a4747e0a1e584cf1181332743402510369ca1',
         'condition_surface.csv': 'eb34dd0e53aa0f82c720715ed90f930fb62eefeba2d900f77b7d2496d0557ddb',
-        'metadata.json': 'e497c394ef73d4a48fd168094d5a6e4e6dce6bd466dd982aab04a078bab87482',
+        'metadata.json': 'a5f3f5e0139ac1456fda3c818c9a5a25521b7b98277b1e0e2319c3319d24ac59',
     }),
     ('bounds --format json', 0, {
         'bounds.json': '159aedc7606d854aded5f8d8597a4747e0a1e584cf1181332743402510369ca1',
         'condition_surface.json': '8180c4b98392dfd0b2f907dffd34540e81e3db36f03b10512e2d873988d37cb1',
-        'metadata.json': '6095ca4818ce3de9a3fd35d56c83c0db54215e1d7c9363944aefc37a683be016',
+        'metadata.json': '4525a5d1af4dd33555ed96f0f1a4477a33fb566be714e39daf0b2d1c866ff790',
     }),
     ('sweep --format csv', 0, {
-        'metadata.json': 'd2283c0aed2bdf9bec0f766034e165a699b0bcf5ff7498b85323e9caccdc883b',
+        'metadata.json': '080a5e6d8d1bad480f5cf3bdbb16f562a655d06c0879f0164a1af5c8368b1016',
         'resource_sweep.csv': '50f3f1356267a6c09f676c6f66aa34139ee54e298e6a7b5cb9651da848914175',
     }),
     ('sweep --format json', 0, {
-        'metadata.json': 'f617f95022b5da5a02f2b1e55903b939c6882284bdab71e140e2e22e1abc36fd',
+        'metadata.json': '5b099ff7737f14b7839579b7a769b70ed20662542051c411e97b0ae4232fc2d4',
         'resource_sweep.json': 'b625bf7d3e3c4117a5da74c2de1e784178d728e054327b3ea0bbe41328f7e4d6',
     }),
     ('resources', 0, {
-        'metadata.json': '0906834777b5907279164f90550eb88daac1ed13d12007c85a339cf58e3c8c93',
+        'metadata.json': '269c74a13beb56318a52d1d339a446f271d6f62da4544a463995a2c4c7c334b5',
         'resources.json': '39650b53b6c22ab0e2312ae50866f75e3f215265e8748333807a3d3f168e49e4',
     }),
     ('rounds', 0, {
-        'metadata.json': 'eee4f670ae4f36365213c92082a4b7ea9dae68416ffe0e9c00fb6eb139272afd',
+        'metadata.json': '196ace2c3088288da6fb64792bd4287ce656055d22e0e233e70841a4e78ba2dc',
         'rounds.json': 'd3bde7078984e49ffccae64c8272038579188903a4c6bacb79881dfbc79ffa47',
     }),
     ('simulate --sessions 2', 0, {
-        'metadata.json': 'ca9bdcb4685bbdba06fd0e216763ce4132e2b0918581102a2c532730c58ae802',
+        'metadata.json': 'f9d35bb2578671dce89c4dc7e574a39956b2c508fdd5f8d31f5638350b2e324b',
         'simulate.json': '7e1cbfe68c8d4f0fd39cb493cbf04f57ced0d420557a9661de988d39d49b3e3c',
     }),
     ('simulate --sessions 2 --trace', 0, {
         'honest_rounds.csv': '3fbe6ab1f0aac91cfe82519ed753e9da960f30e89890ef0d98ed69dee8bbb7e8',
         'honest_session.json': '4e73245626b860073cb3719e35db97a0c81ce0de8b56c789a633a2b969642321',
-        'metadata.json': 'ca9bdcb4685bbdba06fd0e216763ce4132e2b0918581102a2c532730c58ae802',
+        'metadata.json': 'f9d35bb2578671dce89c4dc7e574a39956b2c508fdd5f8d31f5638350b2e324b',
         'simulate.json': '7e1cbfe68c8d4f0fd39cb493cbf04f57ced0d420557a9661de988d39d49b3e3c',
     }),
     ('bounds --t 0.6', 2, {
         'bounds.json': '06131d029576ebb1b74b2a6e07e2eee73777438a9b9e20b51bac56969bca4f70',
-        'metadata.json': '8825251eee8c8b5acdb4cda2166c4e437143d01937e107efefd8261813955c59',
+        'metadata.json': '049321febe1d1a6c33113fc4fe37a2b169c7f038fe182df5b348d13c599258c8',
     }),
     ('bounds --eps 0.03 --t 0.8 --u 0.05 --format json', 0, {
         'bounds.json': '27797747fed5a1222d6a1280a6a280bcf0e11a226237a4f9b86b55d94b996834',
         'condition_surface.json': 'bedcac18f7f97dc21ef7cc25faf586cff7e3921b428bc34bacd7f5ac1f0922dc',
-        'metadata.json': 'cc0a22b4a182f3edbcd8100693cc9fb410cbad2f4eda4bd23cfd2ace055e110e',
+        'metadata.json': '160feb96d27eca9b9d4a4226ba49f10443d942ce529e56edc03e9494b34c2984',
     }),
     ('bounds --eps 0.03 --t 0.9 --u 0.12 --format json', 0, {
         'bounds.json': 'da7415d315df816dbea15127ff7aed741d476c8146fb2835df0d397b4920978c',
         'condition_surface.json': '9a70a837abd325ecda4ac6cffe0dd4b420a6dc8b7f76b0056bfe6e555f6ab013',
-        'metadata.json': '0b72e4497dcf490975510845a9ecfeb69702c2f47b2e0936d56a3636a53d2f55',
+        'metadata.json': '000556c84fa9181e8142542365b188894300c28688d60361cdff5bb95b6b5334',
     }),
     ('bounds --eps 0.07 --t 0.95 --u 0.075 --format json', 0, {
         'bounds.json': '55ba066e831f3bb002e93be686294d2969a491b587b684664d13162790d107b3',
         'condition_surface.json': 'a1564bb7567576f76bc0e9b3ac9efb4239f1c5dd03109e9cd7fd5afc34124cb6',
-        'metadata.json': 'c523e71d5f2cb9f094eac7a7fe3f605f383a0ef3da0a51077876ed303b4c16bb',
+        'metadata.json': 'e62f1e2b25f5163c61fa3bd53991f35125396fb34a9fff4f0812d3c2a754a41c',
     }),
 ]
 

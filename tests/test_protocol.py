@@ -38,6 +38,12 @@ class TestGammaThreshold:
         with pytest.raises(ValueError):
             gamma_threshold(100, 1.5)
 
+    @pytest.mark.parametrize("eps_hon,log_term", [(1e-310, 713.801), (5e-324, 744.440)])
+    def test_finite_where_the_inverse_overflows(self, eps_hon, log_term):
+        # 1/eps_hon is inf here, but ln(1/eps_hon) is not
+        assert gamma_threshold(100, eps_hon) == pytest.approx(
+            1.0 + 0.2 * math.sqrt(log_term) + 0.02 * log_term, rel=1e-5)
+
     def test_above_one_and_decreasing_in_n(self):
         prev = math.inf
         for N in [10, 100, 1000, 10**4, 10**6]:
@@ -47,11 +53,6 @@ class TestGammaThreshold:
 
 
 class TestProtocolFunction:
-    def test_inner_product(self):
-        f = ProtocolFunction(4, "inner-product")
-        assert f(0b1010, 0b0110) == 1  # one overlapping bit
-        assert f(0b1010, 0b0101) == 0
-
     def test_random_table_deterministic(self):
         f1 = ProtocolFunction(6, "random", seed=9)
         f2 = ProtocolFunction(6, "random", seed=9)
@@ -66,17 +67,6 @@ class TestProtocolFunction:
         bits = f.evaluate(x, y)
         assert set(np.unique(bits)) <= {0, 1}
         assert abs(bits.mean() - 0.5) < 0.02
-
-    def test_explicit_table(self):
-        table = np.zeros(16, dtype=np.uint8)
-        table[5] = 1  # x=1, y=1 for n=2
-        f = ProtocolFunction(2, "table", table=table)
-        assert f(1, 1) == 1
-        assert f(0, 1) == 0
-
-    def test_table_shape_checked(self):
-        with pytest.raises(ValueError):
-            ProtocolFunction(2, "table", table=np.zeros(8, dtype=np.uint8))
 
 
 def _params(N=1000, eps_hon=0.01, sigma=10.0, n=8):
@@ -107,8 +97,8 @@ class TestRunSession:
         # the 1/2+u normalization cancels the response variance exactly
         for t, u in [(1.0, 0.0), (0.8, 0.05), (0.9, 0.12)]:
             ch = ChannelParams(t, u)
-            res = run_session(_params(N=4 * 10**5), ch, HonestProver(ch), 5, keep_terms=True)
-            assert 0.995 <= res.score_terms.mean() <= 1.005
+            res = run_session(_params(N=4 * 10**5), ch, HonestProver(ch), 5, trace=True)
+            assert 0.995 <= res.records.score_term.mean() <= 1.005
 
     def test_trace_records(self):
         ch = ChannelParams(1.0, 0.0)
@@ -128,7 +118,7 @@ class TestRunSession:
         ch = ChannelParams(1.0, 0.0)
         for seed in range(20):
             terms = run_session(_params(N=200), ch, HonestProver(ch), seed,
-                                keep_terms=True).score_terms
+                                trace=True).records.score_term
             mean = terms.mean()
             gammas = sorted(gamma_threshold(200, e) for e in (0.5, 0.05, 0.005))
             accepted = [mean < g for g in gammas]
@@ -202,29 +192,36 @@ class TestExactSessionLaw:
         res = run_session(p, self.CH, honest, 7)
         chi2 = np.random.default_rng(7).chisquare(p.N)
         assert res.mean_score == honest.noise_var / (0.5 + self.CH.u) * chi2 / p.N
-        assert res.score_terms is None and res.records is None
+        assert res.records is None
 
     def test_overriding_respond_takes_round_engine(self):
         p = self._params()
         plain = GaussianResponder("biased", 0.5, 0.3)
         overridden = _RoundLevel("biased", 0.5, 0.3)
         for seed in range(5):
-            kept = run_session(p, self.CH, plain, seed, keep_terms=True)
-            assert run_session(p, self.CH, overridden, seed).mean_score == kept.mean_score
-            assert run_session(p, self.CH, plain, seed).mean_score != kept.mean_score
+            # the round engine's draws, by hand: r, then the response noise
+            rng = np.random.default_rng(seed)
+            r = rng.normal(0.0, p.sigma, size=p.N)
+            r_prime = 0.5 * r + rng.normal(0.0, math.sqrt(0.3), size=p.N)
+            rounds = float(((r_prime - math.sqrt(self.CH.t) * r) ** 2 / (0.5 + self.CH.u)).mean())
+            assert run_session(p, self.CH, overridden, seed).mean_score == rounds
+            assert run_session(p, self.CH, plain, seed).mean_score != rounds
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("keep_terms", [False, True], ids=["exact", "rounds"])
-    def test_session_mean_is_scaled_chi2(self, case, keep_terms):
+    @pytest.mark.parametrize("round_level", [False, True], ids=["exact", "rounds"])
+    def test_session_mean_is_scaled_chi2(self, case, round_level):
         from scipy import stats
 
         responder = self.CASES[case]
+        s2 = self._s2(responder)
+        if round_level:
+            responder = _RoundLevel(responder.name, responder.mean_scale, responder.noise_var)
         p = self._params()
         means = np.array([
-            run_session(p, self.CH, responder, s, keep_terms=keep_terms).mean_score
+            run_session(p, self.CH, responder, s).mean_score
             for s in session_seeds(31, self.SESSIONS)
         ])
-        scaled = means * self.N * (0.5 + self.CH.u) / self._s2(responder)
+        scaled = means * self.N * (0.5 + self.CH.u) / s2
         pvalue = stats.kstest(scaled, "chi2", args=(self.N,)).pvalue
         assert pvalue > self.ALPHA
 
