@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import ChannelParams
-from .gaussian import EntropyValue, h_U_given_P_limit
+from .gaussian import h_U_given_P_limit
 from .protocol import GaussianResponder, gamma_threshold
 
 N_SEARCH_CAP = 10**9
@@ -36,11 +36,11 @@ class RoundPlan:
     score_variance: float
 
 
-def attacker_entropy_floor(ch: ChannelParams, eps: float) -> EntropyValue:
+def attacker_entropy_floor(ch: ChannelParams, eps: float) -> float:
     """Lower bound h(U|P) + eps/4 (bits) on the better attacker's uncertainty."""
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    return EntropyValue(h_U_given_P_limit(ch.t, ch.u).bits + eps / 4.0, "bits")
+    return h_U_given_P_limit(ch.t, ch.u) + eps / 4.0
 
 
 def fano_mse_floor(eps: float, eps_unit: str = "nats") -> float:
@@ -134,19 +134,13 @@ def rounds_required(
     )
 
 
-class PessimisticAttacker(GaussianResponder):
+def make_pessimistic_attacker(eps: float, ch: ChannelParams,
+                              eps_unit: str = "nats") -> GaussianResponder:
     """Gaussian attacker saturating the estimation-error floor.
 
     Responds r' = sqrt(t) r + N(0, fano_mse_floor(eps)), so its score terms
     have mean mse_floor/(1/2+u): the least-detectable behaviour compatible
     with the entropy gap.
     """
-
-    def __init__(self, eps: float, ch: ChannelParams, eps_unit: str = "nats"):
-        super().__init__("pessimistic-attacker", math.sqrt(ch.t), fano_mse_floor(eps, eps_unit))
-        self.eps = eps
-        self.eps_unit = eps_unit
-
-
-def make_pessimistic_attacker(eps: float, ch: ChannelParams, eps_unit: str = "nats"):
-    return PessimisticAttacker(eps, ch, eps_unit)
+    return GaussianResponder("pessimistic-attacker", math.sqrt(ch.t),
+                             fano_mse_floor(eps, eps_unit))

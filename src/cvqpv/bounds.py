@@ -86,12 +86,16 @@ def separation_rhs(E: float, alpha: float, eps_tilde: float) -> float:
 
 
 def eps_cap(t: float, u: float) -> float:
-    """Upper cap (1/2) log2(4t / (e (1+2u))); negative means infeasible channel."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    """Upper cap (1/2) log2(4t / (e (1+2u))); negative means infeasible channel.
+
+    -inf where the ratio is 0: at t = 0, or where it underflows.
+    """
+    if t < 0.0:
+        raise ValueError("t must be nonnegative")
     if u < 0.0:
         raise ValueError("u must be nonnegative")
-    return 0.5 * math.log2(4.0 * t / (math.e * (1.0 + 2.0 * u)))
+    ratio = 4.0 * t / (math.e * (1.0 + 2.0 * u))
+    return -math.inf if ratio == 0.0 else 0.5 * math.log2(ratio)
 
 
 def condition_margin(b: BoundInputs) -> float:

@@ -304,7 +304,7 @@ def cmd_feasibility(cfg: dict, out: Path | None) -> int:
 def cmd_bounds(cfg: dict, out: Path | None) -> int:
     eps, E, t, u = cfg["eps"], cfg["energy"], cfg["t"], cfg["u"]
     result = max_eps_tilde(eps, E, t, u)
-    cap = eps_cap(t, u) if t > 0 else float("-inf")
+    cap = eps_cap(t, u)
     print(f"eps cap (1/2)log2(4t/(e(1+2u))) = {cap:.6f}")
     if not result.feasible:
         print("no positive eps_tilde: channel infeasible or eps above its cap")
@@ -313,8 +313,8 @@ def cmd_bounds(cfg: dict, out: Path | None) -> int:
                                               "eps_cap": _finite_or_none(cap)})
         return EXIT_INFEASIBLE
     print(f"max eps_tilde = {result.eps_tilde_max:.6g} at alpha = {result.alpha_star:.6g}")
-    honest = h_U_given_P_limit(t, u).bits
-    floor = attacker_entropy_floor(ChannelParams(t, u), eps).bits
+    honest = h_U_given_P_limit(t, u)
+    floor = attacker_entropy_floor(ChannelParams(t, u), eps)
     print(f"honest entropy h(U|P) = {honest:.6f} bits, attacker floor h(U|P) + eps/4 = "
           f"{floor:.6f} bits")
     if out is not None:

@@ -3,8 +3,7 @@
 Conventions used throughout the package:
 
 * vacuum quadrature variance is 1/2 (hbar*omega = 1),
-* entropies are differential Shannon entropies in bits unless an
-  :class:`EntropyValue` says otherwise,
+* entropies are differential Shannon entropies in bits,
 * the two-mode squeezed vacuum that purifies a Gaussian modulation of
   standard deviation sigma has Schmidt coefficient
   lambda = tanh(asinh(sigma)) = sigma/sqrt(1+sigma^2).
@@ -14,23 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-
-@dataclass(frozen=True)
-class EntropyValue:
-    """A differential entropy tagged with its unit ('bits' or 'nats')."""
-
-    value: float
-    unit: str = "bits"
-
-    def __post_init__(self):
-        if self.unit not in ("bits", "nats"):
-            raise ValueError(f"unknown entropy unit {self.unit!r}")
-
-    @property
-    def bits(self) -> float:
-        return self.value if self.unit == "bits" else self.value / math.log(2.0)
 
 
 def lambda_of_sigma(sigma: float) -> float:
@@ -55,16 +37,6 @@ def neg_log_rho(sigma: float) -> float:
     return math.log1p(1.0 / (sigma * sigma))
 
 
-def cutoff_log2(m0: int, log2_lam: float) -> float:
-    """log2 lambda^(2^m0) = 2^m0 log2(lambda), saturating at -inf."""
-    if m0 < 1 or int(m0) != m0:
-        raise ValueError("m0 must be a positive integer")
-    try:
-        return math.ldexp(log2_lam, m0)
-    except OverflowError:
-        return -math.inf
-
-
 @dataclass(frozen=True)
 class CutoffParams:
     """Photon-number cutoff at 2^m0 of the purifying two-mode squeezed state."""
@@ -79,13 +51,13 @@ class CutoffParams:
             raise ValueError("lambda must lie strictly in (0,1)")
 
 
-def h_U_given_P_limit(t: float, u: float) -> EntropyValue:
+def h_U_given_P_limit(t: float, u: float) -> float:
     """Honest uncertainty h(U|P) = (1/2) log2(pi*e*(1+2u)/(2t)) in the sigma >> 1 limit."""
     if t <= 0.0:
         raise ValueError("t must be positive")
     if u < 0.0:
         raise ValueError("u must be nonnegative")
-    return EntropyValue(0.5 * math.log2(math.pi * math.e * (1.0 + 2.0 * u) / (2.0 * t)), "bits")
+    return 0.5 * math.log2(math.pi * math.e * (1.0 + 2.0 * u) / (2.0 * t))
 
 
 def binary_entropy(p: float) -> float:
@@ -106,22 +78,21 @@ def h_tilde(x: float) -> float:
     return binary_entropy(x)
 
 
-class PurifiedDistance(NamedTuple):
-    value: float
-    log2: float
-    saturated: bool  # true when the float value underflowed to 0
+def cutoff_purified_distance(m0: int, sigma: float) -> float:
+    """log2 of the purified distance lambda^(2^m0) between the TMSV and its truncation.
 
-
-def cutoff_purified_distance(c: CutoffParams) -> PurifiedDistance:
-    """Purified distance lambda^(2^m0) between the TMSV and its truncation.
-
-    Computed in log-space; for large m0 the value underflows to 0.0 and the
-    exact log2 is still reported, until 2^m0 log2(lambda) itself leaves
-    float range and log2 saturates at -inf.
+    This is the scale inside the O(.) of the imaginary-world substitution;
+    the hidden constant is not known. It is 2^m0 log2(lambda) with
+    log2 lambda = -x / (2 ln 2), x = neg_log_rho(sigma), not log2 of lambda
+    itself, which rounds to 1.0 above sigma of about 7e7. Saturates at -inf
+    once the product leaves float range.
     """
-    log2 = cutoff_log2(c.m0, math.log2(c.lam))
-    value = 2.0**log2 if log2 > -1074 else 0.0
-    return PurifiedDistance(value, log2, value == 0.0)
+    if m0 < 1 or int(m0) != m0:
+        raise ValueError("m0 must be a positive integer")
+    try:
+        return math.ldexp(neg_log_rho(sigma) / (-2.0 * math.log(2.0)), m0)
+    except OverflowError:
+        return -math.inf
 
 
 def _phi(y: float) -> float:

@@ -3,13 +3,14 @@
 A session of N i.i.d. rounds averages the normalized score
 (r' - sqrt(t) r)^2 / (1/2 + u) and compares the mean to the threshold gamma.
 
-Two paths compute that mean. For a ``GaussianResponder`` that keeps the
-built-in ``respond`` (r' = a r + N(0, v)), each residual (a - sqrt(t)) r +
-noise is N(0, s^2) with s^2 = (a - sqrt(t))^2 sigma^2 + v, so the session
-mean is exactly s^2/(1/2+u) * chi2_N / N: one ``chisquare(N)`` draw per
-session. The round engine draws r, the responses and the N score terms; it
-runs for traced sessions and for every responder that supplies its own
-``respond``.
+Every responder is a ``GaussianResponder``, r' = a r + N(0, v): the honest
+prover and the pessimistic attacker. Each residual (a - sqrt(t)) r + noise is
+N(0, s^2) with s^2 = (a - sqrt(t))^2 sigma^2 + v, so an untraced session mean
+is exactly s^2/(1/2+u) * chi2_N / N: one ``chisquare(N)`` draw per session.
+A traced session runs the round engine instead, which draws r, the input
+strings x, y, the responses and the N score terms, and keeps them per round.
+The basis angle of a round is pi/2 * f(x, y), with f the keyed mix
+``protocol_function``.
 
 Determinism contract: every session derives its randomness from an integer
 seed (or a spawned numpy SeedSequence), so identical seeds give identical
@@ -43,36 +44,14 @@ def _parity64(z: np.ndarray) -> np.ndarray:
     return (z & np.uint64(1)).astype(np.uint8)
 
 
-class ProtocolFunction:
-    """Boolean function f: {0,1}^n x {0,1}^n -> {0,1} selecting the basis.
+def protocol_function(x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
+    """Basis bit f(x, y) in {0, 1}: a keyed splitmix mix of the two input strings.
 
-    A modeling stand-in for a uniformly random f: a seeded uniform truth
-    table for n <= 12 and a keyed pseudorandom mix for larger n. ``kind``
-    names that construction; 'random' is the only one.
+    A modeling stand-in for a uniformly random f: {0,1}^n x {0,1}^n -> {0,1}.
     """
-
-    RANDOM_TABLE_MAX_N = 12
-
-    def __init__(self, n: int, kind: str = "random", seed: int = 0):
-        if n < 1:
-            raise ValueError("n must be a positive integer")
-        if kind != "random":
-            raise ValueError(f"unknown protocol function kind {kind!r}")
-        self.n = n
-        self.seed = seed
-        self._table = None
-        if n <= self.RANDOM_TABLE_MAX_N:
-            rng = np.random.default_rng(seed)
-            self._table = rng.integers(0, 2, size=1 << (2 * n), dtype=np.uint8)
-
-    def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.uint64)
-        y = np.asarray(y, dtype=np.uint64)
-        if self._table is not None:
-            idx = (x << np.uint64(self.n)) | y
-            return self._table[idx.astype(np.int64)]
-        mixed = _splitmix64(_splitmix64(x ^ np.uint64(self.seed)) ^ y)
-        return _parity64(mixed)
+    x = np.asarray(x, dtype=np.uint64)
+    y = np.asarray(y, dtype=np.uint64)
+    return _parity64(_splitmix64(_splitmix64(x ^ np.uint64(seed)) ^ y))
 
 
 #: input strings are drawn as uint64 values below 1 << n
@@ -99,9 +78,6 @@ class ProtocolParams:
         if not (0 <= self.f_seed < 2**64):  # the keyed mix takes it as a uint64
             raise ValueError("f_seed must lie in [0, 2^64)")
 
-    def make_function(self) -> ProtocolFunction:
-        return ProtocolFunction(self.n, seed=self.f_seed)
-
     @property
     def gamma(self) -> float:
         return gamma_threshold(self.N, self.eps_hon)
@@ -118,21 +94,11 @@ def gamma_threshold(N: int, eps_hon: float) -> float:
     return 1.0 + 2.0 / math.sqrt(N) * math.sqrt(log_term) + 2.0 / N * log_term
 
 
-class Responder:
-    """Round responder interface: produce r' for challenge displacements r.
+class GaussianResponder:
+    """Responds r' = mean_scale * r + N(0, noise_var).
 
-    ``theta`` holds the rounds' basis angles in a traced session and is None
-    otherwise: the engine draws the input strings x, y only for a trace.
+    ``theta`` holds the rounds' basis angles, which the response does not use.
     """
-
-    name = "responder"
-
-    def respond(self, r: np.ndarray, theta: np.ndarray | None, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-
-class GaussianResponder(Responder):
-    """Responds r' = mean_scale * r + N(0, noise_var)."""
 
     def __init__(self, name: str, mean_scale: float, noise_var: float):
         if not math.isfinite(mean_scale):
@@ -153,9 +119,8 @@ class GaussianResponder(Responder):
 class HonestProver(GaussianResponder):
     """Honest homodyne response N(sqrt(t) r, 1/2 + u)."""
 
-    def __init__(self, ch: ChannelParams, variance_override: float | None = None):
-        var = (0.5 + ch.u) if variance_override is None else variance_override
-        super().__init__("honest", math.sqrt(ch.t), var)
+    def __init__(self, ch: ChannelParams):
+        super().__init__("honest", math.sqrt(ch.t), 0.5 + ch.u)
 
 
 class RoundTrace(NamedTuple):
@@ -178,68 +143,49 @@ class SessionResult:
     records: Optional[RoundTrace] = None
 
 
-def _residual_variance(p: ProtocolParams, ch: ChannelParams, responder: Responder):
-    """Per-round variance s^2 of r' - sqrt(t) r, or None without a closed form.
-
-    Only a ``GaussianResponder`` whose ``respond`` is the built-in one has
-    the law r' = a r + N(0, v), giving s^2 = (a - sqrt(t))^2 sigma^2 + v.
-    """
-    if (not isinstance(responder, GaussianResponder)
-            or type(responder).respond is not GaussianResponder.respond
-            or "respond" in vars(responder)):
-        return None
+def _residual_variance(p: ProtocolParams, ch: ChannelParams,
+                       responder: GaussianResponder) -> float:
+    """Per-round variance s^2 = (a - sqrt(t))^2 sigma^2 + v of r' - sqrt(t) r."""
     gap = responder.mean_scale - math.sqrt(ch.t)
     if gap == 0.0:
         return responder.noise_var
     return gap * gap * p.sigma**2 + responder.noise_var
 
 
-def _round_engine(p: ProtocolParams, ch: ChannelParams, responder: Responder, rng, trace: bool):
-    """Draw r, the responses and the N score terms: (terms, RoundTrace or None)."""
+def _round_engine(p: ProtocolParams, ch: ChannelParams, responder: GaussianResponder,
+                  rng) -> RoundTrace:
+    """Draw r, the input strings, the responses and the N score terms of a traced session."""
     r = rng.normal(0.0, p.sigma, size=p.N)
-    thetas = None
-    if trace:
-        f = p.make_function()
-        x = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
-        y = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
-        thetas = f.evaluate(x, y) * (math.pi / 2.0)
-    try:
-        r_prime = np.asarray(responder.respond(r, thetas, rng), dtype=float)
-    except Exception as exc:
-        raise RuntimeError(f"responder {responder.name!r} failed: {exc}") from exc
-    if r_prime.shape != r.shape:
-        raise RuntimeError(f"responder {responder.name!r} returned wrong shape {r_prime.shape}")
-
+    x = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
+    y = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
+    thetas = protocol_function(x, y, p.f_seed) * (math.pi / 2.0)
+    r_prime = responder.respond(r, thetas, rng)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan terms reject the session
         terms = (r_prime - math.sqrt(ch.t) * r) ** 2 / (0.5 + ch.u)
-    return terms, (RoundTrace(thetas, r, r_prime, terms) if trace else None)
+    return RoundTrace(thetas, r, r_prime, terms)
 
 
 def run_session(
     p: ProtocolParams,
     ch: ChannelParams,
-    responder: Responder,
+    responder: GaussianResponder,
     rng,
     trace: bool = False,
 ) -> SessionResult:
     """Run one session of N i.i.d. rounds and apply the score test.
 
-    ``rng`` may be an integer seed, a SeedSequence or a Generator. Untraced
-    sessions of a built-in Gaussian responder draw the session mean
-    s^2/(1/2+u) * chi2_N / N with one ``chisquare(N)`` call; every other
-    session goes through the round engine, which draws r, the responses and
-    the N score terms (and, when traced, the basis angles).
+    ``rng`` may be an integer seed, a SeedSequence or a Generator. An
+    untraced session draws the session mean s^2/(1/2+u) * chi2_N / N with
+    one ``chisquare(N)`` call; a traced one goes through the round engine.
     """
     rng = np.random.default_rng(rng)
-    s2 = None if trace else _residual_variance(p, ch, responder)
     records = None
-    if s2 is None:
-        terms, records = _round_engine(p, ch, responder, rng, trace)
-        mean_score = float(terms.mean())
-    elif s2 > 0.0:
-        mean_score = s2 / (0.5 + ch.u) * rng.chisquare(p.N) / p.N
+    if trace:
+        records = _round_engine(p, ch, responder, rng)
+        mean_score = float(records.score_term.mean())
     else:
-        mean_score = 0.0
+        s2 = _residual_variance(p, ch, responder)
+        mean_score = s2 / (0.5 + ch.u) * rng.chisquare(p.N) / p.N if s2 > 0.0 else 0.0
     gamma = p.gamma
     return SessionResult(
         mean_score=mean_score,
@@ -260,7 +206,7 @@ def session_seeds(master_seed: int, sessions: int) -> list:
 def acceptance_rate(
     p: ProtocolParams,
     ch: ChannelParams,
-    responder: Responder,
+    responder: GaussianResponder,
     sessions: int,
     master_seed: int,
 ) -> float:

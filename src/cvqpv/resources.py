@@ -14,10 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gaussian import binary_entropy, cutoff_log2, neg_log_rho
-
-# not called here: perfbench's tracer wraps cutoff_purified_distance by this name
-from .gaussian import cutoff_purified_distance  # noqa: F401
+from .gaussian import binary_entropy, cutoff_purified_distance
 
 N_MAX = 40  # 2^(2n) stays well inside float64 range up to here
 
@@ -135,18 +132,6 @@ def q_max(n: int, m0: int, eps_tilde: float) -> int:
     return q
 
 
-def cutoff_soundness(m0: int, sigma: float) -> float:
-    """log2 of the honest-acceptance perturbation scale lambda^(2^m0).
-
-    This is the scale inside the O(.) of the imaginary-world substitution;
-    the hidden constant is not known. log2 lambda = -x / (2 ln 2) with
-    x = neg_log_rho(sigma), not log2 of lambda itself, which rounds to 1.0
-    above sigma of about 7e7. Saturates at -inf like
-    cutoff_purified_distance.
-    """
-    return cutoff_log2(m0, neg_log_rho(sigma) / (-2.0 * math.log(2.0)))
-
-
 def resource_report(n: int, m0: int, eps_tilde: float, sigma: float | None = None) -> ResourceReport:
     factor = rounding_size_logfactor(eps_tilde)
     qm = q_max(n, m0, eps_tilde)
@@ -159,5 +144,5 @@ def resource_report(n: int, m0: int, eps_tilde: float, sigma: float | None = Non
         q_max=qm,
         corollary_q=corollary_q(n, m0),
         log2_count_bound_at_qmax=(count_bound_log2(n, m0, qm, eps_tilde) if qm >= 0 else None),
-        cutoff_error_log2=(cutoff_soundness(m0, sigma) if sigma is not None else None),
+        cutoff_error_log2=(cutoff_purified_distance(m0, sigma) if sigma is not None else None),
     )

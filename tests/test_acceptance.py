@@ -124,8 +124,8 @@ def test_criterion_02_perfect_channel_point():
 
 def test_criterion_03_constants():
     cap = eps_cap(1.0, 0.0)
-    honest = h_U_given_P_limit(1.0, 0.0).bits
-    floor = attacker_entropy_floor(ChannelParams(1.0, 0.0), 0.1).bits
+    honest = h_U_given_P_limit(1.0, 0.0)
+    floor = attacker_entropy_floor(ChannelParams(1.0, 0.0), 0.1)
     print(f"criterion 3: eps_cap={cap:.6f}, honest={honest:.4f}, attacker floor={floor:.4f}")
     assert cap == pytest.approx(0.278652, abs=1e-5)
     assert honest == pytest.approx(1.0471, abs=1e-4)

@@ -20,29 +20,29 @@ from cvqpv.protocol import HonestProver, gamma_threshold
 class TestEntropyFloors:
     def test_perfect_channel_value(self):
         floor = attacker_entropy_floor(ChannelParams(1.0, 0.0), 0.1)
-        assert floor.bits == pytest.approx(1.0721, abs=1e-4)
+        assert floor == pytest.approx(1.0721, abs=1e-4)
 
     def test_zero_gap_reduces_to_honest(self):
         ch = ChannelParams(0.9, 0.02)
-        assert attacker_entropy_floor(ch, 0.0).bits == pytest.approx(
-            h_U_given_P_limit(0.9, 0.02).bits
+        assert attacker_entropy_floor(ch, 0.0) == pytest.approx(
+            h_U_given_P_limit(0.9, 0.02)
         )
 
     def test_noisy_channel_value(self):
         floor = attacker_entropy_floor(ChannelParams(0.8, 0.05), 0.03)
-        assert floor.bits == pytest.approx(1.2844, abs=1e-4)
+        assert floor == pytest.approx(1.2844, abs=1e-4)
 
     def test_gap_is_quarter_eps_for_any_channel(self):
         rng = np.random.default_rng(37)
         for _ in range(50):
             ch = ChannelParams(rng.uniform(0.1, 1.0), rng.uniform(0.0, 0.3))
             eps = rng.uniform(0.0, 0.3)
-            gap = attacker_entropy_floor(ch, eps).bits - h_U_given_P_limit(ch.t, ch.u).bits
+            gap = attacker_entropy_floor(ch, eps) - h_U_given_P_limit(ch.t, ch.u)
             assert gap == pytest.approx(eps / 4.0, rel=1e-12)
 
     def test_ideal_channel_r_floor(self):
         # R = sqrt(2) U at lambda = 1 adds half a bit: h(R|R') floor at t=1, u=0
-        r_floor = attacker_entropy_floor(ChannelParams(1.0, 0.0), 0.1).bits + 0.5
+        r_floor = attacker_entropy_floor(ChannelParams(1.0, 0.0), 0.1) + 0.5
         assert r_floor == pytest.approx(0.5 * math.log2(math.pi * math.e) + 0.025)
 
 

@@ -85,6 +85,16 @@ class TestEpsCap:
             u = rng.uniform(0.0, 0.4)
             assert (eps_cap(t, u) > 0.0) == ChannelParams(t, u).feasible()
 
+    @pytest.mark.parametrize("t,u", [(0.0, 0.0), (0.0, 0.3), (5e-324, 7.736917479332954e307),
+                                     (1.0, 1e308)])
+    def test_zero_ratio_is_minus_inf(self, t, u):
+        # 4t / (e(1+2u)) is 0 at t = 0 and underflows to 0 at the other points
+        assert eps_cap(t, u) == -math.inf
+
+    def test_negative_transmission_rejected(self):
+        with pytest.raises(ValueError, match="t must"):
+            eps_cap(-0.1, 0.0)
+
 
 class TestConditionHolds:
     def test_interior_point(self):

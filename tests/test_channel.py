@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cvqpv.channel import ChannelParams
-from cvqpv.protocol import HonestProver, ProtocolParams, run_session
+from cvqpv.protocol import (
+    GaussianResponder, HonestProver, ProtocolParams, protocol_function, run_session)
 
 
 class TestFeasibility:
@@ -66,7 +67,7 @@ class TestSampleChallenge:
         rng.normal(0.0, p.sigma, size=p.N)
         x = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
         y = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
-        return theta, p.make_function().evaluate(x, y)
+        return theta, protocol_function(x, y, p.f_seed)
 
     def test_theta_zero_algebra(self):
         theta, bits = self._bases(9)
@@ -84,7 +85,7 @@ class TestHonestResponse:
 
     def test_deterministic_limit(self):
         ch = ChannelParams(0.64, 0.05)
-        prover = HonestProver(ch, variance_override=0.0)
+        prover = GaussianResponder("honest", math.sqrt(ch.t), 0.0)
         r = np.array([1.7, -0.3, 0.0])
         expected = (math.sqrt(ch.t) * r).tolist()
         for seed in (0, 1):

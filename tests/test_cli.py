@@ -60,6 +60,16 @@ class TestBounds:
         payload = strict_json(tmp_path / "bounds.json")
         assert payload["feasible"] is False and payload["eps_cap"] is None
 
+    @pytest.mark.parametrize("args", [["--u", "1e308"],
+                                      ["--energy", "0.1", "--t", "5e-324",
+                                       "--u", "7.736917479332954e+307"]])
+    def test_underflowing_cap_is_null(self, capsys, tmp_path, args):
+        # 4t / (e(1+2u)) is 0 in floating point: an infeasible channel, not a math error
+        assert run(["bounds", *args, "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert "= -inf" in capsys.readouterr().out
+        payload = strict_json(tmp_path / "bounds.json")
+        assert payload["feasible"] is False and payload["eps_cap"] is None
+
 
 class TestResources:
     def test_reference_factor(self, capsys):

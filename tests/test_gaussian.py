@@ -5,7 +5,6 @@ import pytest
 
 from cvqpv.gaussian import (
     CutoffParams,
-    EntropyValue,
     binary_entropy,
     cutoff_energy,
     cutoff_purified_distance,
@@ -51,13 +50,13 @@ class TestLambdaOfSigma:
 
 class TestEntropies:
     def test_h_u_given_p_ideal(self):
-        assert h_U_given_P_limit(1.0, 0.0).bits == pytest.approx(1.0471, abs=1e-4)
+        assert h_U_given_P_limit(1.0, 0.0) == pytest.approx(1.0471, abs=1e-4)
 
     def test_h_u_given_p_half_transmission(self):
-        assert h_U_given_P_limit(0.5, 0.0).bits == pytest.approx(1.5471, abs=1e-4)
+        assert h_U_given_P_limit(0.5, 0.0) == pytest.approx(1.5471, abs=1e-4)
 
     def test_h_u_given_p_noisy(self):
-        assert h_U_given_P_limit(0.8, 0.05).bits == pytest.approx(1.2768, abs=1e-4)
+        assert h_U_given_P_limit(0.8, 0.05) == pytest.approx(1.2768, abs=1e-4)
 
     def test_h_u_given_p_needs_positive_t(self):
         with pytest.raises(ValueError):
@@ -68,17 +67,7 @@ class TestEntropies:
         # with h(R|R') = (1/2) log2(2 pi e Sigma^2) and Sigma^2 -> (1/2 + u)/t
         t, u = 0.7, 0.03
         h_r = 0.5 * math.log2(2.0 * math.pi * math.e * (0.5 + u) / t)
-        assert h_r - h_U_given_P_limit(t, u).bits == pytest.approx(0.5, abs=1e-12)
-
-
-class TestEntropyValue:
-    def test_unit_conversion_exact(self):
-        assert EntropyValue(1.5471, "bits").bits == 1.5471
-        assert EntropyValue(1.5471 * math.log(2.0), "nats").bits == pytest.approx(1.5471, rel=1e-15)
-
-    def test_bad_unit(self):
-        with pytest.raises(ValueError):
-            EntropyValue(1.0, "dits")
+        assert h_r - h_U_given_P_limit(t, u) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestBinaryEntropies:
@@ -108,22 +97,38 @@ class TestBinaryEntropies:
             assert h_tilde(p) == binary_entropy(p)
 
 
+def sigma_of_lambda(lam):
+    """Inverse of lambda_of_sigma: sigma = lambda / sqrt(1 - lambda^2)."""
+    return lam / math.sqrt(1.0 - lam * lam)
+
+
 class TestCutoff:
     def test_purified_distance_simple(self):
-        assert cutoff_purified_distance(CutoffParams(1, 0.5)).value == pytest.approx(0.25)
+        assert cutoff_purified_distance(1, sigma_of_lambda(0.5)) == pytest.approx(-2.0, rel=1e-14)
 
     def test_purified_distance_m0_ten(self):
-        d = cutoff_purified_distance(CutoffParams(10, 0.99))
-        assert d.value == pytest.approx(math.exp(1024 * math.log(0.99)), rel=1e-12)
-        assert d.value == pytest.approx(3.4e-5, rel=0.02)
+        log2 = cutoff_purified_distance(10, sigma_of_lambda(0.99))
+        assert log2 == pytest.approx(1024 * math.log2(0.99), rel=1e-12)
+        assert 2.0**log2 == pytest.approx(3.4e-5, rel=0.02)
 
     def test_purified_distance_lambda_to_one(self):
-        assert cutoff_purified_distance(CutoffParams(4, 1 - 1e-12)).value == pytest.approx(1.0)
+        assert 2.0 ** cutoff_purified_distance(4, sigma_of_lambda(1 - 1e-12)) == pytest.approx(1.0)
 
     def test_overflow_guard_reports_log2(self):
-        d = cutoff_purified_distance(CutoffParams(70, 0.5))
-        assert d.saturated and d.value == 0.0
-        assert d.log2 == pytest.approx(-float(2**70))
+        # lambda^(2^70) underflows to 0.0, but its log2 is still reported exactly
+        log2 = cutoff_purified_distance(70, sigma_of_lambda(0.5))
+        assert 2.0**log2 == 0.0
+        assert log2 == pytest.approx(-float(2**70), rel=1e-14)
+
+    def test_log2_saturates_at_minus_inf(self):
+        # 2^m0 log2(lambda) leaves float range: the log2 itself saturates
+        assert cutoff_purified_distance(1100, 1.0) == -math.inf
+        assert cutoff_purified_distance(1023, 1.0) > -math.inf
+
+    @pytest.mark.parametrize("m0", [0, -1, 2.5])
+    def test_m0_must_be_a_positive_integer(self, m0):
+        with pytest.raises(ValueError, match="m0"):
+            cutoff_purified_distance(m0, 1.0)
 
     def test_energy_hand_value(self):
         assert cutoff_energy(CutoffParams(1, lambda_of_sigma(1.0)), 1.0) == pytest.approx(1.0 / 3.0)

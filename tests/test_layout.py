@@ -1,6 +1,9 @@
-"""Package layout: which modules stay free of numpy, and what the package exports."""
+"""Package layout: which modules stay free of numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cvqpv
@@ -24,6 +27,11 @@ def test_scalar_modules_import_no_numpy():
         assert "numpy" not in imported_roots(package / name), name
 
 
-def test_all_names_resolve():
-    for name in cvqpv.__all__:
-        assert hasattr(cvqpv, name), name
+def test_scalar_modules_load_without_numpy():
+    # a fresh interpreter: the package __init__ must not pull numpy in either
+    code = ("import sys, cvqpv.gaussian, cvqpv.channel, cvqpv.resources; "
+            "print('numpy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cvqpv.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

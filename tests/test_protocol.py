@@ -9,12 +9,12 @@ from cvqpv.channel import ChannelParams
 from cvqpv.protocol import (
     GaussianResponder,
     HonestProver,
-    ProtocolFunction,
     ProtocolParams,
     RoundTrace,
     SessionResult,
     acceptance_rate,
     gamma_threshold,
+    protocol_function,
     run_session,
     session_seeds,
     write_rounds_csv,
@@ -53,20 +53,29 @@ class TestGammaThreshold:
 
 
 class TestProtocolFunction:
-    def test_random_table_deterministic(self):
-        f1 = ProtocolFunction(6, "random", seed=9)
-        f2 = ProtocolFunction(6, "random", seed=9)
-        x = np.arange(64, dtype=np.uint64)
-        assert np.array_equal(f1.evaluate(x, x[::-1]), f2.evaluate(x, x[::-1]))
+    @pytest.mark.parametrize("n", [6, 40])
+    def test_deterministic_in_seed(self, n):
+        x = np.arange(64, dtype=np.uint64) << np.uint64(n - 6)
+        first = protocol_function(x, x[::-1], 9)
+        assert np.array_equal(first, protocol_function(x, x[::-1], 9))
+        assert not np.array_equal(first, protocol_function(x, x[::-1], 10))
 
-    def test_large_n_prf_balanced(self):
-        f = ProtocolFunction(20, "random", seed=1)
+    @staticmethod
+    def _balance(n, seed):
         rng = np.random.default_rng(0)
-        x = rng.integers(0, 1 << 20, size=20000, dtype=np.uint64)
-        y = rng.integers(0, 1 << 20, size=20000, dtype=np.uint64)
-        bits = f.evaluate(x, y)
+        x = rng.integers(0, 1 << n, size=20000, dtype=np.uint64)
+        y = rng.integers(0, 1 << n, size=20000, dtype=np.uint64)
+        bits = protocol_function(x, y, seed)
         assert set(np.unique(bits)) <= {0, 1}
         assert abs(bits.mean() - 0.5) < 0.02
+
+    def test_large_n_prf_balanced(self):
+        self._balance(20, 1)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_small_n_balanced(self, n):
+        # the mix, not a drawn truth table, serves the short strings too
+        self._balance(n, 1)
 
 
 def _params(N=1000, eps_hon=0.01, sigma=10.0, n=8):
@@ -76,7 +85,7 @@ def _params(N=1000, eps_hon=0.01, sigma=10.0, n=8):
 class TestRunSession:
     def test_perfect_responses_accept(self):
         ch = ChannelParams(1.0, 0.0)
-        res = run_session(_params(N=50), ch, HonestProver(ch, variance_override=0.0), 0)
+        res = run_session(_params(N=50), ch, GaussianResponder("honest", math.sqrt(ch.t), 0.0), 0)
         assert res.mean_score == 0.0
         assert res.accepted
 
@@ -126,15 +135,6 @@ class TestRunSession:
             for a, b in zip(accepted, accepted[1:]):
                 assert (not a) or b
 
-    def test_bad_responder_aborts_with_diagnostic(self):
-        class Broken(HonestProver):
-            def respond(self, r, theta, rng):
-                raise RuntimeError("boom")
-
-        ch = ChannelParams(1.0, 0.0)
-        with pytest.raises(RuntimeError, match="failed"):
-            run_session(_params(N=5), ch, Broken(ch), 0)
-
 
 class TestProtocolParams:
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
@@ -154,15 +154,8 @@ class TestProtocolParams:
             assert col.shape == (20,)
 
 
-class _RoundLevel(GaussianResponder):
-    """Same law as GaussianResponder, but overriding respond forces the round engine."""
-
-    def respond(self, r, theta, rng):
-        return super().respond(r, theta, rng)
-
-
 class TestExactSessionLaw:
-    """Both session paths against the exact law s^2/(1/2+u) * chi2_N / N.
+    """Untraced and traced sessions against the exact law s^2/(1/2+u) * chi2_N / N.
 
     s^2 = (a - sqrt(t))^2 sigma^2 + v is the per-round residual variance of
     a responder r' = a r + N(0, v). Each statistical assertion below fails
@@ -194,31 +187,33 @@ class TestExactSessionLaw:
         assert res.mean_score == honest.noise_var / (0.5 + self.CH.u) * chi2 / p.N
         assert res.records is None
 
-    def test_overriding_respond_takes_round_engine(self):
+    def test_traced_mean_is_the_round_engine_by_hand(self):
         p = self._params()
-        plain = GaussianResponder("biased", 0.5, 0.3)
-        overridden = _RoundLevel("biased", 0.5, 0.3)
+        responder = GaussianResponder("biased", 0.5, 0.3)
         for seed in range(5):
-            # the round engine's draws, by hand: r, then the response noise
+            # the round engine's draws, by hand: r, the strings x and y, then the response noise
             rng = np.random.default_rng(seed)
             r = rng.normal(0.0, p.sigma, size=p.N)
+            x = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
+            y = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
             r_prime = 0.5 * r + rng.normal(0.0, math.sqrt(0.3), size=p.N)
             rounds = float(((r_prime - math.sqrt(self.CH.t) * r) ** 2 / (0.5 + self.CH.u)).mean())
-            assert run_session(p, self.CH, overridden, seed).mean_score == rounds
-            assert run_session(p, self.CH, plain, seed).mean_score != rounds
+            traced = run_session(p, self.CH, responder, seed, trace=True)
+            assert traced.mean_score == rounds
+            assert traced.records.theta.tolist() == (
+                protocol_function(x, y, p.f_seed) * (math.pi / 2.0)).tolist()
+            assert run_session(p, self.CH, responder, seed).mean_score != rounds
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("round_level", [False, True], ids=["exact", "rounds"])
-    def test_session_mean_is_scaled_chi2(self, case, round_level):
+    @pytest.mark.parametrize("traced", [False, True], ids=["exact", "rounds"])
+    def test_session_mean_is_scaled_chi2(self, case, traced):
         from scipy import stats
 
         responder = self.CASES[case]
         s2 = self._s2(responder)
-        if round_level:
-            responder = _RoundLevel(responder.name, responder.mean_scale, responder.noise_var)
         p = self._params()
         means = np.array([
-            run_session(p, self.CH, responder, s).mean_score
+            run_session(p, self.CH, responder, s, trace=traced).mean_score
             for s in session_seeds(31, self.SESSIONS)
         ])
         scaled = means * self.N * (0.5 + self.CH.u) / s2
@@ -226,20 +221,21 @@ class TestExactSessionLaw:
         assert pvalue > self.ALPHA
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("round_level", [False, True], ids=["exact", "rounds"])
-    def test_acceptance_count_in_binomial_region(self, case, round_level):
+    @pytest.mark.parametrize("traced", [False, True], ids=["exact", "rounds"])
+    def test_acceptance_count_in_binomial_region(self, case, traced):
         from scipy import special, stats
 
         responder = self.CASES[case]
         s2 = self._s2(responder)
-        if round_level:
-            responder = _RoundLevel(responder.name, responder.mean_scale, responder.noise_var)
         p = self._params(eps_hon=0.3)
         exact = float(special.gammainc(self.N / 2.0,
                                        self.N * p.gamma * (0.5 + self.CH.u) / s2 / 2.0))
         assert 0.05 < exact < 0.99  # both outcomes occur: the count check can fail
-        rate = acceptance_rate(p, self.CH, responder, self.SESSIONS, 17)
-        count = round(rate * self.SESSIONS)
+        if traced:
+            count = sum(run_session(p, self.CH, responder, s, trace=True).accepted
+                        for s in session_seeds(17, self.SESSIONS))
+        else:
+            count = round(acceptance_rate(p, self.CH, responder, self.SESSIONS, 17) * self.SESSIONS)
         lo = stats.binom.ppf(self.ALPHA / 2.0, self.SESSIONS, exact)
         hi = stats.binom.isf(self.ALPHA / 2.0, self.SESSIONS, exact)
         assert lo <= count <= hi

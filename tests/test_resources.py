@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cvqpv.gaussian import binary_entropy
+from cvqpv.gaussian import binary_entropy, cutoff_purified_distance
 from cvqpv.resources import (
     H_QUARTER,
     ResourceInputs,
     corollary_q,
     count_bound_log2,
-    cutoff_soundness,
     delta_for,
     net_approx_error,
     q_max,
@@ -139,16 +138,19 @@ class TestQMax:
 
 
 class TestCutoffSoundness:
+    """The report's cutoff_error_log2: log2 lambda^(2^m0) from cutoff_purified_distance."""
+
     def test_sigma_ten_m0_twelve(self):
-        assert cutoff_soundness(12, 10.0) == pytest.approx(4096 * math.log2(10.0 / math.sqrt(101.0)),
-                                                           rel=1e-12)
-        assert cutoff_soundness(12, 10.0) == pytest.approx(-29.4, abs=0.05)
+        assert cutoff_purified_distance(12, 10.0) == pytest.approx(
+            4096 * math.log2(10.0 / math.sqrt(101.0)), rel=1e-12)
+        assert cutoff_purified_distance(12, 10.0) == pytest.approx(-29.4, abs=0.05)
 
     def test_doubles_per_m0_step(self):
-        assert cutoff_soundness(9, 5.0) == pytest.approx(2 * cutoff_soundness(8, 5.0), rel=1e-12)
+        assert cutoff_purified_distance(9, 5.0) == pytest.approx(
+            2 * cutoff_purified_distance(8, 5.0), rel=1e-12)
 
     def test_lambda_to_one_no_suppression(self):
-        assert cutoff_soundness(4, 1e6) == pytest.approx(0.0, abs=1e-6)
+        assert cutoff_purified_distance(4, 1e6) == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.parametrize("sigma", [1e7, 1e8])
     def test_large_sigma_matches_series(self, sigma):
@@ -156,13 +158,13 @@ class TestCutoffSoundness:
         # at sigma = 1e8 lambda itself rounds to 1.0
         x = 1.0 / sigma**2
         expected = -32 * (x - x * x / 2) / (2 * math.log(2.0))
-        assert cutoff_soundness(5, sigma) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert cutoff_purified_distance(5, sigma) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("sigma", [1e-3, 1.2e-8, 1e-8, 1e-9, 1e-200])
     def test_small_sigma_matches_log2_lambda(self, sigma):
         # 1 + sigma^2 rounds to 1.0 below about 1e-8; lambda = sigma/hypot(1, sigma) does not
         expected = 32 * math.log2(sigma / math.hypot(1.0, sigma))
-        assert cutoff_soundness(5, sigma) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert cutoff_purified_distance(5, sigma) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestResourceReport:
