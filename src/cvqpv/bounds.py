@@ -13,9 +13,10 @@ All logs are base 2 (checked empirically against the reference parameter
 tables; a natural-log reading does not reproduce them). The right-hand side
 is increasing in et, so for fixed a the largest admissible et is found by
 bisection; the outer maximization over a takes the best point of a
-log-spaced grid. The grid's bisections run as one numpy array bisection
-over all grid alphas; the reported rhs_at_opt uses the scalar form.
-Everything is deterministic.
+log-spaced grid. The best grid alphas share one bisection path, so the
+optimizer walks that path alone, testing each midpoint on the alphas still
+on it; the reported rhs_at_opt uses the scalar form. Everything is
+deterministic.
 
 Of the reference parameter table, the eps_tilde column is what this module
 reproduces; the alpha column is not. The objective is flat in a near its
@@ -37,6 +38,7 @@ ALPHA_MIN = 1e-4  # bracket diverges as a -> 0, safe lower cutoff
 ALPHA_MAX = 0.5
 N_ALPHA = 240  # log-spaced grid alphas in [ALPHA_MIN, ALPHA_MAX]
 BISECT_TOL = 1e-8  # final bisection width in eps_tilde
+_ALPHAS = np.logspace(math.log10(ALPHA_MIN), math.log10(ALPHA_MAX), N_ALPHA)
 
 
 @dataclass(frozen=True)
@@ -104,9 +106,7 @@ def condition_margin(b: BoundInputs) -> float:
 
 
 def condition_holds(b: BoundInputs) -> bool:
-    if not ChannelParams(b.t, b.u).feasible():
-        return False
-    return condition_margin(b) > 0.0
+    return ChannelParams(b.t, b.u).feasible() and condition_margin(b) > 0.0
 
 
 def _separation_rhs_array(E, alphas, eps_tilde, log2=np.log2):
@@ -131,43 +131,32 @@ def _math_log2(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _eps_tilde_grid(eps, E, t, u, alphas):
-    """Largest eps_tilde satisfying the condition at each alpha (0 if none).
+def _no_margin_above(cap_margin: float, E: float) -> float:
+    """An eps_tilde above which no grid alpha has a positive margin.
 
-    One array bisection over all alphas: each starts on [0, 1 - 1e-12],
-    keeps the half whose midpoint still has a positive margin and stops once
-    its bracket is at most BISECT_TOL wide, returning the bracket's lower end. An
-    alpha with no margin at eps_tilde = 0 gives 0; one with margin at the
-    top gives the top. The sign tests use np.log2, which may differ from
-    math.log2 in the last ulp: only a midpoint whose margin lies that close
-    to zero, a window under 1e-16 wide in eps_tilde, could bisect
-    differently from the scalar separation_rhs.
+    The bracket is at least its 2 et (log2(E+1) + log2(e/a)) part, since
+    htilde >= 0 and log2(1/(1-et)) > 0; the factor 1 + 1e-6 covers rounding.
     """
-    cap_margin = eps_cap(t, u) - eps
-    top = 1.0 - 1e-12
-    lo = np.zeros_like(alphas)
-    hi = np.full_like(alphas, top)
-    none = cap_margin - _separation_rhs_array(E, alphas, lo) <= 0.0
-    full = ~none & (cap_margin - _separation_rhs_array(E, alphas, hi) > 0.0)
-    active = ~none & ~full & (hi - lo > BISECT_TOL)
-    while active.any():
-        mid = 0.5 * (lo + hi)
-        below = cap_margin - _separation_rhs_array(E, alphas, mid) > 0.0
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-        active &= hi - lo > BISECT_TOL
-    return np.where(none, 0.0, np.where(full, top, lo))
+    slope = ((1.0 + _ALPHAS) / (1.0 - _ALPHAS) + 2.0 * _ALPHAS) * (
+        math.log2(E + 1.0) + np.log2(math.e / _ALPHAS))
+    return cap_margin / float(slope.min()) * (1.0 + 1e-6)
 
 
 def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
-    """Maximize eps_tilde over alpha in [ALPHA_MIN, 1/2].
+    """Maximize eps_tilde over N_ALPHA log-spaced alphas in [ALPHA_MIN, 1/2].
 
-    Bisects the monotone boundary at N_ALPHA log-spaced alphas at once
-    (_eps_tilde_grid, to a width of BISECT_TOL) and returns the best grid
-    point, the first one on a tie. eps_tilde_max is the result; alpha_star
-    is one maximizer, fixed only to within the flat top of the objective
-    (at the reference points eps_tilde stays within 1% of its maximum from
-    about alpha = 0.002 to 0.012).
+    Each grid alpha's bisection of its monotone boundary starts on
+    [0, 1 - 1e-12] and stops at a width of BISECT_TOL; where two part, the
+    one going up ends strictly higher. So the best alphas share one path,
+    which goes up wherever an alpha still on it has a positive margin and
+    keeps just those. Its lower end is eps_tilde_max and its first alpha,
+    the first argmax, is alpha_star: one maximizer, fixed only to within the
+    flat top of the objective (at the reference points eps_tilde stays
+    within 1% of its maximum from about alpha = 0.002 to 0.012). A midpoint
+    above _no_margin_above is taken down unevaluated. The sign tests use
+    np.log2, which may differ from math.log2 in the last ulp: only a
+    midpoint whose margin lies that close to zero, a window under 1e-16 wide
+    in eps_tilde, could bisect differently from the scalar separation_rhs.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
@@ -176,18 +165,20 @@ def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     if not ChannelParams(t, u).feasible() or eps >= eps_cap(t, u):
         return BoundResult(0.0, math.nan, False, math.nan)
 
-    alphas = np.logspace(math.log10(ALPHA_MIN), math.log10(ALPHA_MAX), N_ALPHA)
-    values = _eps_tilde_grid(eps, E, t, u, alphas)
-    i_best = int(np.argmax(values))
-    if values[i_best] <= 0.0:
+    # the margin is cap_margin > 0 at eps_tilde = 0 and, as t <= 1, negative at the top
+    cap_margin = eps_cap(t, u) - eps
+    top = _no_margin_above(cap_margin, E)
+    alphas, lo, hi = _ALPHAS, 0.0, 1.0 - 1e-12
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if mid <= top and (up := cap_margin - _separation_rhs_array(E, alphas, mid) > 0.0).any():
+            alphas, lo = alphas[up], mid
+        else:
+            hi = mid
+    if lo == 0.0:
         return BoundResult(0.0, math.nan, False, math.nan)
-    alpha_star, et_star = float(alphas[i_best]), float(values[i_best])
-    return BoundResult(
-        eps_tilde_max=et_star,
-        alpha_star=alpha_star,
-        feasible=True,
-        rhs_at_opt=separation_rhs(E, alpha_star, et_star),
-    )
+    alpha_star = float(alphas[0])
+    return BoundResult(lo, alpha_star, True, separation_rhs(E, alpha_star, lo))
 
 
 def energy_sensitivity(eps: float, t: float, u: float, E_list) -> dict:

@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from cvqpv import bounds
 from cvqpv.bounds import (
     ALPHA_MAX,
     ALPHA_MIN,
@@ -10,7 +12,7 @@ from cvqpv.bounds import (
     N_ALPHA,
     BoundInputs,
     _bracket,
-    _eps_tilde_grid,
+    _no_margin_above,
     condition_holds,
     condition_margin,
     condition_surface,
@@ -187,38 +189,70 @@ def scalar_eps_tilde(eps, E, t, u, alpha):
     return lo
 
 
+@functools.cache
+def scalar_grid(eps, E, t, u):
+    """scalar_eps_tilde at every grid alpha."""
+    return [scalar_eps_tilde(eps, E, t, u, a) for a in GRID_ALPHAS]
+
+
 class TestEpsTildeGrid:
-    """The array bisection equals the per-alpha scalar one bit for bit."""
+    """max_eps_tilde's shared bisection path equals the first argmax of the
+    per-alpha scalar bisections over the grid bit for bit."""
 
     @pytest.mark.parametrize("eps,E,t,u", PUBLISHED + [
         (0.05, 10.0, 0.9, 0.05),
         (0.27865, 1e3, 1.0, 0.0),  # just under the cap: some alphas admit no eps_tilde
         (eps_cap(1.0, 0.0), 1e3, 1.0, 0.0),  # no margin at eps_tilde = 0 for any alpha
-        (0.0, 1e3, 1e40, 0.0),  # some alphas admit eps_tilde right up to 1
     ])
     def test_equals_scalar_bisection(self, eps, E, t, u):
-        grid = _eps_tilde_grid(eps, E, t, u, GRID_ALPHAS)
-        scalar = [scalar_eps_tilde(eps, E, t, u, a) for a in GRID_ALPHAS]
-        assert grid.tolist() == scalar
+        best = max(scalar_grid(eps, E, t, u))
+        res = max_eps_tilde(eps, E, t, u)
+        assert res.eps_tilde_max == best
+        assert res.feasible == (best > 0.0)
 
     @pytest.mark.parametrize("eps,E,t,u", PUBLISHED + [
         (0.05, 10.0, 0.9, 0.05),
         (0.27865, 1e3, 1.0, 0.0),
     ])
     def test_max_eps_tilde_is_first_argmax_of_scalar_oracle(self, eps, E, t, u):
-        scalar = [scalar_eps_tilde(eps, E, t, u, a) for a in GRID_ALPHAS]
-        best = scalar.index(max(scalar))
+        scalar = scalar_grid(eps, E, t, u)
         res = max_eps_tilde(eps, E, t, u)
-        assert res.feasible
-        assert res.eps_tilde_max == scalar[best]
-        assert res.alpha_star == GRID_ALPHAS[best]
+        assert res.alpha_star == GRID_ALPHAS[scalar.index(max(scalar))]
         assert res.rhs_at_opt == separation_rhs(E, res.alpha_star, res.eps_tilde_max)
 
-    def test_branches_reached(self):
-        partial = _eps_tilde_grid(0.27865, 1e3, 1.0, 0.0, GRID_ALPHAS)
-        assert 0 < np.count_nonzero(partial == 0.0) < len(GRID_ALPHAS)
-        saturated = _eps_tilde_grid(0.0, 1e3, 1e40, 0.0, GRID_ALPHAS)
-        assert 0 < np.count_nonzero(saturated == 1.0 - 1e-12) < len(GRID_ALPHAS)
+    def test_branches_reached(self, monkeypatch):
+        # near the cap the path drops alphas that admit nothing
+        partial = scalar_grid(0.27865, 1e3, 1.0, 0.0)
+        assert 0 < partial.count(0.0) < len(GRID_ALPHAS)
+        # at the default point it takes its 6 leading midpoints down unevaluated
+        evaluated = []
+        original = bounds._separation_rhs_array
+        monkeypatch.setattr(bounds, "_separation_rhs_array",
+                            lambda E, alphas, et: evaluated.append(et) or original(E, alphas, et))
+        max_eps_tilde(*PUBLISHED[3])
+        assert len(evaluated) == 27 - 6  # a bisection to BISECT_TOL takes 27 steps
+        assert max(evaluated) <= _no_margin_above(eps_cap(1.0, 0.0) - 0.1, 1e3)
+
+    @pytest.mark.parametrize("eps,E,t,u", PUBLISHED + [
+        (0.05, 10.0, 0.9, 0.05),
+        (0.27865, 1e3, 1.0, 0.0),
+        (0.0, 1e-6, 1.0, 0.0),
+        (0.0, 1e300, 1.0, 0.0),
+        (0.005, 1e3, 0.7, 0.01),  # cap margin 2.1e-3
+    ])
+    def test_skipped_midpoints_admit_nothing(self, eps, E, t, u):
+        # every midpoint the path takes down unevaluated, the leading ones and
+        # the first float above the bound, has no positive margin at any grid alpha
+        cap_margin = eps_cap(t, u) - eps
+        assert cap_margin > 0.0
+        top = _no_margin_above(cap_margin, E)
+        skipped, hi = [math.nextafter(top, 1.0)], 1.0 - 1e-12
+        while 0.5 * hi > top:
+            hi *= 0.5
+            skipped.append(hi)
+        assert len(skipped) > 1
+        for et in skipped:
+            assert all(cap_margin - separation_rhs(E, a, et) <= 0.0 for a in GRID_ALPHAS), et
 
     @pytest.mark.parametrize("point,eps_tilde_max,alpha_star", [
         (PUBLISHED[0], 0.0003167763352390937, 0.0046935461212164725),

@@ -260,7 +260,7 @@ class TestSweep:
 
 class TestErrorExit:
     @pytest.mark.parametrize("argv", [
-        ["resources", "--n", "41"],
+        ["resources", "--eps-tilde", "1e-310"],
         ["sweep", "--m0-lo", "0"],
         ["feasibility", "--u-steps", "0"],
         ["simulate", "--eps", "800", "--sessions", "2"],
@@ -279,6 +279,28 @@ class TestErrorExit:
         assert run(argv + ["--out", str(kept)]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error:")
         assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+
+
+    @pytest.mark.parametrize("argv,message", [
+        (["resources", "--n", "41"], "n: must lie in [1, 40]"),
+        (["sweep", "--n-hi", "41"], "n_hi: must lie in [1, 40]"),
+        (["sweep", "--n-lo", "41", "--n-hi", "45"], "n_lo: must lie in [1, 40]"),
+    ])
+    def test_n_beyond_the_float_evaluation_rejected_before_output(self, capsys, tmp_path, argv,
+                                                                  message):
+        out = tmp_path / "run"
+        assert run(argv + ["--out", str(out)]) == EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,limit", [
+        ("resources", "--n", "[1, 40]"), ("simulate", "--n", "[1, 63]"),
+        ("sweep", "--n-lo", "[1, 40]"), ("sweep", "--n-hi", "[1, 40]"),
+    ])
+    def test_help_names_the_n_limit(self, command, flag, limit):
+        subparser = build_parser()._subparsers._group_actions[0].choices[command]
+        flag_help = next(a.help for a in subparser._actions if flag in a.option_strings)
+        assert f"; must lie in {limit} (default" in flag_help
 
 
 class TestUsageErrors:

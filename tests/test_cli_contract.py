@@ -5,10 +5,14 @@ Each example calls cvqpv.cli.main in-process with --out and asserts:
 * the exit code is 0, 1 or 2, and no exception leaves main();
 * exit 1 leaves no --out directory, and stderr starts with "error:";
 * no warning is issued (the CLI would print it to stderr);
-* every JSON file written parses with a parse_constant that raises.
+* every JSON file written parses with a parse_constant that raises;
+* on exit 0 and 2, every number on stdout and in every result file is
+  finite, and a JSON null stands for no value, never for a non-finite one.
+  The only exceptions are the named saturations in SATURATED, where the
+  file holds null and stdout prints -inf.
 
-Each flag the subcommand takes is left out, drawn from its domain in
-cvqpv.cli.PARAMS with the domain's extremes (its bounds, subnormals,
+Each flag the subcommand takes is left out, drawn from its domain in the
+subcommand, from cvqpv.cli.PARAMS, with the domain's extremes (its bounds, subnormals,
 1e-300, 1e300, the largest float; 2^63, 2^64 - 1 and 10^30 for ints), or,
 one time in ten, from any float or int, negative and non-finite included.
 Only the sizes that scale work are capped:
@@ -27,6 +31,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -48,11 +53,20 @@ ANY_INT = st.one_of(st.sampled_from([-(2**63), -1, 0, 2**31, 2**64, 10**30]),
                     st.integers(-10, 10**6))
 CAPS = {"rounds": 10**4, "sessions": 4, "u_steps": 100, "t_steps": 100}
 SWEEP_RANGES = [("n_lo", "n_hi"), ("m0_lo", "m0_hi")]
+# JSON key -> its stdout line, for the results that are -inf by definition
+SATURATED = {
+    "eps_cap": "eps cap (1/2)log2(4t/(e(1+2u))) = -inf",  # at t = 0, or where 4t/(e(1+2u)) underflows
+    "cutoff_error_log2": "cutoff error scale log2(lambda^(2^m0)) = -inf",  # 2^m0 log2 lambda
+}
+# null where there is no number to give, not a saturated one
+NO_VALUE = {"corollary_q",  # outside the closed-form regime
+            "log2_count_bound_at_qmax"}  # no budget: q_max = -1
+NON_FINITE = re.compile(r"(?<![\w.])[-+]?(?:inf|nan|infinity)(?![\w])", re.IGNORECASE)
 
 
-def own(p):
-    """The key's domain, its extremes sampled more often, capped where it scales work."""
-    d = p.domain
+def own(p, command):
+    """The key's domain in command, extremes sampled more often, capped where it scales work."""
+    d = p.domain_in(command)
     if not isinstance(d, Interval):
         return st.sampled_from(d)
     hi = min(d.hi, CAPS.get(p.name, math.inf))
@@ -72,10 +86,10 @@ def anything(p):
     return {float: ANY_FLOAT, int: ANY_INT, str: st.sampled_from(p.domain)}[p.type]
 
 
-def pick(draw, p, omit=True):
+def pick(draw, p, command, omit=True):
     """None (flag left out) 3 times in 10, the key's domain 6, anything 1."""
     kind = draw(st.sampled_from(["own"] * 6 + ["omit" if omit else "own"] * 3 + ["any"]))
-    return None if kind == "omit" else draw(own(p) if kind == "own" else anything(p))
+    return None if kind == "omit" else draw(own(p, command) if kind == "own" else anything(p))
 
 
 @st.composite
@@ -85,10 +99,10 @@ def argvs(draw, command):
     values = {}
     for p in PARAMS.values():
         if command in p.commands.split() and p.name not in ranged:
-            values[p.name] = pick(draw, p)
+            values[p.name] = pick(draw, p, command)
     if command == "sweep":  # each range given explicitly, at most 11 values wide
         for lo, hi in SWEEP_RANGES:
-            values[lo] = pick(draw, PARAMS[lo], omit=False)
+            values[lo] = pick(draw, PARAMS[lo], command, omit=False)
             values[hi] = values[lo] + draw(st.integers(-3, 10))
     # --flag=value keeps argparse from reading a value such as -1e+300 as an option
     argv += [f"{PARAMS[key].flag}={value if type(value) is str else repr(value)}"
@@ -104,6 +118,33 @@ def strict_json(path):
         raise ValueError(f"{path.name}: non-standard JSON constant {name}")
 
     return json.loads(path.read_text(), parse_constant=reject)
+
+
+def nulls(value, key=None):
+    """The keys of the nulls in a parsed JSON value."""
+    if isinstance(value, dict):
+        return [k for item_key, item in value.items() for k in nulls(item, item_key)]
+    if isinstance(value, list):
+        return [k for item in value for k in nulls(item, key)]
+    return [key] if value is None else []
+
+
+def non_finite(text):
+    """The inf and nan tokens in text; the substring test first keeps large files cheap."""
+    lower = text.lower()
+    return NON_FINITE.findall(text) if "inf" in lower or "nan" in lower else []
+
+
+def check_finite(argv, stdout, out):
+    """Every number printed or written is finite, but for the SATURATED results."""
+    printed = [line for line in stdout.splitlines() if line not in SATURATED.values()]
+    assert not non_finite("\n".join(printed)), (argv, stdout)
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            bad = set(nulls(strict_json(path))) - SATURATED.keys() - NO_VALUE
+            assert not bad, (argv, path.name, bad)
+        else:
+            assert not non_finite(path.read_text()), (argv, path.name)
 
 
 def check_contract(argv):
@@ -122,8 +163,7 @@ def check_contract(argv):
             assert stderr.getvalue().startswith("error:"), (argv, stderr.getvalue())
         else:
             assert stderr.getvalue() == "", argv
-            for path in out.glob("*.json"):
-                strict_json(path)
+            check_finite(argv, stdout.getvalue(), out)
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))

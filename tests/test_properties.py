@@ -3,7 +3,9 @@
 The bisections in cvqpv.bounds assume the separation term grows with
 eps_tilde; q_max assumes the counting bound never falls as q grows; the
 round planner assumes gamma falls as N grows; the cutoff argument assumes
-the truncated state has less energy than the untruncated one. The round
+the truncated state has less energy than the untruncated one. The
+optimizer's shared bisection path must equal the per-alpha scalar
+bisections it replaced, whose oracle lives in test_bounds. The round
 trace CSV must give back the session's columns exactly. The table writer
 and the condition surface must equal the reference implementations kept
 here: csv.writer and json.dumps, and the scalar double loop over
@@ -41,6 +43,7 @@ from cvqpv.protocol import (
     write_rounds_csv,
 )
 from cvqpv.resources import N_MAX, count_bound_log2
+from test_bounds import GRID_ALPHAS, scalar_eps_tilde
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -70,6 +73,22 @@ def test_array_form_matches_scalar_sign(E, cap, points):
     # np.log2 and math.log2 may differ in the last ulp, never by more
     np.testing.assert_allclose(array_rhs, scalar_rhs, rtol=1e-14, atol=0.0)
     assert ((cap - array_rhs) > 0.0).tolist() == ((cap - scalar_rhs) > 0.0).tolist()
+
+
+@settings(SETTINGS, max_examples=50)  # the oracle makes about 7,000 scalar calls an example
+@given(eps=st.floats(min_value=0.0, max_value=0.2), E=st.floats(min_value=1e-6, max_value=1e300),
+       t=st.floats(min_value=0.69, max_value=1.0), u=st.floats(min_value=0.0, max_value=0.1))
+def test_max_eps_tilde_is_first_argmax_of_scalar_bisections(eps, E, t, u):
+    scalar = [scalar_eps_tilde(eps, E, t, u, a) for a in GRID_ALPHAS]
+    best = max(scalar)
+    res = max_eps_tilde(eps, E, t, u)
+    assert res.feasible == (best > 0.0)
+    assert res.eps_tilde_max == best
+    if res.feasible:
+        assert res.alpha_star == GRID_ALPHAS[scalar.index(best)]
+        assert res.rhs_at_opt == separation_rhs(E, res.alpha_star, best)
+    else:
+        assert math.isnan(res.alpha_star) and math.isnan(res.rhs_at_opt)
 
 
 @SETTINGS
