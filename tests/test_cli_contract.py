@@ -11,10 +11,11 @@ Each example calls cvqpv.cli.main in-process with --out and asserts:
   The only exceptions are the named saturations in SATURATED, where the
   file holds null and stdout prints -inf.
 
-Each flag the subcommand takes is left out, drawn from its domain in the
-subcommand, from cvqpv.cli.PARAMS, with the domain's extremes (its bounds, subnormals,
-1e-300, 1e300, the largest float; 2^63, 2^64 - 1 and 10^30 for ints), or,
-one time in ten, from any float or int, negative and non-finite included.
+Each flag the subcommand takes is left out, drawn from its domain in that
+subcommand (cvqpv.cli.PARAMS, Param.domain_in) with the domain's extremes
+(its bounds, subnormals, 1e-300, 1e300, the largest float; 2^63, 2^64 - 1
+and 10^30 for ints), or, one time in ten, from any float or int, negative
+and non-finite included.
 Only the sizes that scale work are capped:
 
 * rounds <= 10^4. rounds = 0 derives N from the plan, and an untraced
