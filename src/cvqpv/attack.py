@@ -86,33 +86,29 @@ def rounds_required(
     eps: float,
     u: float,
     eps_hon: float,
-    score_variance: float | None = None,
     eps_unit: str = "nats",
 ) -> RoundPlan:
     """Smallest N with Delta(N) > 0 and N Delta(N)^2 >= var / eps_hon.
 
     gamma depends on N, so this is a fixed point; N Delta(N)^2 is monotone
     increasing once Delta is positive, enabling a doubling-plus-bisection
-    search. score_variance defaults to the pessimistic attacker's exact
-    score-term variance.
+    search. var is the pessimistic attacker's exact score-term variance.
     """
     if not (0.0 < eps_hon < 1.0):
         raise ValueError("eps_hon must lie in (0,1)")
-    if score_variance is None:
-        score_variance = attacker_score_variance(eps, u, eps_unit)
-    if score_variance <= 0.0:
-        raise ValueError("score_variance must be positive")
+    # Delta(inf) must be positive for any N to work
+    if delta_margin(eps, u, 1.0, eps_unit) <= 0.0:
+        raise NoMarginError(
+            f"parameters give no margin: asymptotic Delta <= 0 for eps={eps}, u={u}"
+        )
+    # 2 (v/(1/2+u))^2 > 2 wherever that margin is positive, so no underflow to 0
+    score_variance = attacker_score_variance(eps, u, eps_unit)
     target = score_variance / eps_hon
 
     def ok(N: int) -> bool:
         d = delta_margin(eps, u, gamma_threshold(N, eps_hon), eps_unit)
         return d > 0.0 and N * d * d >= target
 
-    # Delta(inf) must be positive for any N to work
-    if delta_margin(eps, u, 1.0, eps_unit) <= 0.0:
-        raise NoMarginError(
-            f"parameters give no margin: asymptotic Delta <= 0 for eps={eps}, u={u}"
-        )
     hi = 1
     while not ok(hi):
         if hi >= N_SEARCH_CAP:

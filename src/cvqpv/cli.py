@@ -54,7 +54,7 @@ from .protocol import (
     write_rounds_csv,
     write_session_json,
 )
-from .resources import N_MAX, resource_report
+from .resources import resource_report
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -106,7 +106,7 @@ class Choices(tuple):
 
 
 class Param(NamedTuple):
-    """One configuration key: a float or int must be finite and lie in domain_in(command)."""
+    """One configuration key: a float or int must be finite and lie in domain."""
 
     name: str
     type: type
@@ -114,17 +114,14 @@ class Param(NamedTuple):
     domain: Interval | Choices
     commands: str  # the subcommands that take the key, space-separated
     help: str
-    narrower: dict | None = None  # subcommand -> a stricter domain there
 
     @property
     def flag(self) -> str:
         return "--" + self.name.replace("_", "-")
 
-    def domain_in(self, command: str) -> Interval | Choices:
-        return (self.narrower or {}).get(command, self.domain)
-
 
 UNIT, COUNT = Interval(0.0, 1.0, open_lo=True, open_hi=True), Interval(1)
+STRING_BITS = Interval(1, MAX_STRING_BITS)
 # zero-config defaults reproduce the perfect-channel headline numbers
 PARAMS = {p.name: p for p in [
     Param("eps", float, 0.1, Interval(0.0), "bounds rounds simulate", "entropy gap eps"),
@@ -133,9 +130,7 @@ PARAMS = {p.name: p for p in [
     Param("u", float, 0.0, Interval(0.0), "bounds rounds simulate", "channel excess noise u"),
     Param("sigma", float, 10.0, Interval(0.0, open_lo=True), "resources simulate",
           "standard deviation of the Gaussian modulation"),
-    # resources evaluates the counting bound in floats only up to N_MAX
-    Param("n", int, 30, Interval(1, MAX_STRING_BITS), "resources simulate", "input string bits",
-          {"resources": Interval(1, N_MAX)}),
+    Param("n", int, 30, STRING_BITS, "resources simulate", "input string bits"),
     Param("m0", int, 5, COUNT, "resources", "photon-number cutoff exponent: cutoff 2^m0"),
     Param("eps_tilde", float, 0.004, UNIT, "resources sweep", "entropy slack of the rounding"),
     Param("eps_hon", float, 0.01, UNIT, "rounds simulate", "honest failure budget"),
@@ -147,8 +142,8 @@ PARAMS = {p.name: p for p in [
           "table file format"),
     Param("u_steps", int, 31, COUNT, "feasibility", "grid points in u over [0, 0.3]"),
     Param("t_steps", int, 26, COUNT, "feasibility", "grid points in t over [0.5, 1]"),
-    Param("n_lo", int, 22, Interval(1, N_MAX), "sweep", "smallest n of the sweep"),
-    Param("n_hi", int, 40, Interval(1, N_MAX), "sweep", "largest n of the sweep"),
+    Param("n_lo", int, 22, STRING_BITS, "sweep", "smallest n of the sweep"),
+    Param("n_hi", int, 40, STRING_BITS, "sweep", "largest n of the sweep"),
     Param("m0_lo", int, 1, COUNT, "sweep", "smallest m0 of the sweep"),
     Param("m0_hi", int, 10, COUNT, "sweep", "largest m0 of the sweep"),
 ]}
@@ -173,8 +168,8 @@ def read_config_file(path) -> dict:
     return cfg
 
 
-def _checked(p: Param, raw, command: str):
-    """raw as the key's type, if it converts, is finite and lies in its domain in command."""
+def _checked(p: Param, raw):
+    """raw as the key's type, if it converts, is finite and lies in the key's domain."""
     try:
         value = p.type(raw)
     except (TypeError, ValueError):
@@ -182,9 +177,8 @@ def _checked(p: Param, raw, command: str):
         raise ValueError(f"{p.name}: not {kind} ({raw!r})") from None
     if p.type is float and not math.isfinite(value):
         raise ValueError(f"{p.name}: must be finite ({value!r})")
-    domain = p.domain_in(command)
-    if value not in domain:
-        raise ValueError(f"{p.name}: must {domain}")
+    if value not in p.domain:
+        raise ValueError(f"{p.name}: must {p.domain}")
     return value
 
 
@@ -201,8 +195,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for p in params:
         flag_value = getattr(args, p.name)
         try:
-            cfg[p.name] = _checked(p, raw[p.name] if flag_value is None else flag_value,
-                                   args.command)
+            cfg[p.name] = _checked(p, raw[p.name] if flag_value is None else flag_value)
         except ValueError as exc:
             errors.append(str(exc))
     if errors:
@@ -365,14 +358,21 @@ def cmd_resources(cfg: dict, out: Path | None) -> int:
     return EXIT_OK if report.q_max >= 0 else EXIT_INFEASIBLE
 
 
-def cmd_rounds(cfg: dict, out: Path | None) -> int:
+def _round_plan(cfg: dict, out: Path | None, name: str):
+    """The Chebyshev round plan, or None once the no-margin outcome is printed and written."""
     try:
-        plan = rounds_required(cfg["eps"], cfg["u"], cfg["eps_hon"], eps_unit=cfg["eps_unit"])
+        return rounds_required(cfg["eps"], cfg["u"], cfg["eps_hon"], eps_unit=cfg["eps_unit"])
     except NoMarginError as exc:
         print(f"no margin: {exc}")
         if out is not None:
-            _write_json(out / "rounds.json",
-                        {"schema": "cvqpv.rounds/1", "feasible": False, "reason": str(exc)})
+            _write_json(out / f"{name}.json",
+                        {"schema": f"cvqpv.{name}/1", "feasible": False, "reason": str(exc)})
+        return None
+
+
+def cmd_rounds(cfg: dict, out: Path | None) -> int:
+    plan = _round_plan(cfg, out, "rounds")
+    if plan is None:
         return EXIT_INFEASIBLE
     print(f"N = {plan.N}, gamma = {_fixed_or_exp(plan.gamma)}, "
           f"Delta = {_fixed_or_exp(plan.delta)}, "
@@ -387,14 +387,8 @@ def cmd_simulate(cfg: dict, out: Path | None, trace: bool = False) -> int:
     ch = ChannelParams(cfg["t"], cfg["u"])
     N = cfg["rounds"]
     if N == 0:
-        try:
-            plan = rounds_required(cfg["eps"], cfg["u"], cfg["eps_hon"],
-                                   eps_unit=cfg["eps_unit"])
-        except NoMarginError as exc:
-            print(f"no margin: {exc}")
-            if out is not None:
-                _write_json(out / "simulate.json",
-                            {"schema": "cvqpv.simulate/1", "feasible": False, "reason": str(exc)})
+        plan = _round_plan(cfg, out, "simulate")
+        if plan is None:
             return EXIT_INFEASIBLE
         N = plan.N
     params = ProtocolParams(sigma=cfg["sigma"], n=cfg["n"], N=N, eps_hon=cfg["eps_hon"],
@@ -469,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         for p in PARAMS.values():
             if name in p.commands.split():
                 cmd.add_argument(p.flag, dest=p.name, metavar=p.type.__name__.upper(),
-                                 help=f"{p.help}; must {p.domain_in(name)} (default {p.default})")
+                                 help=f"{p.help}; must {p.domain} (default {p.default})")
         if name == "simulate":
             cmd.add_argument("--trace", action="store_true",
                              help="also write the rounds of one traced honest session")

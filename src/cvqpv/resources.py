@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 from .gaussian import binary_entropy, cutoff_purified_distance
 
-N_MAX = 40  # 2^(2n) stays well inside float64 range up to here
+# up to here the float decision count_bound_log2 < -2^n equals exact integer arithmetic
+# for every ceiled rounding factor (4 to 1024) and every q + m0
+N_MAX = 63
 
 #: strictly inside the open constraint delta < cbrt((2+et)/2) - 1
 DELTA_SAFETY = 0.999
@@ -96,7 +98,8 @@ def count_bound_log2(n: int, m0: int, q: int, eps_tilde: float) -> float:
     """
     ResourceInputs(n, m0, q, eps_tilde)
     if n > N_MAX:
-        raise ValueError(f"n > {N_MAX} not supported by float-scaled evaluation")
+        raise ValueError(f"n > {N_MAX}: the float decision is checked against exact "
+                         f"arithmetic only up to n = {N_MAX}")
     return _count_bound_log2(n, m0, q, math.ceil(rounding_size_logfactor(eps_tilde)))
 
 

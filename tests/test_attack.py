@@ -95,17 +95,24 @@ class TestDeltaMargin:
 
 class TestRoundsRequired:
     def test_self_consistency(self):
-        plan = rounds_required(0.1, 0.0, 0.01, score_variance=3.0)
+        plan = rounds_required(0.1, 0.0, 0.01)
+        target = plan.score_variance / 0.01
         assert plan.delta > 0.0
-        assert plan.N * plan.delta**2 >= 300.0
+        assert plan.N * plan.delta**2 >= target
         # minimality: N-1 fails the margin condition or the budget
         g = gamma_threshold(plan.N - 1, 0.01)
         d = delta_margin(0.1, 0.0, g)
-        assert d <= 0.0 or (plan.N - 1) * d * d < 300.0
+        assert d <= 0.0 or (plan.N - 1) * d * d < target
 
     def test_zero_eps_no_margin(self):
         with pytest.raises(NoMarginError):
             rounds_required(0.0, 0.0, 0.01)
+
+    def test_huge_noise_no_margin(self):
+        # the attacker's variance underflows to 0 here; the margin is checked first
+        assert attacker_score_variance(0.1, 1e200) == 0.0
+        with pytest.raises(NoMarginError):
+            rounds_required(0.1, 1e200, 0.01)
 
     def test_scaling_with_eps_hon(self):
         # in the large-N regime Delta is nearly constant: N ~ 1/eps_hon
@@ -120,8 +127,6 @@ class TestRoundsRequired:
     def test_validation(self):
         with pytest.raises(ValueError):
             rounds_required(0.1, 0.0, 1.5)
-        with pytest.raises(ValueError):
-            rounds_required(0.1, 0.0, 0.01, score_variance=-1.0)
 
 
 class TestPessimisticAttacker:

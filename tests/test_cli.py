@@ -145,6 +145,13 @@ class TestRounds:
         assert run(["rounds", "--eps", "0"]) == EXIT_INFEASIBLE
         assert "no margin" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["rounds", "simulate"])
+    def test_huge_noise_has_no_margin(self, capsys, tmp_path, command):
+        # the attacker's score variance underflows to 0 at u = 1e200; the margin goes first
+        assert run([command, "--u", "1e200", "--out", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().out.startswith("no margin: ")
+        assert strict_json(tmp_path / f"{command}.json")["feasible"] is False
+
     def test_tiny_honest_budget_has_no_plan(self, capsys):
         # score_variance / eps_hon overflows, so no N meets the Chebyshev condition
         assert run(["rounds", "--eps-hon", "1e-310"]) == EXIT_INFEASIBLE
@@ -282,9 +289,9 @@ class TestErrorExit:
 
 
     @pytest.mark.parametrize("argv,message", [
-        (["resources", "--n", "41"], "n: must lie in [1, 40]"),
-        (["sweep", "--n-hi", "41"], "n_hi: must lie in [1, 40]"),
-        (["sweep", "--n-lo", "41", "--n-hi", "45"], "n_lo: must lie in [1, 40]"),
+        (["resources", "--n", "64"], "n: must lie in [1, 63]"),
+        (["sweep", "--n-hi", "64"], "n_hi: must lie in [1, 63]"),
+        (["sweep", "--n-lo", "64", "--n-hi", "65"], "n_lo: must lie in [1, 63]"),
     ])
     def test_n_beyond_the_float_evaluation_rejected_before_output(self, capsys, tmp_path, argv,
                                                                   message):
@@ -294,8 +301,8 @@ class TestErrorExit:
         assert not out.exists()
 
     @pytest.mark.parametrize("command,flag,limit", [
-        ("resources", "--n", "[1, 40]"), ("simulate", "--n", "[1, 63]"),
-        ("sweep", "--n-lo", "[1, 40]"), ("sweep", "--n-hi", "[1, 40]"),
+        ("resources", "--n", "[1, 63]"), ("simulate", "--n", "[1, 63]"),
+        ("sweep", "--n-lo", "[1, 63]"), ("sweep", "--n-hi", "[1, 63]"),
     ])
     def test_help_names_the_n_limit(self, command, flag, limit):
         subparser = build_parser()._subparsers._group_actions[0].choices[command]

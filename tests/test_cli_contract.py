@@ -11,8 +11,8 @@ Each example calls cvqpv.cli.main in-process with --out and asserts:
   The only exceptions are the named saturations in SATURATED, where the
   file holds null and stdout prints -inf.
 
-Each flag the subcommand takes is left out, drawn from its domain in that
-subcommand (cvqpv.cli.PARAMS, Param.domain_in) with the domain's extremes
+Each flag the subcommand takes is left out, drawn from its domain
+(cvqpv.cli.PARAMS, Param.domain) with the domain's extremes
 (its bounds, subnormals, 1e-300, 1e300, the largest float; 2^63, 2^64 - 1
 and 10^30 for ints), or, one time in ten, from any float or int, negative
 and non-finite included.
@@ -65,9 +65,9 @@ NO_VALUE = {"corollary_q",  # outside the closed-form regime
 NON_FINITE = re.compile(r"(?<![\w.])[-+]?(?:inf|nan|infinity)(?![\w])", re.IGNORECASE)
 
 
-def own(p, command):
-    """The key's domain in command, extremes sampled more often, capped where it scales work."""
-    d = p.domain_in(command)
+def own(p):
+    """The key's domain, extremes sampled more often, capped where it scales work."""
+    d = p.domain
     if not isinstance(d, Interval):
         return st.sampled_from(d)
     hi = min(d.hi, CAPS.get(p.name, math.inf))
@@ -87,10 +87,10 @@ def anything(p):
     return {float: ANY_FLOAT, int: ANY_INT, str: st.sampled_from(p.domain)}[p.type]
 
 
-def pick(draw, p, command, omit=True):
+def pick(draw, p, omit=True):
     """None (flag left out) 3 times in 10, the key's domain 6, anything 1."""
     kind = draw(st.sampled_from(["own"] * 6 + ["omit" if omit else "own"] * 3 + ["any"]))
-    return None if kind == "omit" else draw(own(p, command) if kind == "own" else anything(p))
+    return None if kind == "omit" else draw(own(p) if kind == "own" else anything(p))
 
 
 @st.composite
@@ -100,10 +100,10 @@ def argvs(draw, command):
     values = {}
     for p in PARAMS.values():
         if command in p.commands.split() and p.name not in ranged:
-            values[p.name] = pick(draw, p, command)
+            values[p.name] = pick(draw, p)
     if command == "sweep":  # each range given explicitly, at most 11 values wide
         for lo, hi in SWEEP_RANGES:
-            values[lo] = pick(draw, PARAMS[lo], command, omit=False)
+            values[lo] = pick(draw, PARAMS[lo], omit=False)
             values[hi] = values[lo] + draw(st.integers(-3, 10))
     # --flag=value keeps argparse from reading a value such as -1e+300 as an option
     argv += [f"{PARAMS[key].flag}={value if type(value) is str else repr(value)}"

@@ -1,12 +1,19 @@
+import csv
+import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from cvqpv.cli import main
 from cvqpv.gaussian import binary_entropy, cutoff_purified_distance
+from cvqpv.protocol import MAX_STRING_BITS
 from cvqpv.resources import (
     H_QUARTER,
+    N_MAX,
     ResourceInputs,
+    _count_bound_log2,
     corollary_q,
     count_bound_log2,
     delta_for,
@@ -88,7 +95,11 @@ class TestCountBound:
 
     def test_large_n_rejected(self):
         with pytest.raises(ValueError):
-            count_bound_log2(41, 5, 5, 0.004)
+            count_bound_log2(64, 5, 5, 0.004)
+
+    def test_limit_is_the_protocols_string_length(self):
+        assert N_MAX == MAX_STRING_BITS
+        count_bound_log2(N_MAX, 5, 5, 0.004)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -110,8 +121,8 @@ class TestQMax:
 
     def test_linear_growth_in_n(self):
         for m0 in range(3, 8):
-            for n in range(24, 37, 2):
-                if n > 2 * (m0 + 5) and n + 2 <= 40:
+            for n in range(24, N_MAX + 1, 2):
+                if n > 2 * (m0 + 5) and n + 2 <= N_MAX:
                     assert q_max(n + 2, m0, 0.004) >= q_max(n, m0, 0.004) + 1
 
     @pytest.mark.parametrize("et", [1e-12, 0.004, 0.1, 0.5, 0.999])
@@ -123,18 +134,85 @@ class TestQMax:
                 q += 1
             return q
 
-        for n in range(1, 41):
+        for n in range(1, N_MAX + 1):
             for m0 in range(1, 31):
                 assert q_max(n, m0, et) == scanned(n, m0), (n, m0)
 
     def test_corollary_scan(self):
         # closed-form budget always satisfies the counting bound
         for m0 in range(1, 11):
-            for n in range(2 * (m0 + 5) + 1, 41):
+            for n in range(2 * (m0 + 5) + 1, N_MAX + 1):
                 q = corollary_q(n, m0)
                 if q is None or q < 0:
                     continue
                 assert count_bound_log2(n, m0, q, 0.004) < -(2**n)
+
+
+BITS = 256
+with localcontext() as ctx:
+    ctx.prec = 120
+    LOG2_3 = int(Decimal(3).ln() / Decimal(2).ln() * Decimal(2) ** BITS)  # floor(log2(3) 2^BITS)
+
+
+def exact_secure(n, s, k_factor):
+    """The counting bound at q + m0 = s is below -2^n, in integers (times 4 and 2^BITS).
+
+    (2^(n+1)+1) K 4^s + 4^n (h(1/4) - 1) < -2^n with h(1/4) - 1 = 1 - (3/4) log2 3.
+    """
+    lhs = (4 * (2 ** (n + 1) + 1) * k_factor * 4**s + 4 * 4**n + 4 * 2**n) << BITS
+    rhs = 3 * 4**n * LOG2_3  # 3 4^n log2(3) 2^BITS lies in [rhs, rhs + 3 4^n)
+    assert not rhs <= lhs < rhs + 3 * 4**n, ("undecided at this precision", n, s, k_factor)
+    return lhs < rhs
+
+
+class TestFloatDecisionIsExact:
+    """q_max's float test count_bound_log2 < -2^n against exact integer arithmetic."""
+
+    def test_ceiled_factor_range(self):
+        # the factor falls with eps_tilde: 4 just below 1, 1024 where 4/gap nears float max
+        assert math.ceil(rounding_size_logfactor(1.0 - 2.0**-53)) == 4
+        assert math.ceil(rounding_size_logfactor(1e-307)) == 1024
+        for et in np.logspace(-307, -1e-12, 400).tolist():
+            assert 4 <= math.ceil(rounding_size_logfactor(et)) <= 1024
+
+    def test_decision_at_the_float_boundary(self):
+        # the bound depends on q + m0 = s only and grows with it, so checking the
+        # largest s the floats call secure, and s + 1, checks every s
+        def float_secure(n, s, k_factor):
+            return _count_bound_log2(n, 1, s - 1, k_factor) < -(2.0**n)
+
+        slack = 0.75 * math.log2(3.0) - 1.0
+        for n in range(1, N_MAX + 1):
+            head = 4.0**n * slack - 2.0**n
+            for k_factor in range(4, 1025):
+                s = 1
+                if head > 0.0:  # a guess from the bound's log, then walked to the boundary
+                    s = max(1, math.floor(math.log(head / ((2.0 ** (n + 1) + 1) * k_factor), 4)))
+                while float_secure(n, s + 1, k_factor):
+                    s += 1
+                while s > 1 and not float_secure(n, s, k_factor):
+                    s -= 1
+                for point in [s, s + 1] if float_secure(n, s, k_factor) else [s]:
+                    assert exact_secure(n, point, k_factor) == float_secure(n, point, k_factor), (
+                        n, point, k_factor)
+
+    def test_cli_budget_beyond_forty_is_exact(self, tmp_path):
+        def exact_q_max(n, m0, k_factor):
+            q = -1
+            while exact_secure(n, q + 1 + m0, k_factor):
+                q += 1
+            return q
+
+        assert main(["resources", "--n", "63", "--out", str(tmp_path / "r")]) == 0
+        report = json.loads((tmp_path / "r" / "resources.json").read_text())
+        assert report["q_max"] == exact_q_max(63, 5, report["k_factor_int"]) > 0
+        assert main(["sweep", "--n-lo", "41", "--n-hi", "63", "--out", str(tmp_path / "s")]) == 0
+        with open(tmp_path / "s" / "resource_sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 23 * 10
+        for row in rows:
+            n, m0, k_factor = int(row["n"]), int(row["m0"]), int(row["k_factor"])
+            assert int(row["q_max"]) == exact_q_max(n, m0, k_factor), row
 
 
 class TestCutoffSoundness:
