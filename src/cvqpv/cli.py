@@ -46,7 +46,6 @@ from .bounds import condition_surface, eps_cap, max_eps_tilde
 from .channel import ChannelParams, feasibility_margin
 from .gaussian import h_U_given_P_limit
 from .protocol import (
-    MAX_STRING_BITS,
     HonestProver,
     ProtocolParams,
     acceptance_rate,
@@ -54,7 +53,7 @@ from .protocol import (
     write_rounds_csv,
     write_session_json,
 )
-from .resources import resource_report
+from .resources import N_MAX, resource_report
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -121,7 +120,7 @@ class Param(NamedTuple):
 
 
 UNIT, COUNT = Interval(0.0, 1.0, open_lo=True, open_hi=True), Interval(1)
-STRING_BITS = Interval(1, MAX_STRING_BITS)
+STRING_BITS = Interval(1, N_MAX)
 # zero-config defaults reproduce the perfect-channel headline numbers
 PARAMS = {p.name: p for p in [
     Param("eps", float, 0.1, Interval(0.0), "bounds rounds simulate", "entropy gap eps"),

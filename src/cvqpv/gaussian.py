@@ -12,7 +12,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def lambda_of_sigma(sigma: float) -> float:
@@ -35,20 +34,6 @@ def neg_log_rho(sigma: float) -> float:
     if sigma < 1.0:  # 1/sigma^2 leaves float range below about 1e-154
         return math.log1p(sigma * sigma) - 2.0 * math.log(sigma)
     return math.log1p(1.0 / (sigma * sigma))
-
-
-@dataclass(frozen=True)
-class CutoffParams:
-    """Photon-number cutoff at 2^m0 of the purifying two-mode squeezed state."""
-
-    m0: int
-    lam: float
-
-    def __post_init__(self):
-        if self.m0 < 1 or int(self.m0) != self.m0:
-            raise ValueError("m0 must be a positive integer")
-        if not (0.0 < self.lam < 1.0):
-            raise ValueError("lambda must lie strictly in (0,1)")
 
 
 def h_U_given_P_limit(t: float, u: float) -> float:
@@ -103,8 +88,8 @@ def _phi(y: float) -> float:
     return y * (1.0 / 12.0 - y2 * (1.0 / 720.0 - y2 * (1.0 / 30240.0 - y2 / 1209600.0)))
 
 
-def cutoff_energy(c: CutoffParams, sigma: float) -> float:
-    """Mean photon number of one arm of the truncated TMSV.
+def cutoff_energy(m0: int, sigma: float) -> float:
+    """Mean photon number of one arm of the TMSV truncated at 2^m0 photons.
 
     Closed form sigma^2 - K rho^K / (1 - rho^K), K = 2^m0, rho = lambda^2 =
     exp(-x), x = log1p(1/sigma^2); where rho^K > 1/e that difference cancels
@@ -112,16 +97,15 @@ def cutoff_energy(c: CutoffParams, sigma: float) -> float:
     sigma^2; in floating point it equals sigma^2 once the deficit falls
     below half an ulp of sigma^2.
     """
-    lam = lambda_of_sigma(sigma)
-    if abs(lam - c.lam) > 1e-9 * max(1.0, abs(lam)):
-        raise ValueError(f"inconsistent (lambda={c.lam}, sigma={sigma}) pair")
+    if m0 < 1 or int(m0) != m0:
+        raise ValueError("m0 must be a positive integer")
     x = neg_log_rho(sigma)
     try:
-        y = math.ldexp(x, c.m0)  # -log(rho^K)
+        y = math.ldexp(x, m0)  # -log(rho^K)
     except OverflowError:  # rho^K far below float range
         return sigma**2
     if y < 1.0:
-        big = 2.0**c.m0
+        big = 2.0**m0
         return (big - 1.0) / 2.0 + _phi(x) - big * _phi(y)
     rho_pow = math.exp(-y)
-    return sigma**2 - math.ldexp(rho_pow, c.m0) / (1.0 - rho_pow)
+    return sigma**2 - math.ldexp(rho_pow, m0) / (1.0 - rho_pow)

@@ -27,6 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .channel import ChannelParams
+from .resources import N_MAX
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
@@ -54,10 +55,6 @@ def protocol_function(x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
     return _parity64(_splitmix64(_splitmix64(x ^ np.uint64(seed)) ^ y))
 
 
-#: input strings are drawn as uint64 values below 1 << n
-MAX_STRING_BITS = 63
-
-
 @dataclass(frozen=True)
 class ProtocolParams:
     sigma: float
@@ -69,8 +66,8 @@ class ProtocolParams:
     def __post_init__(self):
         if not (0.0 < self.sigma < math.inf):
             raise ValueError("sigma must be positive and finite")
-        if not (1 <= self.n <= MAX_STRING_BITS):
-            raise ValueError(f"n must lie in [1, {MAX_STRING_BITS}]")
+        if not (1 <= self.n <= N_MAX):  # input strings are uint64 values below 1 << n
+            raise ValueError(f"n must lie in [1, {N_MAX}]")
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if not (0.0 < self.eps_hon < 1.0):
@@ -95,10 +92,7 @@ def gamma_threshold(N: int, eps_hon: float) -> float:
 
 
 class GaussianResponder:
-    """Responds r' = mean_scale * r + N(0, noise_var).
-
-    ``theta`` holds the rounds' basis angles, which the response does not use.
-    """
+    """Responds r' = mean_scale * r + N(0, noise_var), whatever the round's basis."""
 
     def __init__(self, name: str, mean_scale: float, noise_var: float):
         if not math.isfinite(mean_scale):
@@ -109,7 +103,7 @@ class GaussianResponder:
         self.mean_scale = mean_scale
         self.noise_var = noise_var
 
-    def respond(self, r, theta, rng):
+    def respond(self, r, rng):
         mean = self.mean_scale * r
         if self.noise_var == 0.0:
             return mean
@@ -126,7 +120,7 @@ class HonestProver(GaussianResponder):
 class RoundTrace(NamedTuple):
     """Per-round columns of a traced session; element i belongs to round i."""
 
-    theta: np.ndarray
+    basis: np.ndarray  # uint8 f(x, y); the basis angle is pi/2 * basis
     r: np.ndarray
     r_prime: np.ndarray
     score_term: np.ndarray
@@ -158,11 +152,11 @@ def _round_engine(p: ProtocolParams, ch: ChannelParams, responder: GaussianRespo
     r = rng.normal(0.0, p.sigma, size=p.N)
     x = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
     y = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
-    thetas = protocol_function(x, y, p.f_seed) * (math.pi / 2.0)
-    r_prime = responder.respond(r, thetas, rng)
+    basis = protocol_function(x, y, p.f_seed)
+    r_prime = responder.respond(r, rng)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan terms reject the session
         terms = (r_prime - math.sqrt(ch.t) * r) ** 2 / (0.5 + ch.u)
-    return RoundTrace(thetas, r, r_prime, terms)
+    return RoundTrace(basis, r, r_prime, terms)
 
 
 def run_session(
@@ -219,34 +213,22 @@ def acceptance_rate(
 
 
 _CSV_CHUNK_ROWS = 8192  # rows per write: bounds the formatted string held at once
-
-
-class _ReprByBits(dict):
-    """repr of a float64, keyed by its bit pattern and formed on first lookup."""
-
-    def __missing__(self, bits: int) -> str:
-        text = self[bits] = repr(float(np.uint64(bits).view(np.float64)))
-        return text
+_THETA_TEXT = (repr(0.0), repr(math.pi / 2.0))  # theta = pi/2 * basis bit
 
 
 def write_rounds_csv(result: SessionResult, path) -> None:
     """Per-round trace as RFC-4180 CSV (requires a traced session).
 
-    The round engine's theta is 0 or pi/2, so the repr of each value is
-    formed once and looked up per row. The lookup is keyed by bit pattern:
-    0.0's is the cached int 0, so half the rows allocate no key, where
-    float keys raise the peak RSS of a traced simulate by about 0.5 MB.
+    The theta column is the repr of pi/2 * f(x, y), looked up by basis bit.
     """
     trace = result.records
     if trace is None:
         raise ValueError("session was not run with trace=True")
-    theta_bits = trace.theta.view(np.uint64)
-    theta_texts = _ReprByBits()
     with open(path, "w", newline="") as fh:  # int and float repr fields need no quoting
         fh.write("index,theta,r,r_prime,score_term\r\n")
         for start in range(0, len(trace.r), _CSV_CHUNK_ROWS):
             stop = start + _CSV_CHUNK_ROWS
-            thetas = map(theta_texts.__getitem__, theta_bits[start:stop].tolist())
+            thetas = map(_THETA_TEXT.__getitem__, trace.basis[start:stop].tolist())
             rows = zip(range(start, stop), thetas,
                        *(col[start:stop].tolist() for col in trace[1:]))
             fh.write("".join([f"{i},{theta},{r!r},{r_prime!r},{term!r}\r\n"

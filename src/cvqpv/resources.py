@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from .gaussian import binary_entropy, cutoff_purified_distance
 
-# up to here the float decision count_bound_log2 < -2^n equals exact integer arithmetic
+# the protocol's longest input string (drawn as uint64 values below 1 << n); up to
+# here the float decision count_bound_log2 < -2^n equals exact integer arithmetic
 # for every ceiled rounding factor (4 to 1024) and every q + m0
 N_MAX = 63
 
@@ -24,20 +25,6 @@ N_MAX = 63
 DELTA_SAFETY = 0.999
 
 H_QUARTER = binary_entropy(0.25)
-
-
-@dataclass(frozen=True)
-class ResourceInputs:
-    n: int
-    m0: int
-    q: int
-    eps_tilde: float
-
-    def __post_init__(self):
-        if self.n < 1 or self.m0 < 1 or self.q < 0:
-            raise ValueError("need n >= 1, m0 >= 1, q >= 0")
-        if not (0.0 < self.eps_tilde < 1.0):
-            raise ValueError("eps_tilde must lie in (0,1)")
 
 
 @dataclass(frozen=True)
@@ -90,17 +77,23 @@ def rounding_size_logfactor(eps_tilde: float) -> float:
     return factor
 
 
+def _checked_k_factor(n: int, m0: int, q: int, eps_tilde: float) -> int:
+    """Validate the counting-bound inputs; return the ceiled rounding factor."""
+    if n < 1 or m0 < 1 or q < 0:
+        raise ValueError("need n >= 1, m0 >= 1, q >= 0")
+    if n > N_MAX:
+        raise ValueError(f"n > {N_MAX}: the float decision is checked against exact "
+                         f"arithmetic only up to n = {N_MAX}")
+    return math.ceil(rounding_size_logfactor(eps_tilde))  # also checks eps_tilde
+
+
 def count_bound_log2(n: int, m0: int, q: int, eps_tilde: float) -> float:
     """log2 of the counting bound with the ceiled rounding factor.
 
     Security against q-qubit attackers needs this below -2^n. A bound
     beyond float range is math.inf, so q_max treats it as insecure.
     """
-    ResourceInputs(n, m0, q, eps_tilde)
-    if n > N_MAX:
-        raise ValueError(f"n > {N_MAX}: the float decision is checked against exact "
-                         f"arithmetic only up to n = {N_MAX}")
-    return _count_bound_log2(n, m0, q, math.ceil(rounding_size_logfactor(eps_tilde)))
+    return _count_bound_log2(n, m0, q, _checked_k_factor(n, m0, q, eps_tilde))
 
 
 def _count_bound_log2(n: int, m0: int, q: int, k_factor: int) -> float:
@@ -121,12 +114,9 @@ def corollary_q(n: int, m0: int) -> int | None:
 
 def q_max(n: int, m0: int, eps_tilde: float) -> int:
     """Largest q with count_bound_log2 < -2^n; -1 when no q >= 0 qualifies."""
-    bound_at_zero = count_bound_log2(n, m0, 0, eps_tilde)  # also validates the inputs
+    k_factor = _checked_k_factor(n, m0, 0, eps_tilde)
     threshold = -(2.0**n)
-    if bound_at_zero >= threshold:
-        return -1
-    k_factor = math.ceil(rounding_size_logfactor(eps_tilde))
-    q = 0
+    q = -1
     while _count_bound_log2(n, m0, q + 1, k_factor) < threshold:
         q += 1
     closed_form = corollary_q(n, m0)

@@ -25,7 +25,6 @@ from cvqpv.bounds import (
 from cvqpv.channel import ChannelParams
 from cvqpv.cli import main
 from cvqpv.gaussian import (
-    CutoffParams,
     cutoff_energy,
     h_U_given_P_limit,
     lambda_of_sigma,
@@ -173,7 +172,7 @@ def test_criterion_07_cutoff_energy_oracle():
             m = np.arange(2**m0, dtype=np.float64)
             w = np.exp(2.0 * m * math.log(lam))
             oracle = float(np.sum(m * w) / np.sum(w))
-            closed = cutoff_energy(CutoffParams(m0, lam), sigma)
+            closed = cutoff_energy(m0, sigma)
             worst = max(worst, abs(closed / oracle - 1.0))
     print(f"criterion 7: worst relative deviation from Fock-sum oracle = {worst:.3g}")
     assert worst < 1e-10
@@ -200,7 +199,7 @@ def test_criterion_09_fano_saturation():
     ch = ChannelParams(1.0, 0.0)
     rng = np.random.default_rng(7)
     r = rng.normal(0.0, 10.0, size=10**6)
-    r_prime = HonestProver(ch).respond(r, None, rng)
+    r_prime = HonestProver(ch).respond(r, rng)
     mse = float(np.mean((r_prime - r) ** 2))
     print(f"criterion 9: honest ideal MSE over 1e6 rounds = {mse:.5f}")
     assert mse == pytest.approx(0.5, rel=0.01)

@@ -76,7 +76,7 @@ class TestFanoFloor:
         ch = ChannelParams(1.0, 0.0)
         rng = np.random.default_rng(2)
         r = rng.normal(0.0, 10.0, size=10**6)
-        r_prime = HonestProver(ch).respond(r, None, rng)
+        r_prime = HonestProver(ch).respond(r, rng)
         mse = float(np.mean((r_prime - r) ** 2))
         assert mse == pytest.approx(0.5, rel=0.01)
 
@@ -142,7 +142,7 @@ class TestPessimisticAttacker:
         attacker = make_pessimistic_attacker(0.1, ch)
         rng = np.random.default_rng(5)
         r = rng.normal(0.0, 10.0, size=10**6)
-        r_prime = attacker.respond(r, None, rng)
+        r_prime = attacker.respond(r, rng)
         mse = float(np.mean((r_prime - math.sqrt(0.8) * r) ** 2))
         assert mse == pytest.approx(fano_mse_floor(0.1), rel=0.01)
 
@@ -165,6 +165,6 @@ class TestScoreVariance:
         ch = ChannelParams(1.0, 0.0)
         rng = np.random.default_rng(11)
         r = rng.normal(0.0, 10.0, size=10**6)
-        r_prime = make_pessimistic_attacker(0.1, ch).respond(r, None, rng)
+        r_prime = make_pessimistic_attacker(0.1, ch).respond(r, rng)
         terms = (r_prime - r) ** 2 / 0.5
         assert terms.var(ddof=1) == pytest.approx(attacker_score_variance(0.1, 0.0), rel=0.02)

@@ -5,7 +5,8 @@ import pytest
 
 from cvqpv.channel import ChannelParams
 from cvqpv.protocol import (
-    GaussianResponder, HonestProver, ProtocolParams, protocol_function, run_session)
+    GaussianResponder, HonestProver, ProtocolParams, protocol_function, run_session,
+    write_rounds_csv)
 
 
 class TestFeasibility:
@@ -58,26 +59,31 @@ class TestSampleChallenge:
             ProtocolParams(sigma=0.0, n=8, N=100, eps_hon=0.01)
 
     @staticmethod
-    def _bases(seed):
-        """Trace theta column and f(x, y) for the strings drawn right after r."""
+    def _bases(seed, tmp_path):
+        """Trace CSV theta texts and f(x, y) for the strings drawn right after r."""
         ch = ChannelParams(1.0, 0.0)
         p = ProtocolParams(sigma=2.0, n=8, N=500, eps_hon=0.01, f_seed=3)
-        theta = run_session(p, ch, HonestProver(ch), seed, trace=True).records.theta
+        res = run_session(p, ch, HonestProver(ch), seed, trace=True)
+        write_rounds_csv(res, tmp_path / "rounds.csv")
+        lines = (tmp_path / "rounds.csv").read_text().splitlines()[1:]
+        theta = np.array([line.split(",")[1] for line in lines])
         rng = np.random.default_rng(seed)
         rng.normal(0.0, p.sigma, size=p.N)
         x = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
         y = rng.integers(0, 1 << p.n, size=p.N, dtype=np.uint64)
-        return theta, protocol_function(x, y, p.f_seed)
+        bits = protocol_function(x, y, p.f_seed)
+        assert res.records.basis.tolist() == bits.tolist()
+        return theta, bits
 
-    def test_theta_zero_algebra(self):
-        theta, bits = self._bases(9)
+    def test_theta_zero_algebra(self, tmp_path):
+        theta, bits = self._bases(9, tmp_path)
         assert 0 < np.count_nonzero(bits == 0) < len(bits)
-        assert (theta[bits == 0] == 0.0).all()
+        assert (theta[bits == 0] == repr(0 * (math.pi / 2.0))).all()
 
-    def test_theta_pi_half_algebra(self):
-        theta, bits = self._bases(9)
+    def test_theta_pi_half_algebra(self, tmp_path):
+        theta, bits = self._bases(9, tmp_path)
         assert 0 < np.count_nonzero(bits == 1) < len(bits)
-        assert (theta[bits == 1] == math.pi / 2.0).all()
+        assert (theta[bits == 1] == repr(1 * (math.pi / 2.0))).all()
 
 
 class TestHonestResponse:
@@ -89,14 +95,14 @@ class TestHonestResponse:
         r = np.array([1.7, -0.3, 0.0])
         expected = (math.sqrt(ch.t) * r).tolist()
         for seed in (0, 1):
-            assert prover.respond(r, None, np.random.default_rng(seed)).tolist() == expected
+            assert prover.respond(r, np.random.default_rng(seed)).tolist() == expected
 
     def test_conditional_moments(self):
         # r' ~ N(sqrt(t) r, 1/2 + u): moment test at 3 sigma
         ch = ChannelParams(0.8, 0.05)
         rng = np.random.default_rng(4)
         n = 10**5
-        out = HonestProver(ch).respond(np.full(n, 2.5), None, rng)
+        out = HonestProver(ch).respond(np.full(n, 2.5), rng)
         var = 0.5 + ch.u
         se_mean = math.sqrt(var / n)
         assert out.mean() == pytest.approx(math.sqrt(0.8) * 2.5, abs=3 * se_mean)
@@ -107,5 +113,5 @@ class TestHonestResponse:
         # fixed r = 5, t = 0.64: mean of r'/r -> 0.8 within 1%
         ch = ChannelParams(0.64, 0.0)
         rng = np.random.default_rng(5)
-        out = HonestProver(ch).respond(np.full(10**5, 5.0), None, rng)
+        out = HonestProver(ch).respond(np.full(10**5, 5.0), rng)
         assert (out / 5.0).mean() == pytest.approx(0.8, abs=0.008)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cvqpv.gaussian import (
-    CutoffParams,
     binary_entropy,
     cutoff_energy,
     cutoff_purified_distance,
@@ -97,6 +96,13 @@ class TestBinaryEntropies:
             assert h_tilde(p) == binary_entropy(p)
 
 
+def direct_sum_energy(m0, sigma):
+    """sum_k k rho^k / sum_k rho^k over k < 2^m0, rho^k = exp(-k log1p(1/sigma^2))."""
+    k = np.arange(2**m0, dtype=np.float64)
+    w = np.exp(-k * math.log1p(1.0 / sigma**2))
+    return math.fsum(k * w) / math.fsum(w)
+
+
 def sigma_of_lambda(lam):
     """Inverse of lambda_of_sigma: sigma = lambda / sqrt(1 - lambda^2)."""
     return lam / math.sqrt(1.0 - lam * lam)
@@ -131,12 +137,12 @@ class TestCutoff:
             cutoff_purified_distance(m0, 1.0)
 
     def test_energy_hand_value(self):
-        assert cutoff_energy(CutoffParams(1, lambda_of_sigma(1.0)), 1.0) == pytest.approx(1.0 / 3.0)
+        assert cutoff_energy(1, 1.0) == pytest.approx(1.0 / 3.0)
 
     def test_energy_matches_fock_oracle(self):
         for sigma in [1.0, 2.0, 5.0, 10.0]:
             for m0 in range(1, 13):
-                closed = cutoff_energy(CutoffParams(m0, lambda_of_sigma(sigma)), sigma)
+                closed = cutoff_energy(m0, sigma)
                 assert closed == pytest.approx(fock_truncated_energy(m0, sigma), rel=1e-10)
 
     def test_energy_below_sigma_sq_and_monotone(self):
@@ -144,7 +150,7 @@ class TestCutoff:
         for sigma in [1.0, 2.0, 5.0]:
             gaps = []
             for m0 in range(1, 6):
-                e = cutoff_energy(CutoffParams(m0, lambda_of_sigma(sigma)), sigma)
+                e = cutoff_energy(m0, sigma)
                 assert e < sigma**2
                 gaps.append(sigma**2 - e)
             assert all(a > b for a, b in zip(gaps, gaps[1:]))
@@ -156,21 +162,24 @@ class TestCutoff:
             big = 2**m0
             num = lam**2 + (big - 1) * lam ** (2 * big + 2) - big * lam ** (2 * big)
             den = (lam**2 - 1.0) * (lam ** (2 * big) - 1.0)
-            assert cutoff_energy(CutoffParams(m0, lam), sigma) == pytest.approx(num / den, rel=1e-9)
+            assert cutoff_energy(m0, sigma) == pytest.approx(num / den, rel=1e-9)
 
     @pytest.mark.parametrize("sigma", [0.1, 1.0, 10.0, 1e3, 1e5, 1e6, 1e8])
     def test_energy_matches_direct_sum(self, sigma):
-        # sum_k k rho^k / sum_k rho^k over k < 2^m0, rho^k = exp(-k log1p(1/sigma^2));
         # the closed form used to cancel to 829.4 at sigma = 1e5, m0 = 1 (exact 0.5)
-        x = math.log1p(1.0 / sigma**2)
-        lam = min(lambda_of_sigma(sigma), math.nextafter(1.0, 0.0))  # 1.0 at sigma = 1e8
         for m0 in range(1, 13):
-            k = np.arange(2**m0, dtype=np.float64)
-            w = np.exp(-k * x)
-            direct = math.fsum(k * w) / math.fsum(w)
-            closed = cutoff_energy(CutoffParams(m0, lam), sigma)
-            assert closed == pytest.approx(direct, rel=1e-9, abs=0.0)
+            assert cutoff_energy(m0, sigma) == pytest.approx(
+                direct_sum_energy(m0, sigma), rel=1e-9, abs=0.0)
 
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValueError):
-            cutoff_energy(CutoffParams(3, 0.5), 2.0)
+    @pytest.mark.parametrize("sigma", [1e8, 1e10])
+    def test_energy_where_lambda_rounds_to_one(self, sigma):
+        # lambda_of_sigma is 1.0 here; the energy is taken from sigma alone
+        assert lambda_of_sigma(sigma) == 1.0
+        for m0 in range(1, 13):
+            assert cutoff_energy(m0, sigma) == pytest.approx(
+                direct_sum_energy(m0, sigma), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("m0", [0, -1, 2.5])
+    def test_energy_m0_must_be_a_positive_integer(self, m0):
+        with pytest.raises(ValueError, match="m0"):
+            cutoff_energy(m0, 1.0)

@@ -9,6 +9,7 @@ from pathlib import Path
 import cvqpv
 
 NUMPY_FREE = ["channel.py", "attack.py", "gaussian.py", "resources.py"]
+PACKAGE = Path(cvqpv.__file__).parent
 
 
 def imported_roots(path: Path) -> set:
@@ -22,9 +23,8 @@ def imported_roots(path: Path) -> set:
 
 
 def test_scalar_modules_import_no_numpy():
-    package = Path(cvqpv.__file__).parent
     for name in NUMPY_FREE:
-        assert "numpy" not in imported_roots(package / name), name
+        assert "numpy" not in imported_roots(PACKAGE / name), name
 
 
 def test_scalar_modules_load_without_numpy():
@@ -35,3 +35,22 @@ def test_scalar_modules_load_without_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def unused_imports(path: Path) -> list:
+    """Names bound by a top-level import of path that no expression reads."""
+    tree = ast.parse(path.read_text())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_no_unused_imports():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    unused = {path.name: names for path in files if (names := unused_imports(path))}
+    assert not unused

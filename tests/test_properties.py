@@ -34,7 +34,7 @@ from cvqpv.bounds import (
 )
 from cvqpv.cli import _write_table
 from cvqpv.channel import ChannelParams
-from cvqpv.gaussian import CutoffParams, cutoff_energy, lambda_of_sigma
+from cvqpv.gaussian import cutoff_energy
 from cvqpv.protocol import (
     HonestProver,
     ProtocolParams,
@@ -110,7 +110,7 @@ def test_gamma_threshold_decreasing_in_N(N1, N2, eps_hon):
 @SETTINGS
 @given(m0=st.integers(1, 2000), sigma=st.floats(min_value=1e-3, max_value=1e6))
 def test_cutoff_energy_below_sigma_sq(m0, sigma):
-    energy = cutoff_energy(CutoffParams(m0, lambda_of_sigma(sigma)), sigma)
+    energy = cutoff_energy(m0, sigma)
     assert 0.0 < energy <= sigma**2
     # strictly below wherever the deficit 2^m0 rho^(2^m0) / (1 - rho^(2^m0))
     # is at least two ulps of sigma^2, using its lower bound 2^m0 rho^(2^m0)
@@ -136,7 +136,9 @@ def test_trace_csv_gives_back_the_columns(seed, N, t, u):
     assert rows[0] == ["index", "theta", "r", "r_prime", "score_term"]
     assert [int(row[0]) for row in rows[1:]] == list(range(N))
     parsed = np.array([[float(field) for field in row[1:]] for row in rows[1:]])
-    for j, col in enumerate(res.records):
+    basis, *columns = res.records
+    assert [row[1] for row in rows[1:]] == [repr(b * (math.pi / 2.0)) for b in basis.tolist()]
+    for j, col in enumerate(columns, start=1):
         assert parsed[:, j].tobytes() == col.tobytes()  # bit for bit
     _theta, r, r_prime, term = parsed.T
     assert ((r_prime - math.sqrt(t) * r) ** 2 / (0.5 + u) == term).all()

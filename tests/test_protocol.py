@@ -115,7 +115,8 @@ class TestRunSession:
         for col in res.records:
             assert col.shape == (20,)
         assert (res.records.score_term >= 0.0).all()
-        assert set(res.records.theta.tolist()) <= {0.0, math.pi / 2.0}
+        assert res.records.basis.dtype == np.uint8
+        assert set(res.records.basis.tolist()) <= {0, 1}
 
     def test_regime_flags_propagate(self):
         ch = ChannelParams(0.4, 0.0)
@@ -200,8 +201,7 @@ class TestExactSessionLaw:
             rounds = float(((r_prime - math.sqrt(self.CH.t) * r) ** 2 / (0.5 + self.CH.u)).mean())
             traced = run_session(p, self.CH, responder, seed, trace=True)
             assert traced.mean_score == rounds
-            assert traced.records.theta.tolist() == (
-                protocol_function(x, y, p.f_seed) * (math.pi / 2.0)).tolist()
+            assert traced.records.basis.tolist() == protocol_function(x, y, p.f_seed).tolist()
             assert run_session(p, self.CH, responder, seed).mean_score != rounds
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -300,14 +300,15 @@ class TestEmission:
             "8ccf06a3b176d3fcd059fdbad5b36e44175f49a49f5a9fe9f9fbcd954cadc24c")
 
     def test_round_csv_theta_is_each_values_repr(self, tmp_path):
-        # the engine's two theta values, each repr formed once and looked up per row
-        thetas = np.array([0.0, math.pi / 2, math.pi / 2, 0.0, 0.0])
-        ones = np.ones_like(thetas)
-        res = SessionResult(0.0, 1.0, True, set(), len(thetas), "honest",
-                            records=RoundTrace(thetas, ones, ones, ones))
+        # theta = pi/2 * basis bit, written as the repr of that float
+        bits = np.array([0, 1, 1, 0, 0], dtype=np.uint8)
+        ones = np.ones(len(bits))
+        res = SessionResult(0.0, 1.0, True, set(), len(bits), "honest",
+                            records=RoundTrace(bits, ones, ones, ones))
         write_rounds_csv(res, tmp_path / "rounds.csv")
         lines = (tmp_path / "rounds.csv").read_text().splitlines()[1:]
-        assert [line.split(",")[1] for line in lines] == [repr(t) for t in thetas.tolist()]
+        assert [line.split(",")[1] for line in lines] == [
+            repr(b * (math.pi / 2.0)) for b in bits.tolist()]
 
     def test_overflowing_score_terms_reject_the_session(self):
         # r draws at sigma near the float maximum overflow to inf, and inf - inf is nan:

@@ -8,11 +8,9 @@ import pytest
 
 from cvqpv.cli import main
 from cvqpv.gaussian import binary_entropy, cutoff_purified_distance
-from cvqpv.protocol import MAX_STRING_BITS
 from cvqpv.resources import (
     H_QUARTER,
     N_MAX,
-    ResourceInputs,
     _count_bound_log2,
     corollary_q,
     count_bound_log2,
@@ -98,14 +96,16 @@ class TestCountBound:
             count_bound_log2(64, 5, 5, 0.004)
 
     def test_limit_is_the_protocols_string_length(self):
-        assert N_MAX == MAX_STRING_BITS
         count_bound_log2(N_MAX, 5, 5, 0.004)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            ResourceInputs(0, 1, 0, 0.004)
-        with pytest.raises(ValueError):
-            ResourceInputs(10, 1, 0, 1.5)
+        for n, m0, q, et in [(0, 1, 0, 0.004), (10, 0, 0, 0.004), (10, 1, -1, 0.004),
+                             (64, 1, 0, 0.004), (10, 1, 0, 1.5)]:
+            with pytest.raises(ValueError):
+                count_bound_log2(n, m0, q, et)
+            if q >= 0:  # q_max scans q itself
+                with pytest.raises(ValueError):
+                    q_max(n, m0, et)
 
 
 class TestQMax:
