@@ -7,9 +7,8 @@ mean-squared-error floor of (1/2) e^(eps/2). The protocol then separates
 honest and attacking samples once N Delta^2 exceeds the score variance over
 the tolerated failure probability, by Chebyshev.
 
-The eps/4 increment is interpreted in nats by default (this is the reading
-under which the floor is exactly (1/2) e^(eps/2)); pass eps_unit='bits' for
-the base-2 reading, giving (1/2) 2^(eps/2).
+eps is in nats here, the reading under which the floor is exactly
+(1/2) e^(eps/2); the CLI converts a gap given in bits once, to eps ln 2.
 """
 
 from __future__ import annotations
@@ -43,26 +42,21 @@ def attacker_entropy_floor(ch: ChannelParams, eps: float) -> float:
     return h_U_given_P_limit(ch.t, ch.u) + eps / 4.0
 
 
-def fano_mse_floor(eps: float, eps_unit: str = "nats") -> float:
-    """Estimation-error floor on E[(sqrt(t) R - r')^2] for any transmission t.
+def fano_mse_floor(eps: float) -> float:
+    """Estimation-error floor (1/2) e^(eps/2) on E[(sqrt(t) R - r')^2] for any t.
 
-    (1/2) e^(eps/2) when the eps/4 entropy increment is in nats (default),
-    (1/2) 2^(eps/2) when it is in bits. eps=0 gives the shot-noise floor 1/2,
+    eps is the entropy gap in nats. eps=0 gives the shot-noise floor 1/2,
     saturated by the honest ideal response.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
     try:
-        if eps_unit == "nats":
-            return 0.5 * math.exp(eps / 2.0)
-        if eps_unit == "bits":
-            return 0.5 * 2.0 ** (eps / 2.0)
+        return 0.5 * math.exp(eps / 2.0)
     except OverflowError:
         raise ValueError(f"eps = {eps!r} overflows the estimation-error floor") from None
-    raise ValueError(f"unknown eps unit {eps_unit!r}")
 
 
-def delta_margin(eps: float, u: float, gamma: float, eps_unit: str = "nats") -> float:
+def delta_margin(eps: float, u: float, gamma: float) -> float:
     """Score-mean gap Delta = mse_floor/(1/2+u) - gamma.
 
     Negative values are a valid 'no separation at these parameters'
@@ -70,24 +64,19 @@ def delta_margin(eps: float, u: float, gamma: float, eps_unit: str = "nats") -> 
     """
     if u < 0.0:
         raise ValueError("u must be nonnegative")
-    return fano_mse_floor(eps, eps_unit) / (0.5 + u) - gamma
+    return fano_mse_floor(eps) / (0.5 + u) - gamma
 
 
-def attacker_score_variance(eps: float, u: float, eps_unit: str = "nats") -> float:
+def attacker_score_variance(eps: float, u: float) -> float:
     """Exact variance 2 (v/(1/2+u))^2 of the pessimistic attacker's score term."""
-    v = fano_mse_floor(eps, eps_unit)
+    v = fano_mse_floor(eps)
     try:
         return 2.0 * (v / (0.5 + u)) ** 2
     except OverflowError:
         raise ValueError(f"eps = {eps!r} overflows the attacker's score variance") from None
 
 
-def rounds_required(
-    eps: float,
-    u: float,
-    eps_hon: float,
-    eps_unit: str = "nats",
-) -> RoundPlan:
+def rounds_required(eps: float, u: float, eps_hon: float) -> RoundPlan:
     """Smallest N with Delta(N) > 0 and N Delta(N)^2 >= var / eps_hon.
 
     gamma depends on N, so this is a fixed point; N Delta(N)^2 is monotone
@@ -97,16 +86,16 @@ def rounds_required(
     if not (0.0 < eps_hon < 1.0):
         raise ValueError("eps_hon must lie in (0,1)")
     # Delta(inf) must be positive for any N to work
-    if delta_margin(eps, u, 1.0, eps_unit) <= 0.0:
+    if delta_margin(eps, u, 1.0) <= 0.0:
         raise NoMarginError(
             f"parameters give no margin: asymptotic Delta <= 0 for eps={eps}, u={u}"
         )
     # 2 (v/(1/2+u))^2 > 2 wherever that margin is positive, so no underflow to 0
-    score_variance = attacker_score_variance(eps, u, eps_unit)
+    score_variance = attacker_score_variance(eps, u)
     target = score_variance / eps_hon
 
     def ok(N: int) -> bool:
-        d = delta_margin(eps, u, gamma_threshold(N, eps_hon), eps_unit)
+        d = delta_margin(eps, u, gamma_threshold(N, eps_hon))
         return d > 0.0 and N * d * d >= target
 
     hi = 1
@@ -125,18 +114,16 @@ def rounds_required(
     return RoundPlan(
         N=hi,
         gamma=gamma,
-        delta=delta_margin(eps, u, gamma, eps_unit),
+        delta=delta_margin(eps, u, gamma),
         score_variance=score_variance,
     )
 
 
-def make_pessimistic_attacker(eps: float, ch: ChannelParams,
-                              eps_unit: str = "nats") -> GaussianResponder:
+def make_pessimistic_attacker(eps: float, ch: ChannelParams) -> GaussianResponder:
     """Gaussian attacker saturating the estimation-error floor.
 
     Responds r' = sqrt(t) r + N(0, fano_mse_floor(eps)), so its score terms
     have mean mse_floor/(1/2+u): the least-detectable behaviour compatible
     with the entropy gap.
     """
-    return GaussianResponder("pessimistic-attacker", math.sqrt(ch.t),
-                             fano_mse_floor(eps, eps_unit))
+    return GaussianResponder("pessimistic-attacker", math.sqrt(ch.t), fano_mse_floor(eps))

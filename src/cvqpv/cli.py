@@ -14,7 +14,9 @@ takes --config, --out, --seed and the keys of the rows that list it:
 
 A key resolves as: default < config file (flat key=value, '#' comments) <
 flag. A config file may set any key of the table; a subcommand ignores the
-keys it does not take, and a key outside the table is an error. Every run
+keys it does not take, and a key outside the table is an error. An int key
+with domain [0, 1], such as trace, also takes a bare flag, meaning 1. eps
+is converted once, here, to the nats that cvqpv.attack works in. Every run
 echoes its resolved keys into the output metadata. Exit code 0 on success,
 2 on structured infeasible-parameter outcomes, 1 on errors, usage errors
 included.
@@ -120,7 +122,9 @@ class Param(NamedTuple):
 
 
 UNIT, COUNT = Interval(0.0, 1.0, open_lo=True, open_hi=True), Interval(1)
+SWITCH = Interval(0, 1)  # an int key in this domain also takes a bare flag, meaning 1
 STRING_BITS = Interval(1, N_MAX)
+NATS_PER = {"nats": 1.0, "bits": math.log(2.0)}  # nats in one unit of each eps_unit
 # zero-config defaults reproduce the perfect-channel headline numbers
 PARAMS = {p.name: p for p in [
     Param("eps", float, 0.1, Interval(0.0), "bounds rounds simulate", "entropy gap eps"),
@@ -136,7 +140,8 @@ PARAMS = {p.name: p for p in [
     Param("rounds", int, 0, Interval(0), "simulate", "rounds N per session, 0: Chebyshev plan"),
     Param("sessions", int, 200, COUNT, "simulate", "sessions per acceptance-rate batch"),
     Param("seed", int, 0, Interval(0, 2**64, open_hi=True), " ".join(COMMANDS), "master seed"),
-    Param("eps_unit", str, "nats", Choices(["nats", "bits"]), "rounds simulate", "unit of eps"),
+    Param("eps_unit", str, "nats", Choices(NATS_PER), "rounds simulate", "unit of eps"),
+    Param("trace", int, 0, SWITCH, "simulate", "1: also write one traced honest session"),
     Param("format", str, "csv", Choices(["csv", "json"]), "feasibility bounds sweep",
           "table file format"),
     Param("u_steps", int, 31, COUNT, "feasibility", "grid points in u over [0, 0.3]"),
@@ -360,7 +365,7 @@ def cmd_resources(cfg: dict, out: Path | None) -> int:
 def _round_plan(cfg: dict, out: Path | None, name: str):
     """The Chebyshev round plan, or None once the no-margin outcome is printed and written."""
     try:
-        return rounds_required(cfg["eps"], cfg["u"], cfg["eps_hon"], eps_unit=cfg["eps_unit"])
+        return rounds_required(cfg["eps"] * NATS_PER[cfg["eps_unit"]], cfg["u"], cfg["eps_hon"])
     except NoMarginError as exc:
         print(f"no margin: {exc}")
         if out is not None:
@@ -382,7 +387,7 @@ def cmd_rounds(cfg: dict, out: Path | None) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: dict, out: Path | None, trace: bool = False) -> int:
+def cmd_simulate(cfg: dict, out: Path | None) -> int:
     ch = ChannelParams(cfg["t"], cfg["u"])
     N = cfg["rounds"]
     if N == 0:
@@ -393,7 +398,7 @@ def cmd_simulate(cfg: dict, out: Path | None, trace: bool = False) -> int:
     params = ProtocolParams(sigma=cfg["sigma"], n=cfg["n"], N=N, eps_hon=cfg["eps_hon"],
                             f_seed=cfg["seed"])
     honest = HonestProver(ch)
-    attacker = make_pessimistic_attacker(cfg["eps"], ch, cfg["eps_unit"])
+    attacker = make_pessimistic_attacker(cfg["eps"] * NATS_PER[cfg["eps_unit"]], ch)
     honest_rate = acceptance_rate(params, ch, honest, cfg["sessions"], cfg["seed"])
     attack_rate = acceptance_rate(params, ch, attacker, cfg["sessions"], cfg["seed"] + 1)
     flags = sorted(ch.regime_flags())
@@ -402,22 +407,23 @@ def cmd_simulate(cfg: dict, out: Path | None, trace: bool = False) -> int:
     print(f"attacker acceptance rate = {attack_rate:.4f}")
     if flags:
         print(f"regime flags: {', '.join(flags)}")
-    if out is not None:
-        _write_json(out / "simulate.json", {
-            "schema": "cvqpv.simulate/1",
-            "rounds": N,
-            "sessions": cfg["sessions"],
-            "gamma": params.gamma,
-            "honest_acceptance": honest_rate,
-            "attacker_acceptance": attack_rate,
-            "regime_flags": flags,
-        })
-        if trace:
-            traced = run_session(params, ch, honest, cfg["seed"], trace=True)
-            if not math.isfinite(traced.mean_score):  # r draws overflow at sigma near 1e308
-                raise ValueError("score terms leave float range: sigma is too large to trace")
-            write_rounds_csv(traced, out / "honest_rounds.csv")
-            write_session_json(traced, out / "honest_session.json")
+    if out is None:
+        return EXIT_OK
+    if cfg["trace"]:  # traced and checked before the first write
+        traced = run_session(params, ch, honest, cfg["seed"], trace=True)
+        if not math.isfinite(traced.mean_score):  # r draws overflow at sigma near 1e308
+            raise ValueError("score terms leave float range: sigma is too large to trace")
+        write_rounds_csv(traced, out / "honest_rounds.csv")
+        write_session_json(traced, out / "honest_session.json")
+    _write_json(out / "simulate.json", {
+        "schema": "cvqpv.simulate/1",
+        "rounds": N,
+        "sessions": cfg["sessions"],
+        "gamma": params.gamma,
+        "honest_acceptance": honest_rate,
+        "attacker_acceptance": attack_rate,
+        "regime_flags": flags,
+    })
     return EXIT_OK
 
 
@@ -461,11 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output directory")
         for p in PARAMS.values():
             if name in p.commands.split():
+                bare = {"nargs": "?", "const": "1"} if (p.type, p.domain) == (int, SWITCH) else {}
                 cmd.add_argument(p.flag, dest=p.name, metavar=p.type.__name__.upper(),
-                                 help=f"{p.help}; must {p.domain} (default {p.default})")
-        if name == "simulate":
-            cmd.add_argument("--trace", action="store_true",
-                             help="also write the rounds of one traced honest session")
+                                 help=f"{p.help}; must {p.domain} (default {p.default})", **bare)
     return parser
 
 
@@ -478,10 +482,7 @@ def main(argv=None) -> int:
             out = Path(args.out)
             created = _make_out_dir(out)
         # handlers are looked up per call, so a replaced module attribute is what runs
-        if args.command == "simulate":
-            code = cmd_simulate(cfg, out, trace=args.trace)
-        else:
-            code = globals()[f"cmd_{args.command}"](cfg, out)
+        code = globals()[f"cmd_{args.command}"](cfg, out)
         _write_metadata(out, cfg)
         return code
     except (ValueError, OSError) as exc:

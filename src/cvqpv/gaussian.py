@@ -95,7 +95,9 @@ def cutoff_energy(m0: int, sigma: float) -> float:
     exp(-x), x = log1p(1/sigma^2); where rho^K > 1/e that difference cancels
     and the equal form (K-1)/2 + phi(x) - K phi(K x) is used. Strictly below
     sigma^2; in floating point it equals sigma^2 once the deficit falls
-    below half an ulp of sigma^2.
+    below half an ulp of sigma^2. Where K or sigma^2 is past float range
+    (m0 >= 1024) the mean is scaled by powers of two; at sigma = inf it is
+    2^1023 for m0 = 1024 and saturates at inf from m0 = 1025 up.
     """
     if m0 < 1 or int(m0) != m0:
         raise ValueError("m0 must be a positive integer")
@@ -103,9 +105,18 @@ def cutoff_energy(m0: int, sigma: float) -> float:
     try:
         y = math.ldexp(x, m0)  # -log(rho^K)
     except OverflowError:  # rho^K far below float range
-        return sigma**2
-    if y < 1.0:
-        big = 2.0**m0
-        return (big - 1.0) / 2.0 + _phi(x) - big * _phi(y)
+        y = math.inf
     rho_pow = math.exp(-y)
-    return sigma**2 - math.ldexp(rho_pow, m0) / (1.0 - rho_pow)
+    try:
+        if y < 1.0:
+            big = 2.0**m0
+            return (big - 1.0) / 2.0 + _phi(x) - big * _phi(y)
+        return sigma**2 - math.ldexp(rho_pow, m0) / (1.0 - rho_pow)
+    except OverflowError:  # K or sigma^2 past float range: the same forms, scaled
+        try:
+            if y < 1.0:  # phi(x) - 1/2 is below an ulp of the mean here
+                return math.ldexp(0.5 - _phi(y), m0)
+            deficit = math.ldexp(rho_pow, m0 - 1026) / (1.0 - rho_pow)
+            return math.ldexp(math.ldexp(sigma, -513)**2 - deficit, 1026)
+        except OverflowError:
+            return math.inf

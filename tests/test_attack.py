@@ -49,22 +49,19 @@ class TestEntropyFloors:
 class TestFanoFloor:
     def test_zero_eps_shot_noise(self):
         assert fano_mse_floor(0.0) == 0.5
-        assert fano_mse_floor(0.0, "bits") == 0.5
+        assert fano_mse_floor(0.0 * math.log(2.0)) == 0.5  # a gap of 0 bits
 
     def test_nats_default(self):
         assert fano_mse_floor(0.1) == pytest.approx(0.5 * math.exp(0.05), rel=1e-12)
         assert fano_mse_floor(0.1) == pytest.approx(0.5256, abs=1e-4)
 
     def test_bits_variant(self):
-        assert fano_mse_floor(0.1, "bits") == pytest.approx(0.5177, abs=1e-4)
-
-    def test_unknown_unit(self):
-        with pytest.raises(ValueError):
-            fano_mse_floor(0.1, "dits")
+        # a gap of b bits is b ln 2 nats: the floor (1/2) 2^(b/2)
+        assert fano_mse_floor(0.1 * math.log(2.0)) == pytest.approx(0.5177, abs=1e-4)
 
     @pytest.mark.parametrize("fn,args", [
         (fano_mse_floor, (1500.0,)),                 # exp(750) overflows
-        (fano_mse_floor, (2100.0, "bits")),          # 2^1050 overflows
+        (fano_mse_floor, (2100.0 * math.log(2.0),)),  # 2100 bits: 2^1050 overflows
         (attacker_score_variance, (1000.0, 0.0)),    # the floor is finite, its square is not
     ])
     def test_overflow_is_a_value_error_naming_eps(self, fn, args):

@@ -2,9 +2,12 @@ import csv
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from cvqpv import cli
 from cvqpv.cli import (
     COMMANDS,
     EXIT_ERROR,
@@ -273,6 +276,8 @@ class TestErrorExit:
         ["simulate", "--eps", "800", "--sessions", "2"],
         ["rounds", "--eps", "1000"],
         ["sweep", "--n-lo", "30", "--n-hi", "20"],
+        # the traced session fails its finiteness check, which runs before any write
+        ["simulate", "--sigma", "1e308", "--trace", "--sessions", "2", "--rounds", "1000"],
     ])
     def test_error_after_validation_leaves_no_output(self, capsys, tmp_path, argv):
         fresh = tmp_path / "new" / "run"
@@ -338,7 +343,8 @@ TAKES = {
     "bounds": {"eps", "energy", "t", "u", "format"},
     "resources": {"n", "m0", "eps_tilde", "sigma"},
     "rounds": {"eps", "u", "eps_hon", "eps_unit"},
-    "simulate": {"eps", "t", "u", "sigma", "n", "eps_hon", "rounds", "sessions", "eps_unit"},
+    "simulate": {"eps", "t", "u", "sigma", "n", "eps_hon", "rounds", "sessions", "eps_unit",
+                 "trace"},
     "sweep": {"eps_tilde", "n_lo", "n_hi", "m0_lo", "m0_hi", "format"},
 }
 
@@ -351,8 +357,7 @@ class TestParamTable:
         subparsers = build_parser()._subparsers._group_actions[0].choices
         flags = {flag for action in subparsers[command]._actions
                  for flag in action.option_strings} - {"-h", "--help"}
-        expected = {PARAMS[key].flag for key in rows} | {"--config", "--out"}
-        assert flags == expected | ({"--trace"} if command == "simulate" else set())
+        assert flags == {PARAMS[key].flag for key in rows} | {"--config", "--out"}
 
     @pytest.mark.parametrize("command", sorted(TAKES))
     def test_metadata_echoes_the_taken_keys(self, tmp_path, command):
@@ -363,8 +368,49 @@ class TestParamTable:
         config = strict_json(tmp_path / "metadata.json")["config"]
         assert set(config) == TAKES[command] | {"seed", "command"}
 
+    @pytest.mark.parametrize("command", sorted(TAKES))
+    def test_flag_tables_list_the_table_rows(self, command):
+        # the README table and the cli.py docstring table, each without --seed
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        readme_flags = {m[1]: set(re.findall(r"`(--[\w-]+)`", m[2]))
+                        for m in re.finditer(r"^\| `(\w+)` \| (.*) \|$", readme, re.M)}
+        doc_flags = {m[1]: set(m[2].split())
+                     for m in re.finditer(r"^    (\w+) +(--.*)$", cli.__doc__, re.M)}
+        rows = {p.flag for p in PARAMS.values() if command in p.commands.split()} - {"--seed"}
+        assert readme_flags[command] == rows
+        assert doc_flags[command] == rows
+
+
+class TestEpsUnit:
+    @pytest.mark.parametrize("bits,N", [(0.05, 1_143_262), (0.1, 288_755), (0.2, 73_687),
+                                        (0.5, 12_546), (1.0, 3_484)])
+    def test_bits_reading(self, tmp_path, bits, N):
+        assert run(["rounds", "--eps-unit", "bits", "--eps", repr(bits),
+                    "--out", str(tmp_path)]) == EXIT_OK
+        plan = strict_json(tmp_path / "rounds.json")
+        assert plan["N"] == N
+        ratio = 0.5 * 2.0 ** (bits / 2.0) / 0.5  # the floor (1/2) 2^(b/2) over 1/2 + u
+        assert plan["delta"] == pytest.approx(ratio - plan["gamma"], rel=1e-15)
+        assert plan["score_variance"] == pytest.approx(2.0 * ratio**2, rel=1e-15)
+
+    def test_unknown_unit_rejected_before_output(self, capsys, tmp_path):
+        out = tmp_path / "run"
+        assert run(["rounds", "--eps-unit", "furlongs", "--out", str(out)]) == EXIT_ERROR
+        assert "eps_unit: must be 'nats' or 'bits'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSharedParser:
+    def test_trace_flag_takes_0_or_1(self, capsys, tmp_path):
+        args = ["simulate", "--rounds", "200", "--sessions", "2"]
+        assert run(args + ["--trace", "0", "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert run(args + ["--trace=1", "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert not (tmp_path / "a" / "honest_rounds.csv").exists()
+        assert (tmp_path / "b" / "honest_rounds.csv").exists()
+        assert run(args + ["--trace", "2", "--out", str(tmp_path / "c")]) == EXIT_ERROR
+        assert "trace: must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_trace_flag_does_not_carry_over(self, tmp_path):
         args = ["simulate", "--rounds", "200", "--sessions", "2"]
         assert run(args + ["--trace", "--out", str(tmp_path / "a")]) == EXIT_OK
@@ -388,6 +434,17 @@ class TestConfig:
         # flag wins over the file
         assert run(["resources", "--config", str(cfg), "--m0", "9"]) == EXIT_OK
         assert "q <= 1" in capsys.readouterr().out
+
+    def test_trace_from_config_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trace = 1\nrounds = 200\nsessions = 2\n")
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert (tmp_path / "a" / "honest_rounds.csv").exists()
+        assert strict_json(tmp_path / "a" / "metadata.json")["config"]["trace"] == 1
+        # the flag overrides the file
+        assert run(["simulate", "--config", str(cfg), "--trace", "0",
+                    "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert not (tmp_path / "b" / "honest_rounds.csv").exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -449,7 +506,8 @@ class TestConfig:
 # honest_rounds.csv matched the row-by-row csv.writer trace before it), except
 # resources.json, recorded after rounding_size_logfactor stopped cancelling
 # (k_factor_real 11.552188332945317 -> 11.552188332945429), and metadata.json,
-# recorded once it echoed only the keys its subcommand takes.
+# recorded once it echoed only the keys its subcommand takes (simulate's once
+# trace became one of them).
 GOLDEN = [
     ('feasibility --format csv', 0, {
         'feasibility_grid.csv': 'fd5c166c5007f92821c4971a83182bcea33745b624cfb65caba7ca9e167c0f42',
@@ -488,13 +546,13 @@ GOLDEN = [
         'rounds.json': 'd3bde7078984e49ffccae64c8272038579188903a4c6bacb79881dfbc79ffa47',
     }),
     ('simulate --sessions 2', 0, {
-        'metadata.json': 'f9d35bb2578671dce89c4dc7e574a39956b2c508fdd5f8d31f5638350b2e324b',
+        'metadata.json': '9a97a91ee2a18b1a2ba7612c7e4f9b4868444029e61dbe2983e860e03bb9dc0c',
         'simulate.json': '7e1cbfe68c8d4f0fd39cb493cbf04f57ced0d420557a9661de988d39d49b3e3c',
     }),
     ('simulate --sessions 2 --trace', 0, {
         'honest_rounds.csv': '3fbe6ab1f0aac91cfe82519ed753e9da960f30e89890ef0d98ed69dee8bbb7e8',
         'honest_session.json': '4e73245626b860073cb3719e35db97a0c81ce0de8b56c789a633a2b969642321',
-        'metadata.json': 'f9d35bb2578671dce89c4dc7e574a39956b2c508fdd5f8d31f5638350b2e324b',
+        'metadata.json': '990b788cf5c381bd66efdab68587e677e22ccc839fbc4a034ba2ca1688015117',
         'simulate.json': '7e1cbfe68c8d4f0fd39cb493cbf04f57ced0d420557a9661de988d39d49b3e3c',
     }),
     ('bounds --t 0.6', 2, {

@@ -19,8 +19,9 @@ and non-finite included.
 Only the sizes that scale work are capped:
 
 * rounds <= 10^4. rounds = 0 derives N from the plan, and an untraced
-  session costs one chi-square draw whatever N is; --trace is drawn only
-  with an explicit rounds >= 1, since a traced session stores N rows;
+  session costs one chi-square draw whatever N is; the trace key is drawn
+  apart from the others, as a bare --trace and only with an explicit
+  rounds >= 1, since a traced session stores N rows;
 * sessions <= 4;
 * u_steps, t_steps <= 100;
 * sweep ranges at most 11 values wide in n and in m0.
@@ -96,10 +97,10 @@ def pick(draw, p, omit=True):
 @st.composite
 def argvs(draw, command):
     argv = [command]
-    ranged = {key for pair in SWEEP_RANGES for key in pair}
+    apart = {"trace", *(key for pair in SWEEP_RANGES for key in pair)}  # drawn below
     values = {}
     for p in PARAMS.values():
-        if command in p.commands.split() and p.name not in ranged:
+        if command in p.commands.split() and p.name not in apart:
             values[p.name] = pick(draw, p)
     if command == "sweep":  # each range given explicitly, at most 11 values wide
         for lo, hi in SWEEP_RANGES:

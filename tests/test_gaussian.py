@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from cvqpv.gaussian import (
     h_tilde,
     h_U_given_P_limit,
     lambda_of_sigma,
+    neg_log_rho,
 )
 
 
@@ -103,6 +105,21 @@ def direct_sum_energy(m0, sigma):
     return math.fsum(k * w) / math.fsum(w)
 
 
+def decimal_energy(m0, sigma):
+    """1/(e^x - 1) - K/(e^(Kx) - 1), K = 2^m0, at x = neg_log_rho(sigma), in 400 digits.
+
+    The float x is taken as exact, so the oracle checks the arithmetic after
+    it, past float range included; a mean above the largest float is inf.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400  # x >= 5e-324, so e^x - 1 keeps 70 digits
+        x, big = decimal.Decimal(neg_log_rho(sigma)), decimal.Decimal(2) ** m0
+        if x == 0:
+            return float((big - 1) / 2)
+        tail = big / ((big * x).exp() - 1) if big * x < 10**5 else 0  # else K e^(-Kx) < 1e-40000
+        return float(1 / (x.exp() - 1) - tail)
+
+
 def sigma_of_lambda(lam):
     """Inverse of lambda_of_sigma: sigma = lambda / sqrt(1 - lambda^2)."""
     return lam / math.sqrt(1.0 - lam * lam)
@@ -178,6 +195,20 @@ class TestCutoff:
         for m0 in range(1, 13):
             assert cutoff_energy(m0, sigma) == pytest.approx(
                 direct_sum_energy(m0, sigma), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("sigma", [1.0, 10.0, 1e100, 1.3e154, 1.4e154, 1e155, 1e160,
+                                       1e200, 1.7976931348623157e308, math.inf])
+    def test_energy_past_float_range(self, sigma):
+        # from m0 = 1024, 2^m0 and, above sigma = 2^512, sigma^2 leave float range
+        for m0 in [1023, 1024, 1025, 1030, 1050, 1100, 2100, 10**4]:
+            assert cutoff_energy(m0, sigma) == pytest.approx(decimal_energy(m0, sigma),
+                                                             rel=1e-13, abs=0.0)
+
+    def test_energy_at_infinite_sigma(self):
+        # the mean (K - 1)/2 of K equal weights: 2^1023 at m0 = 1024, inf from 1025 up
+        assert cutoff_energy(1023, math.inf) == math.ldexp(1.0, 1022)
+        assert cutoff_energy(1024, math.inf) == cutoff_energy(1024, 1e200) == math.ldexp(1.0, 1023)
+        assert cutoff_energy(1025, math.inf) == cutoff_energy(5000, 1e200) == math.inf
 
     @pytest.mark.parametrize("m0", [0, -1, 2.5])
     def test_energy_m0_must_be_a_positive_integer(self, m0):
