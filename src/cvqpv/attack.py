@@ -7,8 +7,9 @@ mean-squared-error floor of (1/2) e^(eps/2). The protocol then separates
 honest and attacking samples once N Delta^2 exceeds the score variance over
 the tolerated failure probability, by Chebyshev.
 
-eps is in nats here, the reading under which the floor is exactly
-(1/2) e^(eps/2); the CLI converts a gap given in bits once, to eps ln 2.
+eps is in nats, under which the floor is exactly (1/2) e^(eps/2), in every
+function here but attacker_entropy_floor, the one in bits: it adds eps/4 to
+h(U|P) in bits. The CLI converts a gap given in bits once, to eps ln 2.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ flag. A config file may set any key of the table; a subcommand ignores the
 keys it does not take, and a key outside the table is an error. An int key
 with domain [0, 1], such as trace, also takes a bare flag, meaning 1. eps
 is converted once, here, to the nats that cvqpv.attack works in. Every run
-echoes its resolved keys into the output metadata. Exit code 0 on success,
-2 on structured infeasible-parameter outcomes, 1 on errors, usage errors
-included.
+echoes its resolved keys into the output metadata; every file under --out,
+the simulate trace included, is written by this module. Exit code 0 on
+success, 2 on structured infeasible-parameter outcomes, 1 on errors, usage
+errors and running out of memory included.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ from .protocol import (
     ProtocolParams,
     acceptance_rate,
     run_session,
-    write_rounds_csv,
-    write_session_json,
 )
 from .resources import N_MAX, resource_report
 
@@ -237,6 +236,38 @@ def _write_metadata(out: Path | None, cfg: dict) -> None:
     _write_json(out / "metadata.json", meta, sort_keys=True)
 
 
+_CSV_CHUNK_ROWS = 8192  # rows per write: bounds the formatted string held at once
+_THETA_TEXT = (repr(0.0), repr(math.pi / 2.0))  # theta = pi/2 * basis bit
+
+
+def write_rounds_csv(trace, path: Path) -> None:
+    """Per-round trace of a traced session as RFC-4180 CSV.
+
+    The theta column is the repr of pi/2 * f(x, y), looked up by basis bit.
+    """
+    with open(path, "w", newline="") as fh:  # int and float repr fields need no quoting
+        fh.write("index,theta,r,r_prime,score_term\r\n")
+        for start in range(0, len(trace.r), _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            thetas = map(_THETA_TEXT.__getitem__, trace.basis[start:stop].tolist())
+            rows = zip(range(start, stop), thetas,
+                       *(col[start:stop].tolist() for col in trace[1:]))
+            fh.write("".join([f"{i},{theta},{r!r},{r_prime!r},{term!r}\r\n"
+                              for i, theta, r, r_prime, term in rows]))
+
+
+def write_session_json(result, path: Path, responder: str, flags: list) -> None:
+    _write_json(path, {
+        "schema": "cvqpv.session/1",
+        "responder": responder,
+        "n_rounds": result.n_rounds,
+        "mean_score": result.mean_score,
+        "gamma": result.gamma,
+        "accepted": result.accepted,
+        "regime_flags": flags,
+    }, sort_keys=True)
+
+
 def _int_cell(value) -> str:
     """The digits of an int table cell; a cell neither str nor int raises."""
     if type(value) is int:
@@ -413,8 +444,8 @@ def cmd_simulate(cfg: dict, out: Path | None) -> int:
         traced = run_session(params, ch, honest, cfg["seed"], trace=True)
         if not math.isfinite(traced.mean_score):  # r draws overflow at sigma near 1e308
             raise ValueError("score terms leave float range: sigma is too large to trace")
-        write_rounds_csv(traced, out / "honest_rounds.csv")
-        write_session_json(traced, out / "honest_session.json")
+        write_rounds_csv(traced.records, out / "honest_rounds.csv")
+        write_session_json(traced, out / "honest_session.json", honest.name, flags)
     _write_json(out / "simulate.json", {
         "schema": "cvqpv.simulate/1",
         "rounds": N,
@@ -485,11 +516,11 @@ def main(argv=None) -> int:
         code = globals()[f"cmd_{args.command}"](cfg, out)
         _write_metadata(out, cfg)
         return code
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # exit 1 leaves no partial output: drop what this call created, never more
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -19,7 +19,6 @@ results no matter how sessions are scheduled.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -131,9 +130,7 @@ class SessionResult:
     mean_score: float
     gamma: float
     accepted: bool
-    regime_flags: set
     n_rounds: int
-    responder: str
     records: Optional[RoundTrace] = None
 
 
@@ -185,9 +182,7 @@ def run_session(
         mean_score=mean_score,
         gamma=gamma,
         accepted=mean_score < gamma,
-        regime_flags=ch.regime_flags(),
         n_rounds=p.N,
-        responder=responder.name,
         records=records,
     )
 
@@ -212,39 +207,9 @@ def acceptance_rate(
     return accepted / sessions
 
 
-_CSV_CHUNK_ROWS = 8192  # rows per write: bounds the formatted string held at once
-_THETA_TEXT = (repr(0.0), repr(math.pi / 2.0))  # theta = pi/2 * basis bit
-
-
-def write_rounds_csv(result: SessionResult, path) -> None:
-    """Per-round trace as RFC-4180 CSV (requires a traced session).
-
-    The theta column is the repr of pi/2 * f(x, y), looked up by basis bit.
-    """
-    trace = result.records
-    if trace is None:
-        raise ValueError("session was not run with trace=True")
-    with open(path, "w", newline="") as fh:  # int and float repr fields need no quoting
-        fh.write("index,theta,r,r_prime,score_term\r\n")
-        for start in range(0, len(trace.r), _CSV_CHUNK_ROWS):
-            stop = start + _CSV_CHUNK_ROWS
-            thetas = map(_THETA_TEXT.__getitem__, trace.basis[start:stop].tolist())
-            rows = zip(range(start, stop), thetas,
-                       *(col[start:stop].tolist() for col in trace[1:]))
-            fh.write("".join([f"{i},{theta},{r!r},{r_prime!r},{term!r}\r\n"
-                              for i, theta, r, r_prime, term in rows]))
-
-
-def write_session_json(result: SessionResult, path) -> None:
-    payload = {
-        "schema": "cvqpv.session/1",
-        "responder": result.responder,
-        "n_rounds": result.n_rounds,
-        "mean_score": result.mean_score,
-        "gamma": result.gamma,
-        "accepted": result.accepted,
-        "regime_flags": sorted(result.regime_flags),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def __getattr__(name: str):
+    """write_rounds_csv(result, path) for perfbench's self-test; the writer is in cvqpv.cli."""
+    if name != "write_rounds_csv":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .cli import write_rounds_csv
+    return lambda result, path: write_rounds_csv(result.records, path)

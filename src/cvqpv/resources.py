@@ -127,15 +127,16 @@ def q_max(n: int, m0: int, eps_tilde: float) -> int:
 
 def resource_report(n: int, m0: int, eps_tilde: float, sigma: float | None = None) -> ResourceReport:
     factor = rounding_size_logfactor(eps_tilde)
-    qm = q_max(n, m0, eps_tilde)
+    k_factor = math.ceil(factor)
+    qm = q_max(n, m0, eps_tilde)  # validates n and m0 as count_bound_log2 would
     return ResourceReport(
         n=n,
         m0=m0,
         eps_tilde=eps_tilde,
         k_factor_real=factor,
-        k_factor_int=math.ceil(factor),
+        k_factor_int=k_factor,
         q_max=qm,
         corollary_q=corollary_q(n, m0),
-        log2_count_bound_at_qmax=(count_bound_log2(n, m0, qm, eps_tilde) if qm >= 0 else None),
+        log2_count_bound_at_qmax=(_count_bound_log2(n, m0, qm, k_factor) if qm >= 0 else None),
         cutoff_error_log2=(cutoff_purified_distance(m0, sigma) if sigma is not None else None),
     )

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cvqpv.channel import ChannelParams
+from cvqpv.cli import write_rounds_csv
 from cvqpv.protocol import (
-    GaussianResponder, HonestProver, ProtocolParams, protocol_function, run_session,
-    write_rounds_csv)
+    GaussianResponder, HonestProver, ProtocolParams, protocol_function, run_session)
 
 
 class TestFeasibility:
@@ -64,7 +64,7 @@ class TestSampleChallenge:
         ch = ChannelParams(1.0, 0.0)
         p = ProtocolParams(sigma=2.0, n=8, N=500, eps_hon=0.01, f_seed=3)
         res = run_session(p, ch, HonestProver(ch), seed, trace=True)
-        write_rounds_csv(res, tmp_path / "rounds.csv")
+        write_rounds_csv(res.records, tmp_path / "rounds.csv")
         lines = (tmp_path / "rounds.csv").read_text().splitlines()[1:]
         theta = np.array([line.split(",")[1] for line in lines])
         rng = np.random.default_rng(seed)

@@ -247,6 +247,14 @@ class TestSimulate:
         assert strict_json(tmp_path / "simulate.json")["gamma"] == pytest.approx(
             1.0 + 2.0 * math.sqrt(log_term / 100) + 2.0 * log_term / 100)
 
+    def test_regime_flags_in_both_files(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["simulate", "--t", "0.4", "--sessions", "2", "--rounds", "100", "--trace",
+                    "--out", str(out)]) == EXIT_OK
+        for name in ["simulate.json", "honest_session.json"]:
+            assert strict_json(out / name)["regime_flags"] == [
+                "channel-infeasible", "generic-attack-regime"]
+
     def test_longest_strings_run(self, tmp_path):
         assert run(["simulate", "--n", "63", "--trace", "--rounds", "100", "--sessions", "2",
                     "--out", str(tmp_path)]) == EXIT_OK
@@ -291,6 +299,22 @@ class TestErrorExit:
         assert run(argv + ["--out", str(kept)]) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error:")
         assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+
+    def test_memory_error_leaves_no_output(self, capsys, tmp_path, monkeypatch):
+        # raised in place of a real allocation, which could exhaust the host
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_session", out_of_memory)
+        argv = ["simulate", "--trace", "--sessions", "2", "--rounds", "100", "--out"]
+        fresh = tmp_path / "new" / "run"
+        assert run(argv + [str(fresh)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not (tmp_path / "new").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert run(argv + [str(kept)]) == EXIT_ERROR
+        assert list(kept.iterdir()) == []
 
 
     @pytest.mark.parametrize("argv,message", [

@@ -32,7 +32,7 @@ from cvqpv.bounds import (
     max_eps_tilde,
     separation_rhs,
 )
-from cvqpv.cli import _write_table
+from cvqpv.cli import _write_table, write_rounds_csv
 from cvqpv.channel import ChannelParams
 from cvqpv.gaussian import cutoff_energy
 from cvqpv.protocol import (
@@ -40,7 +40,6 @@ from cvqpv.protocol import (
     ProtocolParams,
     gamma_threshold,
     run_session,
-    write_rounds_csv,
 )
 from cvqpv.resources import N_MAX, count_bound_log2
 from test_bounds import GRID_ALPHAS, scalar_eps_tilde
@@ -130,7 +129,7 @@ def test_trace_csv_gives_back_the_columns(seed, N, t, u):
     res = run_session(params, ch, HonestProver(ch), seed, trace=True)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "rounds.csv"
-        write_rounds_csv(res, path)
+        write_rounds_csv(res.records, path)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     assert rows[0] == ["index", "theta", "r", "r_prime", "score_term"]

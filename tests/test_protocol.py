@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 
 from cvqpv.channel import ChannelParams
+from cvqpv.cli import write_rounds_csv, write_session_json
 from cvqpv.protocol import (
     GaussianResponder,
     HonestProver,
     ProtocolParams,
     RoundTrace,
-    SessionResult,
     acceptance_rate,
     gamma_threshold,
     protocol_function,
     run_session,
     session_seeds,
-    write_rounds_csv,
-    write_session_json,
 )
 
 
@@ -117,11 +115,6 @@ class TestRunSession:
         assert (res.records.score_term >= 0.0).all()
         assert res.records.basis.dtype == np.uint8
         assert set(res.records.basis.tolist()) <= {0, 1}
-
-    def test_regime_flags_propagate(self):
-        ch = ChannelParams(0.4, 0.0)
-        res = run_session(_params(N=10), ch, HonestProver(ch), 0)
-        assert "generic-attack-regime" in res.regime_flags
 
     def test_acceptance_monotone_in_gamma(self):
         # same rounds, looser threshold never flips accept -> reject
@@ -275,7 +268,7 @@ class TestEmission:
         ch = ChannelParams(1.0, 0.0)
         res = run_session(_params(N=5), ch, HonestProver(ch), 0, trace=True)
         path = tmp_path / "rounds.csv"
-        write_rounds_csv(res, path)
+        write_rounds_csv(res.records, path)
         lines = path.read_bytes().split(b"\r\n")
         assert lines[0] == b"index,theta,r,r_prime,score_term"
         assert len([l for l in lines if l]) == 6
@@ -285,7 +278,7 @@ class TestEmission:
         ch = ChannelParams(0.8, 0.05)
         res = run_session(_params(N=50, n=63), ch, HonestProver(ch), 5, trace=True)
         path = tmp_path / "rounds.csv"
-        write_rounds_csv(res, path)
+        write_rounds_csv(res.records, path)
         data = path.read_bytes()
         lines = data.split(b"\r\n")
         assert lines[:3] == [
@@ -303,9 +296,7 @@ class TestEmission:
         # theta = pi/2 * basis bit, written as the repr of that float
         bits = np.array([0, 1, 1, 0, 0], dtype=np.uint8)
         ones = np.ones(len(bits))
-        res = SessionResult(0.0, 1.0, True, set(), len(bits), "honest",
-                            records=RoundTrace(bits, ones, ones, ones))
-        write_rounds_csv(res, tmp_path / "rounds.csv")
+        write_rounds_csv(RoundTrace(bits, ones, ones, ones), tmp_path / "rounds.csv")
         lines = (tmp_path / "rounds.csv").read_text().splitlines()[1:]
         assert [line.split(",")[1] for line in lines] == [
             repr(b * (math.pi / 2.0)) for b in bits.tolist()]
@@ -321,19 +312,13 @@ class TestEmission:
         assert not math.isfinite(res.mean_score)
         assert not res.accepted
 
-    def test_round_csv_requires_trace(self, tmp_path):
-        ch = ChannelParams(1.0, 0.0)
-        res = run_session(_params(N=5), ch, HonestProver(ch), 0)
-        with pytest.raises(ValueError):
-            write_rounds_csv(res, tmp_path / "rounds.csv")
-
     def test_session_json(self, tmp_path):
         import json
 
         ch = ChannelParams(1.0, 0.0)
         res = run_session(_params(N=5), ch, HonestProver(ch), 0)
         path = tmp_path / "session.json"
-        write_session_json(res, path)
+        write_session_json(res, path, "honest", [])
         payload = json.loads(path.read_text())
         assert payload["schema"] == "cvqpv.session/1"
         assert payload["accepted"] == res.accepted

@@ -5,14 +5,18 @@ Run from anywhere in a checkout:
     python3 tools/record_bench.py 10            # writes BENCH_10.json in the repo root
 
 It runs perfbench's three workloads one after another with ``--trace 0``
-(each for 15 s, at seed 11), then times every CLI subcommand at its defaults
+(each for 15 s, at seed 11), then each once more with ``--trace 1`` (5 s)
+for the per-layer metrics, then times every CLI subcommand at its defaults
 as a fresh process, importing ``cvqpv`` from ``src/``, 5 times one after
 another, and reports the median and the quartiles. A bare interpreter start
 is timed the same way as the floor those times sit on.
 
 The file is a report: nothing here compares it with an earlier one or
-fails on a slow number. It holds each workload's JSON result line, the
-environment record perfbench prints and the fresh-process times.
+fails on a slow number. It holds each workload's JSON result line, under
+``workloads`` for the end-to-end run and under ``per_layer`` for the traced
+run (whose metrics include perfbench's tracing overhead,
+``trace.overhead_share``), the environment record perfbench prints and the
+fresh-process times.
 """
 
 from __future__ import annotations
@@ -29,14 +33,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ["mc_plan", "calc_table", "cli_outputs"]
 SUBCOMMANDS = ["feasibility", "bounds", "resources", "rounds", "simulate", "sweep"]
-SEED, SECONDS, REPEATS = 11, 15, 5
+SEED, SECONDS, TRACED_SECONDS, REPEATS = 11, 15, 5, 5
 
 
-def run_workload(name: str) -> tuple[dict, dict]:
+def run_workload(name: str, trace: int, seconds: float) -> tuple[dict, dict]:
     """perfbench's JSON result line and its environment record for one workload."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(SEED),
-         "--seconds", str(SECONDS), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     env = next(json.loads(line[len("env "):]) for line in lines if line.startswith("env "))
@@ -60,10 +64,13 @@ def main(argv=None) -> int:
     parser.add_argument("label", help="written to BENCH_<label>.json in the repo root")
     args = parser.parse_args(argv)
 
-    workloads, env = {}, None
+    workloads, per_layer, env = {}, {}, None
     for name in WORKLOADS:
         print(f"running {name} for {SECONDS} s ...", file=sys.stderr)
-        workloads[name], env = run_workload(name)
+        workloads[name], env = run_workload(name, 0, SECONDS)
+    for name in WORKLOADS:
+        print(f"running {name} traced for {TRACED_SECONDS} s ...", file=sys.stderr)
+        per_layer[name], _ = run_workload(name, 1, TRACED_SECONDS)
 
     fresh = {"python -c pass": wall_times([sys.executable, "-c", "pass"])}
     for command in SUBCOMMANDS:
@@ -73,6 +80,7 @@ def main(argv=None) -> int:
         "schema": "cvqpv.bench/1",
         "env": env,
         "workloads": workloads,
+        "per_layer": per_layer,
         "fresh_process": fresh,
     }
     path = ROOT / f"BENCH_{args.label}.json"
