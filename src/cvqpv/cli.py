@@ -29,8 +29,11 @@ import argparse
 import functools
 import json
 import math
+import os
 import shutil
 import sys
+import threading
+import warnings
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -236,24 +239,95 @@ def _write_metadata(out: Path | None, cfg: dict) -> None:
     _write_json(out / "metadata.json", meta, sort_keys=True)
 
 
-_CSV_CHUNK_ROWS = 8192  # rows per write: bounds the formatted string held at once
+_CSV_CHUNK_ROWS = 8192  # rows per parent write; the forked child holds its whole half in memory
 _THETA_TEXT = (repr(0.0), repr(math.pi / 2.0))  # theta = pi/2 * basis bit
 
 
+def _csv_rows(trace, start: int, stop: int):
+    """The CSV bytes of trace rows [start, stop), _CSV_CHUNK_ROWS rows at a time.
+
+    int and float repr fields need no quoting, so this is RFC-4180 as it stands.
+    """
+    for lo in range(start, stop, _CSV_CHUNK_ROWS):
+        hi = min(lo + _CSV_CHUNK_ROWS, stop)
+        thetas = map(_THETA_TEXT.__getitem__, trace.basis[lo:hi].tolist())
+        rows = zip(range(lo, hi), thetas, *(col[lo:hi].tolist() for col in trace[1:]))
+        yield "".join([f"{i},{theta},{r!r},{r_prime!r},{term!r}\r\n"
+                       for i, theta, r, r_prime, term in rows]).encode()
+
+
+def _send_rows(read_fd: int, write_fd: int, trace, start: int, stop: int) -> None:
+    """In a forked child: format rows [start, stop), write them to the pipe and exit.
+
+    A raise of any kind, SystemExit included, ends the child with status 1;
+    no exception and no exit handler of the parent runs on in the child.
+    """
+    status = 1
+    try:
+        os.close(read_fd)  # else a write would wait on a reader the parent has closed
+        view = memoryview(b"".join(_csv_rows(trace, start, stop)))
+        while view:
+            view = view[os.write(write_fd, view):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _write_forked(fh, trace, lower: tuple, upper: tuple) -> None:
+    """Write rows lower to fh while a forked child formats rows upper, then append those."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():  # 3.12+ warns of the BLAS thread: see write_rounds_csv
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        _send_rows(read_fd, write_fd, trace, *upper)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:  # closed first, so a child blocked on it ends
+            fh.writelines(_csv_rows(trace, *lower))
+            shutil.copyfileobj(pipe, fh)
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        raise OSError(f"the process formatting the upper half of the trace {how}")
+
+
 def write_rounds_csv(trace, path: Path) -> None:
-    """Per-round trace of a traced session as RFC-4180 CSV.
+    """Per-round trace of a traced session as CSV; a failed write leaves no file.
 
     The theta column is the repr of pi/2 * f(x, y), looked up by basis bit.
+    The rows are split into two contiguous halves. Where this process can
+    fork, a child formats the upper half in its own memory while this one
+    writes the lower half, then the child's bytes are appended from a pipe;
+    the file is the same either way. The child is safe although numpy's
+    OpenBLAS keeps a helper thread: it calls only .tolist(), repr and
+    os.write, with no BLAS call and no lock another thread can hold, and
+    leaves by os._exit, so no buffer or exit handler of the parent runs
+    twice. Python 3.12 and later warn on any fork() in a process with more
+    than one OS thread, that BLAS thread included; the warning is silenced
+    for this one call only. Where os.fork is missing or another Python
+    thread is alive, the same formatter writes both halves here, in order.
     """
-    with open(path, "w", newline="") as fh:  # int and float repr fields need no quoting
-        fh.write("index,theta,r,r_prime,score_term\r\n")
-        for start in range(0, len(trace.r), _CSV_CHUNK_ROWS):
-            stop = start + _CSV_CHUNK_ROWS
-            thetas = map(_THETA_TEXT.__getitem__, trace.basis[start:stop].tolist())
-            rows = zip(range(start, stop), thetas,
-                       *(col[start:stop].tolist() for col in trace[1:]))
-            fh.write("".join([f"{i},{theta},{r!r},{r_prime!r},{term!r}\r\n"
-                              for i, theta, r, r_prime, term in rows]))
+    n = len(trace.r)
+    lower, upper = (0, n // 2), (n // 2, n)
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(b"index,theta,r,r_prime,score_term\r\n")
+            if hasattr(os, "fork") and threading.active_count() == 1:
+                _write_forked(fh, trace, lower, upper)
+            else:
+                fh.writelines(_csv_rows(trace, *lower))
+                fh.writelines(_csv_rows(trace, *upper))
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 def write_session_json(result, path: Path, responder: str, flags: list) -> None:

@@ -2,9 +2,14 @@ import csv
 import hashlib
 import json
 import math
+import os
 import re
+import signal
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cvqpv import cli
@@ -18,6 +23,7 @@ from cvqpv.cli import (
     build_parser,
     main,
 )
+from cvqpv.protocol import RoundTrace
 
 
 def run(args):
@@ -259,6 +265,104 @@ class TestSimulate:
         assert run(["simulate", "--n", "63", "--trace", "--rounds", "100", "--sessions", "2",
                     "--out", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "honest_rounds.csv").exists()
+
+
+def serial_rounds_csv(trace, path):
+    """The single-loop trace writer the two-process one replaced, kept as its byte oracle."""
+    theta_text = (repr(0.0), repr(math.pi / 2.0))
+    with open(path, "w", newline="") as fh:
+        fh.write("index,theta,r,r_prime,score_term\r\n")
+        for start in range(0, len(trace.r), 8192):
+            stop = start + 8192
+            thetas = map(theta_text.__getitem__, trace.basis[start:stop].tolist())
+            rows = zip(range(start, stop), thetas,
+                       *(col[start:stop].tolist() for col in trace[1:]))
+            fh.write("".join([f"{i},{theta},{r!r},{r_prime!r},{term!r}\r\n"
+                              for i, theta, r, r_prime, term in rows]))
+
+
+def random_trace(n):
+    rng = np.random.default_rng(n)
+    r = rng.normal(0.0, 10.0, n)
+    r_prime = r + rng.normal(0.0, 1.0, n)
+    return RoundTrace(rng.integers(0, 2, n, dtype=np.uint8), r, r_prime, (r_prime - r) ** 2 / 0.5)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def live_thread():
+    """A second Python thread for the block's length: the writer must not fork then."""
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestTraceWriter:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8191, 8192, 8193, 16385, 16386, 139999])
+    def test_bytes_match_the_serial_writer(self, tmp_path, monkeypatch, n):
+        trace = random_trace(n)
+        serial_rounds_csv(trace, tmp_path / "serial.csv")
+        forks = []
+        real_fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        cli.write_rounds_csv(trace, tmp_path / "forked.csv")
+        assert forks == [os.getpid()]
+        assert_no_child_left()
+        with live_thread():
+            cli.write_rounds_csv(trace, tmp_path / "in_process.csv")
+        assert len(forks) == 1
+        expected = (tmp_path / "serial.csv").read_bytes()
+        assert (tmp_path / "forked.csv").read_bytes() == expected
+        assert (tmp_path / "in_process.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("half,failure,threaded,message", [
+        ("upper", ValueError, False, "upper half of the trace exited with status 1"),
+        ("upper", SystemExit, False, "upper half of the trace exited with status 1"),
+        ("upper", signal.SIGKILL, False, "upper half of the trace was killed by signal 9"),
+        ("lower", ValueError, False, "formatter failed"),
+        ("upper", ValueError, True, "formatter failed"),
+    ])
+    def test_failed_half_leaves_no_trace(self, capsys, tmp_path, monkeypatch, half, failure,
+                                         threaded, message):
+        pid = os.getpid()
+        real_rows = cli._csv_rows
+
+        def failing_rows(trace, start, stop):
+            if (start > 0) != (half == "upper"):
+                return real_rows(trace, start, stop)
+            if failure is signal.SIGKILL and os.getpid() != pid:  # only ever the child
+                os.kill(os.getpid(), failure)
+            raise failure("formatter failed")
+
+        monkeypatch.setattr(cli, "_csv_rows", failing_rows)
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        argv = ["simulate", "--trace", "--sessions", "2", "--rounds", "100", "--out", str(kept)]
+        if threaded:
+            with live_thread():
+                assert run(argv) == EXIT_ERROR
+        else:
+            assert run(argv) == EXIT_ERROR
+        assert os.getpid() == pid
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert list(kept.iterdir()) == []
+        assert_no_child_left()
 
 
 class TestSweep:

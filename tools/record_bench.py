@@ -2,7 +2,8 @@
 
 Run from anywhere in a checkout:
 
-    python3 tools/record_bench.py 10            # writes BENCH_10.json in the repo root
+    python3 tools/record_bench.py 10                # writes BENCH_10.json in the repo root
+    python3 tools/record_bench.py 5 --src 3be8c94   # measures that commit's src/
 
 It runs perfbench's three workloads one after another with ``--trace 0``
 (each for 15 s, at seed 11), then each once more with ``--trace 1`` (5 s)
@@ -10,6 +11,15 @@ for the per-layer metrics, then times every CLI subcommand at its defaults
 as a fresh process, importing ``cvqpv`` from ``src/``, 5 times one after
 another, and reports the median and the quartiles. A bare interpreter start
 is timed the same way as the floor those times sit on.
+
+By default it measures this checkout's working tree. With ``--src COMMIT``
+it unpacks ``git archive COMMIT src`` next to a copy of this checkout's
+``perfbench/`` in a temporary directory, measures that, and removes the
+directory afterwards, so today's benchmark runs against an older tree. The
+``commit`` field names the measured tree: COMMIT's full hash, or HEAD's
+with ``-dirty`` appended when ``src/`` or ``perfbench/`` differ from HEAD.
+perfbench's own ``env.git_commit`` reads the checkout it runs in, which for
+``--src`` is no git checkout at all.
 
 The file is a report: nothing here compares it with an earlier one or
 fails on a slow number. It holds each workload's JSON result line, under
@@ -22,11 +32,14 @@ fresh-process times.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -36,23 +49,45 @@ SUBCOMMANDS = ["feasibility", "bounds", "resources", "rounds", "simulate", "swee
 SEED, SECONDS, TRACED_SECONDS, REPEATS = 11, 15, 5, 5
 
 
-def run_workload(name: str, trace: int, seconds: float) -> tuple[dict, dict]:
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+@contextlib.contextmanager
+def measured_tree(commit: str | None):
+    """The root holding the src/ and perfbench/ to measure, and the commit it is."""
+    if commit is None:
+        dirty = git("status", "--porcelain", "--", "src", "perfbench")
+        yield ROOT, git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
+        return
+    full = git("rev-parse", "--verify", f"{commit}^{{commit}}")
+    with tempfile.TemporaryDirectory(prefix="cvqpv-bench-") as tmp:
+        archive = subprocess.run(["git", "archive", "--format=tar", full, "src"], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        shutil.copytree(ROOT / "perfbench", Path(tmp, "perfbench"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        yield Path(tmp), full
+
+
+def run_workload(root: Path, name: str, trace: int, seconds: float) -> tuple[dict, dict]:
     """perfbench's JSON result line and its environment record for one workload."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True, check=True)
+        cwd=root, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
     env = next(json.loads(line[len("env "):]) for line in lines if line.startswith("env "))
     return json.loads(lines[-1]), env
 
 
-def wall_times(argv: list[str]) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def wall_times(root: Path, argv: list[str]) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     runs = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        subprocess.run(argv, env=env, cwd=ROOT, stdout=subprocess.DEVNULL, check=True)
+        subprocess.run(argv, env=env, cwd=root, stdout=subprocess.DEVNULL, check=True)
         runs.append(time.perf_counter() - start)
     quartiles = statistics.quantiles(runs, n=4)
     return {"median_s": statistics.median(runs), "q1_s": quartiles[0], "q3_s": quartiles[2],
@@ -62,22 +97,27 @@ def wall_times(argv: list[str]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="written to BENCH_<label>.json in the repo root")
+    parser.add_argument("--src", metavar="COMMIT",
+                        help="measure this commit's src/ instead of the working tree's")
     args = parser.parse_args(argv)
 
     workloads, per_layer, env = {}, {}, None
-    for name in WORKLOADS:
-        print(f"running {name} for {SECONDS} s ...", file=sys.stderr)
-        workloads[name], env = run_workload(name, 0, SECONDS)
-    for name in WORKLOADS:
-        print(f"running {name} traced for {TRACED_SECONDS} s ...", file=sys.stderr)
-        per_layer[name], _ = run_workload(name, 1, TRACED_SECONDS)
+    with measured_tree(args.src) as (root, commit):
+        for name in WORKLOADS:
+            print(f"running {name} for {SECONDS} s ...", file=sys.stderr)
+            workloads[name], env = run_workload(root, name, 0, SECONDS)
+        for name in WORKLOADS:
+            print(f"running {name} traced for {TRACED_SECONDS} s ...", file=sys.stderr)
+            per_layer[name], _ = run_workload(root, name, 1, TRACED_SECONDS)
 
-    fresh = {"python -c pass": wall_times([sys.executable, "-c", "pass"])}
-    for command in SUBCOMMANDS:
-        fresh[f"cvqpv {command}"] = wall_times([sys.executable, "-m", "cvqpv.cli", command])
+        fresh = {"python -c pass": wall_times(root, [sys.executable, "-c", "pass"])}
+        for command in SUBCOMMANDS:
+            fresh[f"cvqpv {command}"] = wall_times(
+                root, [sys.executable, "-m", "cvqpv.cli", command])
 
     record = {
         "schema": "cvqpv.bench/1",
+        "commit": commit,
         "env": env,
         "workloads": workloads,
         "per_layer": per_layer,
