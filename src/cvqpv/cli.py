@@ -241,6 +241,9 @@ def _write_metadata(out: Path | None, cfg: dict) -> None:
 
 _CSV_CHUNK_ROWS = 8192  # rows per parent write; the forked child holds its whole half in memory
 _THETA_TEXT = (repr(0.0), repr(math.pi / 2.0))  # theta = pi/2 * basis bit
+# POSIX's smallest PIPE_BUF: an empty pipe takes this much of the child's error text at once,
+# so the child never waits on a parent that reads it only after waitpid
+_CHILD_ERROR_BYTES = 512
 
 
 def _csv_rows(trace, start: int, stop: int):
@@ -256,11 +259,23 @@ def _csv_rows(trace, start: int, stop: int):
                        for i, theta, r, r_prime, term in rows]).encode()
 
 
-def _send_rows(read_fd: int, write_fd: int, trace, start: int, stop: int) -> None:
+def _error_text(exc: BaseException) -> bytes:
+    """'Type: message' of exc, or the bare type name when the message is empty or fails."""
+    name = type(exc).__name__
+    try:
+        message = str(exc)
+    except Exception:  # a __str__ that raises
+        message = ""
+    text = f"{name}: {message}" if message else name
+    return text.encode("utf-8", "backslashreplace")[:_CHILD_ERROR_BYTES]
+
+
+def _send_rows(read_fd: int, write_fd: int, err_fd: int, trace, start: int, stop: int) -> None:
     """In a forked child: format rows [start, stop), write them to the pipe and exit.
 
-    A raise of any kind, SystemExit included, ends the child with status 1;
-    no exception and no exit handler of the parent runs on in the child.
+    A raise of any kind, SystemExit included, writes its text to err_fd and
+    ends the child with status 1; no exception and no exit handler of the
+    parent runs on in the child.
     """
     status = 1
     try:
@@ -269,33 +284,47 @@ def _send_rows(read_fd: int, write_fd: int, trace, start: int, stop: int) -> Non
         while view:
             view = view[os.write(write_fd, view):]
         status = 0
+    except BaseException as exc:
+        os.write(err_fd, _error_text(exc))
+        raise  # ended by the os._exit below
     finally:
         os._exit(status)
 
 
 def _write_forked(fh, trace, lower: tuple, upper: tuple) -> None:
-    """Write rows lower to fh while a forked child formats rows upper, then append those."""
-    read_fd, write_fd = os.pipe()
+    """Write rows lower to fh while a forked child formats rows upper, then append those.
+
+    A failed child's status, and the error text it sent on a second pipe, are
+    raised as OSError; a child that succeeded is not read from that pipe.
+    """
+    fds = []
     try:
+        fds += os.pipe()
+        fds += os.pipe()
         with warnings.catch_warnings():  # 3.12+ warns of the BLAS thread: see write_rounds_csv
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in fds:
+            os.close(fd)
         raise
+    read_fd, write_fd, err_read, err_write = fds
     if pid == 0:
-        _send_rows(read_fd, write_fd, trace, *upper)
+        _send_rows(read_fd, write_fd, err_write, trace, *upper)
     os.close(write_fd)
+    os.close(err_write)
     try:
         with open(read_fd, "rb") as pipe:  # closed first, so a child blocked on it ends
             fh.writelines(_csv_rows(trace, *lower))
             shutil.copyfileobj(pipe, fh)
     finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        with open(err_read, "rb") as err:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            cause = err.read().decode("utf-8", "replace") if code > 0 else ""
     if code:
         how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise OSError(f"the process formatting the upper half of the trace {how}")
+        raise OSError(f"the process formatting the upper half of the trace {how}"
+                      + (f": {cause}" if cause else ""))
 
 
 def write_rounds_csv(trace, path: Path) -> None:

@@ -12,9 +12,12 @@ strings x, y, the responses and the N score terms, and keeps them per round.
 The basis angle of a round is pi/2 * f(x, y), with f the keyed mix
 ``protocol_function``.
 
-Determinism contract: every session derives its randomness from an integer
-seed (or a spawned numpy SeedSequence), so identical seeds give identical
-results no matter how sessions are scheduled.
+Determinism contract: a single session draws from the integer seed,
+SeedSequence or Generator it is given. A batch of sessions
+(``acceptance_rate``) draws from one stream per batch, seeded by the first
+SeedSequence child of its master seed, with sessions drawn in order; so
+identical seeds give identical results, and a batch of k sessions is the
+prefix of any longer batch with the same seed.
 """
 
 from __future__ import annotations
@@ -188,7 +191,11 @@ def run_session(
 
 
 def session_seeds(master_seed: int, sessions: int) -> list:
-    """Per-session SeedSequences, deterministic in (master_seed, index)."""
+    """The first ``sessions`` SeedSequence children of master_seed.
+
+    Child i is deterministic in (master_seed, i). ``acceptance_rate`` seeds
+    the one stream of its batch from child 0, not one stream per session.
+    """
     return np.random.SeedSequence(master_seed).spawn(sessions)
 
 
@@ -199,11 +206,19 @@ def acceptance_rate(
     sessions: int,
     master_seed: int,
 ) -> float:
-    """Fraction of accepted sessions over independently seeded repetitions."""
+    """Fraction of accepted sessions in a batch drawn from one seeded stream.
+
+    One Generator, seeded by ``session_seeds(master_seed, 1)[0]``, serves the
+    whole batch; the sessions draw from it in order, one ``run_session`` call
+    each. Session 0 is therefore ``run_session(..., session_seeds(master_seed,
+    1)[0])``, and a batch of k sessions is the prefix of any longer batch with
+    the same master seed. Each session's mean still follows the exact scaled
+    chi2_N law, independently of the others.
+    """
     if sessions < 1:
         raise ValueError("sessions must be >= 1")
-    seeds = session_seeds(master_seed, sessions)
-    accepted = sum(run_session(p, ch, responder, s).accepted for s in seeds)
+    rng = np.random.default_rng(session_seeds(master_seed, 1)[0])
+    accepted = sum(run_session(p, ch, responder, rng).accepted for _ in range(sessions))
     return accepted / sessions
 
 

@@ -336,6 +336,12 @@ class TestTraceWriter:
         ("upper", signal.SIGKILL, False, "upper half of the trace was killed by signal 9"),
         ("lower", ValueError, False, "formatter failed"),
         ("upper", ValueError, True, "formatter failed"),
+        # the child's own error follows its status; a killed child sends none
+        ("upper", ValueError, False,
+         "upper half of the trace exited with status 1: ValueError: formatter failed"),
+        ("upper", SystemExit, False,
+         "upper half of the trace exited with status 1: SystemExit: formatter failed"),
+        ("upper", signal.SIGKILL, False, "upper half of the trace was killed by signal 9\n"),
     ])
     def test_failed_half_leaves_no_trace(self, capsys, tmp_path, monkeypatch, half, failure,
                                          threaded, message):
@@ -363,6 +369,16 @@ class TestTraceWriter:
         assert err.startswith("error:") and message in err
         assert list(kept.iterdir()) == []
         assert_no_child_left()
+
+    def test_child_error_text(self):
+        class Unprintable(Exception):
+            def __str__(self):
+                raise RuntimeError("no text")
+
+        assert cli._error_text(ValueError("formatter failed")) == b"ValueError: formatter failed"
+        assert cli._error_text(MemoryError()) == b"MemoryError"
+        assert cli._error_text(Unprintable()) == b"Unprintable"
+        assert cli._error_text(ValueError("x" * 4096)) == b"ValueError: " + b"x" * 500
 
 
 class TestSweep:

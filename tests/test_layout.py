@@ -1,12 +1,15 @@
-"""Package layout: which modules stay free of numpy."""
+"""Package layout: which modules stay free of numpy, and the names perfbench wraps."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import cvqpv
+from cvqpv import attack, bounds, channel, cli, gaussian, protocol, resources
 
 NUMPY_FREE = ["channel.py", "attack.py", "gaussian.py", "resources.py"]
 PACKAGE = Path(cvqpv.__file__).parent
@@ -54,3 +57,25 @@ def test_no_unused_imports():
     files = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
     unused = {path.name: names for path in files if (names := unused_imports(path))}
     assert not unused
+
+
+def test_perfbench_tracer_finds_every_name():
+    # perfbench/tracer.py wraps layers by attribute name: renaming or deleting one of
+    # them (session_seeds, say) fails here, not only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    cv = SimpleNamespace(attack=attack, bounds=bounds, channel=channel, cli=cli,
+                         gaussian=gaussian, protocol=protocol, resources=resources)
+    owners = [*vars(cv).values(), protocol.GaussianResponder, channel.ChannelParams]
+    before = [dict(vars(owner)) for owner in owners]
+    patcher = tracer.Patcher()
+    try:
+        tracer.install(tracer.Tracer(), patcher, cv)
+    finally:
+        patcher.restore()
+    for owner, saved in zip(owners, before):
+        restored = vars(owner)
+        assert restored.keys() == saved.keys(), owner
+        assert all(restored[name] is value for name, value in saved.items()), owner

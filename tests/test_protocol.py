@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cvqpv import protocol
 from cvqpv.channel import ChannelParams
 from cvqpv.cli import write_rounds_csv, write_session_json
 from cvqpv.protocol import (
@@ -198,16 +199,21 @@ class TestExactSessionLaw:
             assert run_session(p, self.CH, responder, seed).mean_score != rounds
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("traced", [False, True], ids=["exact", "rounds"])
-    def test_session_mean_is_scaled_chi2(self, case, traced):
+    @pytest.mark.parametrize("path", ["exact", "rounds", "batch"])
+    def test_session_mean_is_scaled_chi2(self, case, path):
         from scipy import stats
 
         responder = self.CASES[case]
         s2 = self._s2(responder)
         p = self._params()
+        if path == "batch":  # acceptance_rate's sessions: one shared stream, drawn in order
+            rng = np.random.default_rng(session_seeds(31, 1)[0])
+            sources = [rng] * self.SESSIONS
+        else:
+            sources = session_seeds(31, self.SESSIONS)
         means = np.array([
-            run_session(p, self.CH, responder, s, trace=traced).mean_score
-            for s in session_seeds(31, self.SESSIONS)
+            run_session(p, self.CH, responder, s, trace=path == "rounds").mean_score
+            for s in sources
         ])
         scaled = means * self.N * (0.5 + self.CH.u) / s2
         pvalue = stats.kstest(scaled, "chi2", args=(self.N,)).pvalue
@@ -232,6 +238,41 @@ class TestExactSessionLaw:
         lo = stats.binom.ppf(self.ALPHA / 2.0, self.SESSIONS, exact)
         hi = stats.binom.isf(self.ALPHA / 2.0, self.SESSIONS, exact)
         assert lo <= count <= hi
+
+
+class TestBatchStream:
+    """acceptance_rate draws its sessions in order from one Generator per batch."""
+
+    CH = ChannelParams(0.8, 0.05)
+
+    def _params(self):
+        # eps_hon = 0.3 at N = 50: both outcomes occur (TestExactSessionLaw's binomial case)
+        return _params(N=50, eps_hon=0.3, sigma=2.0)
+
+    def test_rate_is_the_shared_stream_count(self):
+        p, responder = self._params(), HonestProver(self.CH)
+        rng = np.random.default_rng(session_seeds(17, 1)[0])
+        accepted = [run_session(p, self.CH, responder, rng).accepted for _ in range(300)]
+        assert 0 < sum(accepted) < 300
+        # a batch of n sessions is the prefix of any longer batch with the same seed
+        for n in (1, 2, 7, 300):
+            assert acceptance_rate(p, self.CH, responder, n, 17) == sum(accepted[:n]) / n
+
+    def test_session_zero_is_the_first_seeds_session(self, monkeypatch):
+        p, responder = self._params(), GaussianResponder("biased", 0.5, 0.3)
+        sessions = []
+
+        def recorded(*args, **kwargs):
+            sessions.append(run_session(*args, **kwargs))
+            return sessions[-1]
+
+        # acceptance_rate looks run_session up in its module: once per session
+        monkeypatch.setattr(protocol, "run_session", recorded)
+        acceptance_rate(p, self.CH, responder, 3, 17)
+        assert len(sessions) == 3
+        first = run_session(p, self.CH, responder, session_seeds(17, 1)[0])
+        assert sessions[0].mean_score == first.mean_score
+        assert sessions[1].mean_score != first.mean_score
 
 
 class TestFailureRates:
