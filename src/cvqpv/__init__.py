@@ -7,7 +7,7 @@ Submodules:
 * :mod:`cvqpv.channel`   -- lossy, noisy quadrature channel model
 * :mod:`cvqpv.protocol`  -- round engine, score statistic, acceptance test
 * :mod:`cvqpv.bounds`    -- entropy-continuity condition and its optimizer
-* :mod:`cvqpv.resources` -- delta-net / rounding / qubit-budget arithmetic
+* :mod:`cvqpv.resources` -- rounding-factor and qubit-budget arithmetic
 * :mod:`cvqpv.attack`    -- attacker floors and the Chebyshev round count
 * :mod:`cvqpv.cli`       -- command-line front end
 """

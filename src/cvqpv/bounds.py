@@ -181,26 +181,6 @@ def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     return BoundResult(lo, alpha_star, True, separation_rhs(E, alpha_star, lo))
 
 
-def energy_sensitivity(eps: float, t: float, u: float, E_list) -> dict:
-    """max_eps_tilde across an energy list plus dispersion measures.
-
-    'relative_spread' is the relative standard deviation (std/mean) of the
-    eps_tilde values, the artifact's operationalization of energy
-    stability; 'range_fraction' reports (max-min)/max alongside.
-    """
-    rows = []
-    for E in E_list:
-        res = max_eps_tilde(eps, E, t, u)
-        rows.append({"E": float(E), "eps_tilde": res.eps_tilde_max, "alpha": res.alpha_star})
-    values = np.asarray([row["eps_tilde"] for row in rows])
-    vmax = values.max()
-    return {
-        "rows": rows,
-        "relative_spread": float(values.std() / values.mean()) if values.mean() > 0 else math.nan,
-        "range_fraction": float((vmax - values.min()) / vmax) if vmax > 0 else math.nan,
-    }
-
-
 def condition_surface(eps: float, E: float, t: float, u: float, alphas, eps_tildes):
     """Margin eps_cap(t, u) - separation_rhs over the (alpha, eps_tilde) grid.
 

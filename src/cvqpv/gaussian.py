@@ -14,15 +14,6 @@ from __future__ import annotations
 import math
 
 
-def lambda_of_sigma(sigma: float) -> float:
-    """Schmidt parameter lambda = tanh(asinh(sigma)) = sigma/sqrt(1+sigma^2)."""
-    if not (sigma > 0.0) or math.isnan(sigma):
-        raise ValueError(f"sigma must be positive and finite-or-inf, got {sigma}")
-    if math.isinf(sigma):
-        return 1.0
-    return sigma / math.hypot(1.0, sigma)
-
-
 def neg_log_rho(sigma: float) -> float:
     """x = -ln(lambda^2) = log1p(1/sigma^2), without rounding lambda first.
 

@@ -1,4 +1,4 @@
-"""Delta-net resolution, classical-rounding arithmetic and the attacker qubit budget.
+"""Classical-rounding arithmetic and the attacker qubit budget.
 
 The counting argument works entirely in log2 space: the probability that a
 uniformly random 2n-bit function admits a good rounding is at most
@@ -21,9 +21,6 @@ from .gaussian import binary_entropy, cutoff_purified_distance
 # for every ceiled rounding factor (4 to 1024) and every q + m0
 N_MAX = 63
 
-#: strictly inside the open constraint delta < cbrt((2+et)/2) - 1
-DELTA_SAFETY = 0.999
-
 H_QUARTER = binary_entropy(0.25)
 
 
@@ -41,22 +38,11 @@ class ResourceReport:
 
 
 def _cbrt_gap(eps_tilde: float) -> float:
-    """cbrt((2+et)/2) - 1, as expm1(log1p(et/2)/3) so that small et does not cancel."""
+    """cbrt((2+et)/2) - 1, as expm1(log1p(et/2)/3) so that small et does not cancel.
+
+    It is the supremum of the net resolution delta with (1+delta)^3 - 1 < et/2.
+    """
     return math.expm1(math.log1p(eps_tilde / 2.0) / 3.0)
-
-
-def delta_for(eps_tilde: float) -> float:
-    """Net resolution delta just inside cbrt((2+et)/2) - 1."""
-    if not (0.0 < eps_tilde < 1.0):
-        raise ValueError("eps_tilde must lie in (0,1)")
-    return DELTA_SAFETY * _cbrt_gap(eps_tilde)
-
-
-def net_approx_error(delta: float) -> float:
-    """Composition error 3d + 3d^2 + d^3 = (1+d)^3 - 1 of net substitutions."""
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
-    return math.expm1(3.0 * math.log1p(delta))
 
 
 def rounding_size_logfactor(eps_tilde: float) -> float:
@@ -68,10 +54,9 @@ def rounding_size_logfactor(eps_tilde: float) -> float:
     """
     if not (0.0 < eps_tilde < 1.0):
         raise ValueError("eps_tilde must lie in (0,1)")
-    net_error = net_approx_error(delta_for(eps_tilde))
     gap = 2.0 * _cbrt_gap(eps_tilde)
     factor = math.log2(1.0 + 4.0 / gap) if gap > 0.0 else math.inf
-    if not (net_error < eps_tilde / 2.0 and math.isfinite(factor)):
+    if not math.isfinite(factor):
         raise ValueError(f"eps_tilde = {eps_tilde!r} is too small for a resolvable "
                          "rounding factor")
     return factor

@@ -16,7 +16,6 @@ from cvqpv.bounds import (
     condition_holds,
     condition_margin,
     condition_surface,
-    energy_sensitivity,
     eps_cap,
     max_eps_tilde,
     separation_rhs,
@@ -265,24 +264,6 @@ class TestEpsTildeGrid:
         res = max_eps_tilde(*point)
         assert res.eps_tilde_max == eps_tilde_max
         assert res.alpha_star == alpha_star
-
-
-class TestEnergySensitivity:
-    def test_single_element(self):
-        table = energy_sensitivity(0.1, 1.0, 0.0, [1e3])
-        assert len(table["rows"]) == 1
-        assert table["rows"][0]["eps_tilde"] == pytest.approx(
-            max_eps_tilde(0.1, 1e3, 1.0, 0.0).eps_tilde_max
-        )
-
-    def test_monotone_decreasing_in_energy(self):
-        table = energy_sensitivity(0.1, 1.0, 0.0, [10.0, 1e2, 1e3, 1e4])
-        values = [row["eps_tilde"] for row in table["rows"]]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_spread_small(self):
-        table = energy_sensitivity(0.1, 1.0, 0.0, [10.0, 1e2, 1e3, 1e4])
-        assert table["relative_spread"] < 0.15
 
 
 class TestConditionSurface:

@@ -125,7 +125,7 @@ class TestResources:
         assert payload["k_factor_int"] == math.ceil(factor)
 
     def test_lambda_rounding_to_one_still_reports(self, tmp_path):
-        # lambda_of_sigma(1e8) rounds to 1.0; log2 lambda^(2^m0) does not need it
+        # lambda rounds to 1.0 at sigma = 1e8; log2 lambda^(2^m0) does not need it
         assert run(["resources", "--sigma", "1e8", "--out", str(tmp_path)]) == EXIT_OK
         value = strict_json(tmp_path / "resources.json")["cutoff_error_log2"]
         assert value == pytest.approx(-2.3083e-15, rel=1e-4, abs=0.0)

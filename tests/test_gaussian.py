@@ -10,7 +10,6 @@ from cvqpv.gaussian import (
     cutoff_purified_distance,
     h_tilde,
     h_U_given_P_limit,
-    lambda_of_sigma,
     neg_log_rho,
 )
 
@@ -18,33 +17,42 @@ from cvqpv.gaussian import (
 def fock_truncated_energy(m0, sigma):
     """Brute-force oracle: mean photon number of the truncated TMSV arm.
 
-    Weights are lambda^(2m) over m = 0 .. 2^m0 - 1, renormalized.
+    Weights are lambda^(2m) over m = 0 .. 2^m0 - 1, renormalized, with
+    lambda = sigma/sqrt(1+sigma^2).
     """
-    lam = lambda_of_sigma(sigma)
+    lam = sigma / math.hypot(1.0, sigma)
     m = np.arange(2**m0, dtype=np.float64)
     w = np.exp(2.0 * m * math.log(lam))
     return float(np.sum(m * w) / np.sum(w))
 
 
 class TestLambdaOfSigma:
+    """The Schmidt parameter as the library holds it: lambda = exp(-x/2) with
+    x = neg_log_rho(sigma)."""
+
+    @staticmethod
+    def lam(sigma):
+        return math.exp(-0.5 * neg_log_rho(sigma))
+
     def test_large_sigma_limit(self):
-        assert lambda_of_sigma(1e8) == pytest.approx(1.0, abs=1e-15)
+        assert self.lam(1e8) == pytest.approx(1.0, abs=1e-15)
+        assert neg_log_rho(math.inf) == 0.0
 
     def test_sigma_one(self):
-        assert lambda_of_sigma(1.0) == pytest.approx(1.0 / math.sqrt(2.0))
+        assert self.lam(1.0) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-15)
 
     def test_sigma_three(self):
-        assert lambda_of_sigma(3.0) == pytest.approx(3.0 / math.sqrt(10.0))
+        assert self.lam(3.0) == pytest.approx(3.0 / math.sqrt(10.0), rel=1e-15)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
-            lambda_of_sigma(bad)
+            neg_log_rho(bad)
 
     def test_range_and_monotonicity(self):
         rng = np.random.default_rng(7)
         sigmas = np.sort(rng.uniform(1e-3, 1e3, size=200))
-        lams = [lambda_of_sigma(s) for s in sigmas]
+        lams = [self.lam(s) for s in sigmas]
         assert all(0.0 < l < 1.0 for l in lams)
         assert all(a < b for a, b in zip(lams, lams[1:]))
 
@@ -121,7 +129,7 @@ def decimal_energy(m0, sigma):
 
 
 def sigma_of_lambda(lam):
-    """Inverse of lambda_of_sigma: sigma = lambda / sqrt(1 - lambda^2)."""
+    """Inverse of lambda = sigma/sqrt(1+sigma^2): sigma = lambda / sqrt(1 - lambda^2)."""
     return lam / math.sqrt(1.0 - lam * lam)
 
 
@@ -175,7 +183,7 @@ class TestCutoff:
     def test_energy_lambda_power_form_cross_check(self):
         # the lambda-power form of the same closed expression
         for sigma, m0 in [(2.0, 4), (5.0, 6)]:
-            lam = lambda_of_sigma(sigma)
+            lam = sigma / math.hypot(1.0, sigma)
             big = 2**m0
             num = lam**2 + (big - 1) * lam ** (2 * big + 2) - big * lam ** (2 * big)
             den = (lam**2 - 1.0) * (lam ** (2 * big) - 1.0)
@@ -190,8 +198,8 @@ class TestCutoff:
 
     @pytest.mark.parametrize("sigma", [1e8, 1e10])
     def test_energy_where_lambda_rounds_to_one(self, sigma):
-        # lambda_of_sigma is 1.0 here; the energy is taken from sigma alone
-        assert lambda_of_sigma(sigma) == 1.0
+        # lambda = sigma/sqrt(1+sigma^2) is 1.0 here; the energy is taken from sigma alone
+        assert sigma / math.hypot(1.0, sigma) == 1.0
         for m0 in range(1, 13):
             assert cutoff_energy(m0, sigma) == pytest.approx(
                 direct_sum_energy(m0, sigma), rel=1e-9, abs=0.0)

@@ -1,6 +1,7 @@
 """Package layout: which modules stay free of numpy, and the names perfbench wraps."""
 
 import ast
+import importlib
 import importlib.util
 import os
 import subprocess
@@ -13,6 +14,7 @@ from cvqpv import attack, bounds, channel, cli, gaussian, protocol, resources
 
 NUMPY_FREE = ["channel.py", "attack.py", "gaussian.py", "resources.py"]
 PACKAGE = Path(cvqpv.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def imported_roots(path: Path) -> set:
@@ -62,8 +64,7 @@ def test_no_unused_imports():
 def test_perfbench_tracer_finds_every_name():
     # perfbench/tracer.py wraps layers by attribute name: renaming or deleting one of
     # them (session_seeds, say) fails here, not only in a traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     cv = SimpleNamespace(attack=attack, bounds=bounds, channel=channel, cli=cli,
@@ -79,3 +80,37 @@ def test_perfbench_tracer_finds_every_name():
         restored = vars(owner)
         assert restored.keys() == saved.keys(), owner
         assert all(restored[name] is value for name, value in saved.items()), owner
+
+
+def _is_cv(node) -> bool:
+    """The namespace of cvqpv modules that perfbench's workloads hold: cv or self.cv."""
+    return (isinstance(node, ast.Name) and node.id == "cv"
+            or isinstance(node, ast.Attribute) and node.attr == "cv")
+
+
+def perfbench_reads() -> set:
+    """(module, name) pairs perfbench reads from cvqpv outside its tracer.
+
+    These are the names of every ``from cvqpv... import`` in perfbench/*.py,
+    and every ``cv.<module>.<name>`` read in perfbench/workloads.py.
+    """
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cvqpv":
+                reads.update((node.module, alias.name) for alias in node.names)
+    for node in ast.walk(ast.parse((PERFBENCH / "workloads.py").read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and _is_cv(node.value.value)):
+            reads.add((f"cvqpv.{node.value.attr}", node.attr))
+    return reads
+
+
+def test_perfbench_reads_only_names_that_exist():
+    # the workloads and perfbench's self-test call these directly: deleting one
+    # (bounds.condition_holds, say) fails here, not only in a benchmark run
+    reads = perfbench_reads()
+    assert {("cvqpv.bounds", "condition_holds"), ("cvqpv.protocol", "write_rounds_csv")} <= reads
+    missing = sorted(f"{module}.{name}" for module, name in reads
+                     if not hasattr(importlib.import_module(module), name))
+    assert not missing

@@ -11,11 +11,10 @@ from cvqpv.gaussian import binary_entropy, cutoff_purified_distance
 from cvqpv.resources import (
     H_QUARTER,
     N_MAX,
+    _cbrt_gap,
     _count_bound_log2,
     corollary_q,
     count_bound_log2,
-    delta_for,
-    net_approx_error,
     q_max,
     resource_report,
     rounding_size_logfactor,
@@ -23,19 +22,12 @@ from cvqpv.resources import (
 
 
 class TestNetApproxError:
-    def test_identity(self):
-        assert net_approx_error(0.1) == pytest.approx(0.331, rel=1e-12)
-        assert net_approx_error(0.0) == 0.0
-
     def test_sup_delta_attains_half_eps_tilde(self):
-        for et in [0.004, 0.00031, 0.5]:
-            sup_delta = ((2.0 + et) / 2.0) ** (1.0 / 3.0) - 1.0
-            assert net_approx_error(sup_delta) == pytest.approx(et / 2.0, rel=1e-12)
-
-    def test_chosen_delta_strictly_below(self):
-        rng = np.random.default_rng(13)
-        for et in rng.uniform(1e-5, 0.99, size=100):
-            assert net_approx_error(delta_for(et)) < et / 2.0
+        # the composition error (1+d)^3 - 1 of net substitutions reaches et/2 at the
+        # supremum d of the rounding factor's net resolution, cbrt((2+et)/2) - 1
+        for et in [1e-300, 1e-12, 3.1e-4, 0.004, 0.5, 0.999]:
+            error = math.expm1(3.0 * math.log1p(_cbrt_gap(et)))
+            assert error == pytest.approx(et / 2.0, rel=1e-12), et
 
 
 class TestRoundingFactor:

@@ -71,10 +71,11 @@ def measured_tree(commit: str | None):
         yield Path(tmp), full
 
 
-def run_workload(root: Path, name: str, trace: int, seconds: float) -> tuple[dict, dict]:
+def run_workload(root: Path, name: str, trace: int, seconds: float,
+                 seed: int = SEED) -> tuple[dict, dict]:
     """perfbench's JSON result line and its environment record for one workload."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(SEED),
+        [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=True)
     lines = proc.stdout.splitlines()
