@@ -27,8 +27,9 @@ def fock_truncated_energy(m0, sigma):
 
 
 class TestLambdaOfSigma:
-    """The Schmidt parameter as the library holds it: lambda = exp(-x/2) with
-    x = neg_log_rho(sigma)."""
+    """lambda(sigma), the Schmidt parameter, as the library holds it: through
+    neg_log_rho, with lambda = exp(-x/2) and x = neg_log_rho(sigma). The class
+    names the quantity; there is no function of that name."""
 
     @staticmethod
     def lam(sigma):

@@ -44,6 +44,22 @@ def test_regression_is_relative_to_the_parent_median(factor, regression):
     assert m["wins"] == 0 and not m["gain"]
 
 
+@pytest.mark.parametrize("bound, unresolved", [(0.35, True), (0.40, False)])
+def test_unresolved_when_the_parent_iqr_is_wider_than_the_bound(bound, unresolved):
+    # the parent's IQR is 5.5 on a median of 14.5, 37.9% of it; the change is identical
+    m = paired_bench.compare(PARENT, list(PARENT), "lower", bound)
+    assert m["unresolved"] is unresolved
+    assert m["worse_rel"] == 0.0 and not m["regression"] and not m["gain"]
+
+
+def test_resolved_when_every_change_run_is_better():
+    # same spread, but the change's worst run (lower is better) beats the parent's best
+    m = paired_bench.compare(PARENT, [v - 10.0 for v in PARENT], "lower", 0.35)
+    assert not m["unresolved"]
+    m = paired_bench.compare(PARENT, [v - 9.0 for v in PARENT], "lower", 0.35)
+    assert m["unresolved"]
+
+
 def run(side, value, failed):
     return {"side": side, "result": {"attempted": 100, "failed": failed, "correct": True,
                                      "metrics": {"work_rate_rel": {"value": value}}}}
@@ -56,4 +72,10 @@ def test_verdict_names_regressions_and_a_larger_failed_share():
     v = paired_bench.verdict(runs, declared)
     assert v["failed_share"] == {"parent": 0.0, "change": 0.005}
     assert v["regressions"] == ["work_rate_rel", "failed_share"]
-    assert v["gains"] == [] and v["all_correct"]
+    assert v["gains"] == [] and v["unresolved"] == [] and v["all_correct"]
+
+
+def test_verdict_lists_unresolved_metrics():
+    declared = [{"name": "work_rate_rel", "better": "higher", "bound": 0.15}]
+    runs = [run(side, value, 0) for value in PARENT for side in ("parent", "change")]
+    assert paired_bench.verdict(runs, declared)["unresolved"] == ["work_rate_rel"]

@@ -6,12 +6,9 @@ Run from anywhere in a checkout:
     python3 tools/paired_bench.py HEAD --workload mc_plan --seed 11 --pairs 10   # A/A
 
 Each pair runs ``perfbench/run.py --trace 0`` once on PARENT's ``src/``
-(unpacked by ``record_bench.measured_tree``) and once on this checkout's
-working tree, one after the other; the side that runs first alternates from
-pair to pair. Both sides run from a temporary directory: in an A/A check
-(PARENT = HEAD on a clean tree, ``cli_outputs``, 4 pairs) the side run from
-the checkout itself read ``setup_s`` 10% lower than the side run from a
-temporary directory.
+and once on this checkout's working tree, one after the other; the side that
+runs first alternates from pair to pair. ``record_bench.measured_tree``
+builds both sides, each in its own temporary directory.
 
 It writes ``PAIRS_<label>_<workload>_<seed>.json`` in the repo root, the
 label being PARENT's short hash. The file holds every result line, each
@@ -22,7 +19,11 @@ per metric:
 * a regression is a median worse than the parent's by more than the
   metric's relative bound in ``BENCHMARK.json``, or a larger failed share;
 * a gain needs a win in at least 9 of every 10 pairs, and medians further
-  apart, in the better direction, than the parent's interquartile range.
+  apart, in the better direction, than the parent's interquartile range;
+* a metric is unresolved when the parent's interquartile range is wider than
+  the metric's bound times the parent's median, unless every run of the
+  change reads better than every run of the parent: its runs spread too
+  widely to tell a regression within the bound from noise.
 
 The file is a report: the verdict is printed and recorded, and nothing
 here fails on it.
@@ -31,14 +32,10 @@ here fails on it.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
-import shutil
 import statistics
 import sys
-import tempfile
-from pathlib import Path
 
 from record_bench import ROOT, git, measured_tree, run_workload
 
@@ -67,6 +64,8 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
         "pairs": len(parent),
         "worse_rel": worse_rel,
         "regression": worse_rel > bound,
+        "unresolved": (p["q3"] - p["q1"] > bound * abs(p["median"])
+                       and min(sign * b for b in change) <= max(sign * a for a in parent)),
         "gain": (wins >= math.ceil(GAIN_WIN_SHARE * len(parent))
                  and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]),
     }
@@ -98,18 +97,8 @@ def verdict(runs: list[dict], declared: list[dict]) -> dict:
         "all_correct": all(line["correct"] for side_lines in lines.values() for line in side_lines),
         "regressions": regressions,
         "gains": [name for name, m in metrics.items() if m["gain"]],
+        "unresolved": [name for name, m in metrics.items() if m["unresolved"]],
     }
-
-
-@contextlib.contextmanager
-def working_tree():
-    """A temporary copy of this checkout's src/ and perfbench/, and the commit it is."""
-    with (measured_tree(None) as (root, commit),
-          tempfile.TemporaryDirectory(prefix="cvqpv-bench-") as tmp):
-        for part in ("src", "perfbench"):
-            shutil.copytree(root / part, Path(tmp, part),
-                            ignore=shutil.ignore_patterns("__pycache__"))
-        yield Path(tmp), commit
 
 
 def main(argv=None) -> int:
@@ -126,7 +115,7 @@ def main(argv=None) -> int:
     seconds = benchmark["run_seconds"]
     label = git("rev-parse", "--short", args.parent)
     runs, env = [], None
-    with measured_tree(args.parent) as parent, working_tree() as change:
+    with measured_tree(args.parent) as parent, measured_tree(None) as change:
         trees = {"parent": parent, "change": change}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
@@ -151,8 +140,8 @@ def main(argv=None) -> int:
     for name, m in record["metrics"].items():
         print(f"{name}: parent {m['parent']['median']:.4g}, change {m['change']['median']:.4g} "
               f"({m['worse_rel']:+.1%} worse), wins {m['wins']}/{m['pairs']}", file=sys.stderr)
-    print(f"regressions: {record['regressions'] or 'none'}; gains: {record['gains'] or 'none'}",
-          file=sys.stderr)
+    print(f"regressions: {record['regressions'] or 'none'}; gains: {record['gains'] or 'none'}; "
+          f"unresolved: {record['unresolved'] or 'none'}", file=sys.stderr)
     print(f"wrote {path}", file=sys.stderr)
     return 0
 

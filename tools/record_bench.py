@@ -12,14 +12,16 @@ as a fresh process, importing ``cvqpv`` from ``src/``, 5 times one after
 another, and reports the median and the quartiles. A bare interpreter start
 is timed the same way as the floor those times sit on.
 
-By default it measures this checkout's working tree. With ``--src COMMIT``
-it unpacks ``git archive COMMIT src`` next to a copy of this checkout's
-``perfbench/`` in a temporary directory, measures that, and removes the
-directory afterwards, so today's benchmark runs against an older tree. The
-``commit`` field names the measured tree: COMMIT's full hash, or HEAD's
-with ``-dirty`` appended when ``src/`` or ``perfbench/`` differ from HEAD.
-perfbench's own ``env.git_commit`` reads the checkout it runs in, which for
-``--src`` is no git checkout at all.
+It always measures a temporary directory holding a copy of this checkout's
+``perfbench/`` and a ``src/``: by default a copy of the working tree's, with
+``--src COMMIT`` the output of ``git archive COMMIT src``, so today's
+benchmark runs against an older tree. The directory is removed afterwards.
+Both cases run from the same kind of location because the location alone
+moves ``setup_s``: on the same code, a run from the checkout itself read it
+about 10% lower than a run from a temporary directory. The ``commit`` field
+names the measured tree: COMMIT's full hash, or HEAD's with ``-dirty``
+appended when ``src/`` or ``perfbench/`` differ from HEAD. perfbench's own
+``env.git_commit`` reads the directory it runs in, which is no git checkout.
 
 The file is a report: nothing here compares it with an earlier one or
 fails on a slow number. It holds each workload's JSON result line, under
@@ -56,19 +58,24 @@ def git(*args: str) -> str:
 
 @contextlib.contextmanager
 def measured_tree(commit: str | None):
-    """The root holding the src/ and perfbench/ to measure, and the commit it is."""
-    if commit is None:
-        dirty = git("status", "--porcelain", "--", "src", "perfbench")
-        yield ROOT, git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
-        return
-    full = git("rev-parse", "--verify", f"{commit}^{{commit}}")
+    """A temporary directory holding the src/ and perfbench/ to measure, and the commit it is.
+
+    COMMIT's src/ comes from ``git archive``; with no COMMIT, src/ is copied
+    from the working tree. perfbench/ is always this checkout's.
+    """
+    ignore = shutil.ignore_patterns("__pycache__")
     with tempfile.TemporaryDirectory(prefix="cvqpv-bench-") as tmp:
-        archive = subprocess.run(["git", "archive", "--format=tar", full, "src"], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        shutil.copytree(ROOT / "perfbench", Path(tmp, "perfbench"),
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        yield Path(tmp), full
+        if commit is None:
+            dirty = git("status", "--porcelain", "--", "src", "perfbench")
+            name = git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
+            shutil.copytree(ROOT / "src", Path(tmp, "src"), ignore=ignore)
+        else:
+            name = git("rev-parse", "--verify", f"{commit}^{{commit}}")
+            archive = subprocess.run(["git", "archive", "--format=tar", name, "src"], cwd=ROOT,
+                                     capture_output=True, check=True).stdout
+            subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        shutil.copytree(ROOT / "perfbench", Path(tmp, "perfbench"), ignore=ignore)
+        yield Path(tmp), name
 
 
 def run_workload(root: Path, name: str, trace: int, seconds: float,
