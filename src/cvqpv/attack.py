@@ -83,6 +83,12 @@ def rounds_required(eps: float, u: float, eps_hon: float) -> RoundPlan:
     gamma depends on N, so this is a fixed point; N Delta(N)^2 is monotone
     increasing once Delta is positive, enabling a doubling-plus-bisection
     search. var is the pessimistic attacker's exact score-term variance.
+    The test is decided exactly on the float values of Delta(N), var and
+    eps_hon, in integers. In floating point, where gamma is below an ulp of
+    the estimation-error floor, N Delta^2 and var / eps_hon agree to within
+    rounding at N = 2/eps_hon, so rounding would decide that N; and where
+    var / eps_hon overflows, an N at which N Delta^2 overflows too would
+    pass.
     """
     if not (0.0 < eps_hon < 1.0):
         raise ValueError("eps_hon must lie in (0,1)")
@@ -93,11 +99,17 @@ def rounds_required(eps: float, u: float, eps_hon: float) -> RoundPlan:
         )
     # 2 (v/(1/2+u))^2 > 2 wherever that margin is positive, so no underflow to 0
     score_variance = attacker_score_variance(eps, u)
-    target = score_variance / eps_hon
+    # N d^2 >= var / eps_hon as N d_num^2 var_den hon_num >= var_num hon_den d_den^2
+    var_num, var_den = score_variance.as_integer_ratio()
+    hon_num, hon_den = eps_hon.as_integer_ratio()
+    scale, target = var_den * hon_num, var_num * hon_den
 
     def ok(N: int) -> bool:
         d = delta_margin(eps, u, gamma_threshold(N, eps_hon))
-        return d > 0.0 and N * d * d >= target
+        if d <= 0.0:
+            return False
+        d_num, d_den = d.as_integer_ratio()
+        return N * d_num * d_num * scale >= target * d_den * d_den
 
     hi = 1
     while not ok(hi):

@@ -15,7 +15,10 @@ is increasing in et, so for fixed a the largest admissible et is found by
 bisection; the outer maximization over a takes the best point of a
 log-spaced grid. The best grid alphas share one bisection path, so the
 optimizer walks that path alone, testing each midpoint on the alphas still
-on it; the reported rhs_at_opt uses the scalar form. Everything is
+on it; the reported rhs_at_opt uses the scalar form. What the term needs of
+each alpha, (1+a)/(1-a) and the prefactor, is computed once per grid of
+alphas (_alpha_factors), not once per midpoint, and one array form of the
+term serves both the optimizer and condition_surface. Everything is
 deterministic.
 
 Of the reference parameter table, the eps_tilde column is what this module
@@ -109,26 +112,48 @@ def condition_holds(b: BoundInputs) -> bool:
     return ChannelParams(b.t, b.u).feasible() and condition_margin(b) > 0.0
 
 
-def _separation_rhs_array(E, alphas, eps_tilde, log2=np.log2):
-    """separation_rhs over arrays of alpha and eps_tilde, broadcast together.
+def _alpha_factors(alphas) -> np.ndarray:
+    """Rows (a, (1+a)/(1-a), (1+a)/(2(1-a)) + a): all the separation term needs of each alpha.
 
-    Follows _bracket and separation_rhs op for op, with np.where for their
-    branches. np.log2 may differ from math.log2 in the last ulp, so with the
-    default log2 the result serves only sign decisions; with _math_log2 it
-    equals separation_rhs bit for bit.
+    Each row is computed as separation_rhs computes it, so it carries the
+    same bits; the rows keep the shape of alphas.
     """
-    x = (1.0 + alphas) / (1.0 - alphas) * eps_tilde
-    p = np.where((x > 0.0) & (x < 0.5), x, 0.25)  # keeps log2 finite off-branch
-    entropy = -p * log2(p) - (1.0 - p) * log2(1.0 - p)
-    h = np.where(x >= 0.5, 1.0, np.where(x == 0.0, 0.0, entropy))
+    alphas = np.asarray(alphas, dtype=float)
+    return np.stack([alphas, (1.0 + alphas) / (1.0 - alphas),
+                     (1.0 + alphas) / (2.0 * (1.0 - alphas)) + alphas])
+
+
+def _separation_rhs_array(E, factors, eps_tilde, log2=np.log2):
+    """separation_rhs at the alphas whose _alpha_factors rows are factors, over eps_tilde.
+
+    The rows and eps_tilde broadcast together. The one array form of the
+    separation term, for the optimizer and for condition_surface alike: it
+    follows _bracket and separation_rhs op for op, up to exact negations,
+    with htilde(x) taken as the binary entropy of min(x, 1/2), which is
+    exactly 1.0 at 1/2. np.log2 may differ from math.log2 in the last ulp,
+    so with the default log2 the result serves only sign decisions; with
+    _math_log2 it equals separation_rhs bit for bit.
+    """
+    alphas, ratio, prefactor = factors
+    x = np.minimum(ratio * eps_tilde, 0.5)
+    # x = 0 only where eps_tilde = 0, whose bracket is 0; any p there keeps log2 finite
+    positive = x > 0.0
+    p = np.where(positive, x, 0.5)
+    q = 1.0 - p
+    minus_h = p * log2(p) + q * log2(q)  # -p log2 p - q log2 q, negated exactly
     log_term = math.log2(E + 1.0) + log2(math.e / (alphas * (1.0 - eps_tilde)))
-    bracket = np.where(eps_tilde == 0.0, 0.0, 2.0 * eps_tilde * log_term + 6.0 * h)
-    return ((1.0 + alphas) / (2.0 * (1.0 - alphas)) + alphas) * bracket
+    bracket = np.where(positive, 2.0 * eps_tilde * log_term - 6.0 * minus_h, 0.0)
+    return prefactor * bracket
 
 
 def _math_log2(x: np.ndarray) -> np.ndarray:
     """math.log2 of each element, so array results match the scalar forms exactly."""
     return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+_GRID = _alpha_factors(_ALPHAS)
+# the rows (1+a)/(1-a) + 2a and log2(e/a) of _no_margin_above's bound, for the grid
+_SLOPE, _LOG2_E_OVER_A = _GRID[1] + 2.0 * _ALPHAS, np.log2(math.e / _ALPHAS)
 
 
 def _no_margin_above(cap_margin: float, E: float) -> float:
@@ -137,8 +162,7 @@ def _no_margin_above(cap_margin: float, E: float) -> float:
     The bracket is at least its 2 et (log2(E+1) + log2(e/a)) part, since
     htilde >= 0 and log2(1/(1-et)) > 0; the factor 1 + 1e-6 covers rounding.
     """
-    slope = ((1.0 + _ALPHAS) / (1.0 - _ALPHAS) + 2.0 * _ALPHAS) * (
-        math.log2(E + 1.0) + np.log2(math.e / _ALPHAS))
+    slope = _SLOPE * (math.log2(E + 1.0) + _LOG2_E_OVER_A)
     return cap_margin / float(slope.min()) * (1.0 + 1e-6)
 
 
@@ -153,10 +177,13 @@ def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     the first argmax, is alpha_star: one maximizer, fixed only to within the
     flat top of the objective (at the reference points eps_tilde stays
     within 1% of its maximum from about alpha = 0.002 to 0.012). A midpoint
-    above _no_margin_above is taken down unevaluated. The sign tests use
-    np.log2, which may differ from math.log2 in the last ulp: only a
-    midpoint whose margin lies that close to zero, a window under 1e-16 wide
-    in eps_tilde, could bisect differently from the scalar separation_rhs.
+    above _no_margin_above is taken down unevaluated. The grid's alpha rows
+    (_GRID) are computed once, at import; the path carries the columns of
+    the alphas still on it, and alpha_star is the first column's alpha. The
+    sign tests use np.log2, which may differ from math.log2 in the last ulp:
+    only a midpoint whose margin lies that close to zero, a window under
+    1e-16 wide in eps_tilde, could bisect differently from the scalar
+    separation_rhs.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
@@ -168,16 +195,18 @@ def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     # the margin is cap_margin > 0 at eps_tilde = 0 and, as t <= 1, negative at the top
     cap_margin = eps_cap(t, u) - eps
     top = _no_margin_above(cap_margin, E)
-    alphas, lo, hi = _ALPHAS, 0.0, 1.0 - 1e-12
+    factors, lo, hi = _GRID, 0.0, 1.0 - 1e-12
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if mid <= top and (up := cap_margin - _separation_rhs_array(E, alphas, mid) > 0.0).any():
-            alphas, lo = alphas[up], mid
+        # rhs < cap_margin decides exactly as cap_margin - rhs > 0.0: subnormals keep it so
+        if mid <= top and np.count_nonzero(
+                up := _separation_rhs_array(E, factors, mid) < cap_margin):
+            factors, lo = factors[:, up], mid
         else:
             hi = mid
     if lo == 0.0:
         return BoundResult(0.0, math.nan, False, math.nan)
-    alpha_star = float(alphas[0])
+    alpha_star = float(factors[0, 0])
     return BoundResult(lo, alpha_star, True, separation_rhs(E, alpha_star, lo))
 
 
@@ -195,4 +224,5 @@ def condition_surface(eps: float, E: float, t: float, u: float, alphas, eps_tild
         raise ValueError("alpha must lie in (0, 1/2]")
     if not ((eps_tildes >= 0.0) & (eps_tildes < 1.0)).all():
         raise ValueError("eps_tilde must lie in [0,1)")
-    return eps_cap(t, u) - _separation_rhs_array(E, alphas, eps_tildes, log2=_math_log2)
+    return eps_cap(t, u) - _separation_rhs_array(E, _alpha_factors(alphas), eps_tildes,
+                                                 log2=_math_log2)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -124,6 +125,42 @@ class TestRoundsRequired:
     def test_validation(self):
         with pytest.raises(ValueError):
             rounds_required(0.1, 0.0, 1.5)
+
+    @pytest.mark.parametrize("eps,u,eps_hon,N", [
+        (100.0, 0.0, 0.01, 201),  # the rounded test passed at 200
+        (300.0, 0.05, 0.001, 2001),  # and at 2000
+        (700.0, 2.0, 0.1, 21),  # and at 20
+        (100.0, 0.0, 0.1, 20),  # the rounded test failed here
+        (700.0, 0.0, 0.001, 2000),
+        (0.1, 0.0, 0.01, 139_999),  # the default plan, away from any tie
+    ])
+    def test_decided_exactly_on_the_floats(self, eps, u, eps_hon, N):
+        # at large eps gamma is below an ulp of the floor, so N d^2 and
+        # var / eps_hon tie to within rounding at N = 2/eps_hon
+        target = Fraction(attacker_score_variance(eps, u)) / Fraction(eps_hon)
+
+        def holds(n):
+            d = delta_margin(eps, u, gamma_threshold(n, eps_hon))
+            return d > 0.0 and n * Fraction(d) ** 2 >= target
+
+        assert rounds_required(eps, u, eps_hon).N == N
+        assert holds(N) and not holds(N - 1)
+
+    def test_exact_tie_meets_the_test(self):
+        # u makes 1/2 + u divide the floor to 2^143, so Delta(N) is 2^143 in
+        # floats, var is 2^287 and N Delta^2 equals var / eps_hon exactly at N = 4
+        v = fano_mse_floor(200.0)
+        u = v / 2.0 ** math.floor(math.log2(v)) - 0.5
+        assert delta_margin(200.0, u, gamma_threshold(4, 0.5)) == 2.0**143
+        assert attacker_score_variance(200.0, u) == 2.0**287
+        assert rounds_required(200.0, u, 0.5).N == 4
+
+    def test_overflowing_target_is_not_met_by_an_overflowing_product(self):
+        # var / eps_hon overflows to inf; so did N d^2 at N = 17,725, which passed
+        # the rounded test, while the exact N is about 2/eps_hon = 2e9
+        assert attacker_score_variance(700.0, 0.0) / 1e-9 == math.inf
+        with pytest.raises(NoMarginError, match="no N <="):
+            rounds_required(700.0, 0.0, 1e-9)
 
 
 class TestPessimisticAttacker:

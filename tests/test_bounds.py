@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -159,6 +161,17 @@ class TestMaxEpsTilde:
     def test_eps_above_cap_infeasible(self):
         assert not max_eps_tilde(0.3, 1e3, 1.0, 0.0).feasible
 
+    def test_calc_table_grid_golden(self):
+        # the benchmark's 244-point calculator grid: (eps, t, u, E) over the
+        # product below, then the four published points at E = 1e3
+        grid = list(itertools.product((0.03, 0.05, 0.07, 0.1), (0.8, 0.85, 0.9, 0.95, 1.0),
+                                      (0.0, 0.05, 0.1), (10.0, 1e2, 1e3, 1e4)))
+        grid += [(eps, t, u, 1e3) for (eps, E, t, u) in PUBLISHED]
+        text = "\n".join(repr(max_eps_tilde(eps, E, t, u)) for (eps, t, u, E) in grid)
+        # every result's repr, so a change to any bit of any optimum shows
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e526c5217990d4564cc6696e78baaff3717143e8f21c08bbac155f332f042e34")
+
 
 PUBLISHED = [(0.03, 1e3, 0.8, 0.05), (0.03, 1e3, 0.9, 0.12), (0.07, 1e3, 0.95, 0.075),
              (0.1, 1e3, 1.0, 0.0)]  # the last one is also the CLI default
@@ -227,7 +240,7 @@ class TestEpsTildeGrid:
         evaluated = []
         original = bounds._separation_rhs_array
         monkeypatch.setattr(bounds, "_separation_rhs_array",
-                            lambda E, alphas, et: evaluated.append(et) or original(E, alphas, et))
+                            lambda E, factors, et: evaluated.append(et) or original(E, factors, et))
         max_eps_tilde(*PUBLISHED[3])
         assert len(evaluated) == 27 - 6  # a bisection to BISECT_TOL takes 27 steps
         assert max(evaluated) <= _no_margin_above(eps_cap(1.0, 0.0) - 0.1, 1e3)

@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqpv.bounds import (
+    _alpha_factors,
     _separation_rhs_array,
     condition_surface,
     eps_cap,
@@ -67,7 +68,7 @@ def test_separation_rhs_increasing_in_eps_tilde(E, alpha, et1, et2):
 def test_array_form_matches_scalar_sign(E, cap, points):
     a = np.array([p[0] for p in points])
     et = np.array([p[1] for p in points])
-    array_rhs = _separation_rhs_array(E, a, et)
+    array_rhs = _separation_rhs_array(E, _alpha_factors(a), et)
     scalar_rhs = np.array([separation_rhs(E, x, y) for x, y in points])
     # np.log2 and math.log2 may differ in the last ulp, never by more
     np.testing.assert_allclose(array_rhs, scalar_rhs, rtol=1e-14, atol=0.0)
