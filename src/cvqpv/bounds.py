@@ -13,13 +13,13 @@ All logs are base 2 (checked empirically against the reference parameter
 tables; a natural-log reading does not reproduce them). The right-hand side
 is increasing in et, so for fixed a the largest admissible et is found by
 bisection; the outer maximization over a takes the best point of a
-log-spaced grid. The best grid alphas share one bisection path, so the
-optimizer walks that path alone, testing each midpoint on the alphas still
-on it; the reported rhs_at_opt uses the scalar form. What the term needs of
-each alpha, (1+a)/(1-a) and the prefactor, is computed once per grid of
-alphas (_alpha_factors), not once per midpoint, and one array form of the
-term serves both the optimizer and condition_surface. Everything is
-deterministic.
+log-spaced grid. The optimizer bisects one candidate alpha with scalar
+separation_rhs calls, then checks every grid alpha at the end of that path
+in one array call; an alpha that would bisect higher becomes the next
+candidate (max_eps_tilde). What the term needs of each alpha, (1+a)/(1-a)
+and the prefactor, is computed once per grid of alphas (_alpha_factors), and
+one array form of the term serves both those checks and condition_surface.
+Everything is deterministic.
 
 Of the reference parameter table, the eps_tilde column is what this module
 reproduces; the alpha column is not. The objective is flat in a near its
@@ -131,8 +131,9 @@ def _separation_rhs_array(E, factors, eps_tilde, log2=np.log2):
     follows _bracket and separation_rhs op for op, up to exact negations,
     with htilde(x) taken as the binary entropy of min(x, 1/2), which is
     exactly 1.0 at 1/2. np.log2 may differ from math.log2 in the last ulp,
-    so with the default log2 the result serves only sign decisions; with
-    _math_log2 it equals separation_rhs bit for bit.
+    so with the default log2 the result serves only sign decisions and the
+    choice of a candidate alpha; with _math_log2 it equals separation_rhs
+    bit for bit.
     """
     alphas, ratio, prefactor = factors
     x = np.minimum(ratio * eps_tilde, 0.5)
@@ -166,24 +167,57 @@ def _no_margin_above(cap_margin: float, E: float) -> float:
     return cap_margin / float(slope.min()) * (1.0 + 1e-6)
 
 
+def _bisect(E: float, alpha: float, cap_margin: float, top: float) -> tuple[float, float]:
+    """(lo, hi) of the bisection of alpha's boundary, on scalar separation_rhs calls.
+
+    It starts on [0, 1 - 1e-12] and halves until the width is at most
+    BISECT_TOL, going up where the margin at the midpoint is positive; a
+    midpoint above top is taken down unevaluated.
+    """
+    lo, hi = 0.0, 1.0 - 1e-12
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        # rhs < cap_margin decides exactly as cap_margin - rhs > 0.0: subnormals keep it so
+        if mid <= top and separation_rhs(E, alpha, mid) < cap_margin:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     """Maximize eps_tilde over N_ALPHA log-spaced alphas in [ALPHA_MIN, 1/2].
 
-    Each grid alpha's bisection of its monotone boundary starts on
-    [0, 1 - 1e-12] and stops at a width of BISECT_TOL; where two part, the
-    one going up ends strictly higher. So the best alphas share one path,
-    which goes up wherever an alpha still on it has a positive margin and
-    keeps just those. Its lower end is eps_tilde_max and its first alpha,
-    the first argmax, is alpha_star: one maximizer, fixed only to within the
-    flat top of the objective (at the reference points eps_tilde stays
-    within 1% of its maximum from about alpha = 0.002 to 0.012). A midpoint
-    above _no_margin_above is taken down unevaluated. The grid's alpha rows
-    (_GRID) are computed once, at import; the path carries the columns of
-    the alphas still on it, and alpha_star is the first column's alpha. The
-    sign tests use np.log2, which may differ from math.log2 in the last ulp:
-    only a midpoint whose margin lies that close to zero, a window under
-    1e-16 wide in eps_tilde, could bisect differently from the scalar
-    separation_rhs.
+    The result is the largest of the grid alphas' bisections (_bisect), and
+    alpha_star the first alpha that reaches it: one maximizer, fixed only to
+    within the flat top of the objective (at the reference points eps_tilde
+    stays within 1% of its maximum from about alpha = 0.002 to 0.012).
+    Rather than bisect every alpha, it
+
+    1. takes as candidate the grid alpha with the largest margin at top,
+       the _no_margin_above bound, from one array call;
+    2. bisects the candidate alone, with scalar separation_rhs calls, to
+       (lo, hi);
+    3. checks every grid alpha's margin at hi in one array call: if none is
+       positive, lo is the optimum; else the alpha with the largest margin
+       there becomes the candidate and step 2 repeats;
+    4. takes alpha_star as the first grid alpha whose margin at lo is
+       positive, from one more array call.
+
+    Why that is the largest bisection: the margin decreases in eps_tilde,
+    and every bisection walks the same tree of midpoints, so where two part,
+    the one going up ends strictly higher. An alpha therefore ends strictly
+    above the candidate exactly when its margin at the candidate's hi is
+    positive, and ties with it when its margin is positive at lo but not at
+    hi. Each repeat raises the candidate's end strictly, so no alpha is a
+    candidate twice and there are at most N_ALPHA rounds; two is usual.
+
+    The checks use np.log2, which may differ from math.log2 in the last ulp:
+    only an alpha whose margin at hi or lo lies that close to zero, a window
+    under 1e-16 wide in eps_tilde, could be judged differently from the
+    scalar separation_rhs. So an alpha is bisected at most once, a repeat
+    that ends no higher keeps the candidate, and the candidate always counts
+    as positive at lo.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
@@ -195,18 +229,25 @@ def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     # the margin is cap_margin > 0 at eps_tilde = 0 and, as t <= 1, negative at the top
     cap_margin = eps_cap(t, u) - eps
     top = _no_margin_above(cap_margin, E)
-    factors, lo, hi = _GRID, 0.0, 1.0 - 1e-12
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        # rhs < cap_margin decides exactly as cap_margin - rhs > 0.0: subnormals keep it so
-        if mid <= top and np.count_nonzero(
-                up := _separation_rhs_array(E, factors, mid) < cap_margin):
-            factors, lo = factors[:, up], mid
-        else:
-            hi = mid
+    k = int(np.argmin(_separation_rhs_array(E, _GRID, top)))
+    lo, hi = _bisect(E, float(_ALPHAS[k]), cap_margin, top)
+    tried = np.zeros(N_ALPHA, dtype=bool)
+    tried[k] = True
+    while True:
+        rhs = _separation_rhs_array(E, _GRID, hi)
+        rhs[tried] = math.inf
+        j = int(np.argmin(rhs))
+        if not rhs[j] < cap_margin:
+            break
+        tried[j] = True
+        j_lo, j_hi = _bisect(E, float(_ALPHAS[j]), cap_margin, top)
+        if j_hi > hi:
+            k, lo, hi = j, j_lo, j_hi
     if lo == 0.0:
         return BoundResult(0.0, math.nan, False, math.nan)
-    alpha_star = float(factors[0, 0])
+    up = _separation_rhs_array(E, _GRID, lo) < cap_margin
+    up[k] = True
+    alpha_star = float(_ALPHAS[int(np.argmax(up))])
     return BoundResult(lo, alpha_star, True, separation_rhs(E, alpha_star, lo))
 
 

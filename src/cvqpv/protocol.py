@@ -195,8 +195,11 @@ def session_seeds(master_seed: int, sessions: int) -> list:
 
     Child i is deterministic in (master_seed, i). ``acceptance_rate`` seeds
     the one stream of its batch from child 0, not one stream per session.
+    Each child is built directly, with spawn_key (i,): the same entropy and
+    pool size as ``SeedSequence(master_seed).spawn``'s, so the same state,
+    without mixing the parent's pool only to discard it.
     """
-    return np.random.SeedSequence(master_seed).spawn(sessions)
+    return [np.random.SeedSequence(master_seed, spawn_key=(i,)) for i in range(sessions)]
 
 
 def acceptance_rate(

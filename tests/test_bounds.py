@@ -208,8 +208,8 @@ def scalar_grid(eps, E, t, u):
 
 
 class TestEpsTildeGrid:
-    """max_eps_tilde's shared bisection path equals the first argmax of the
-    per-alpha scalar bisections over the grid bit for bit."""
+    """max_eps_tilde's candidate bisections, checked against the grid, equal
+    the first argmax of the per-alpha scalar bisections bit for bit."""
 
     @pytest.mark.parametrize("eps,E,t,u", PUBLISHED + [
         (0.05, 10.0, 0.9, 0.05),
@@ -233,17 +233,59 @@ class TestEpsTildeGrid:
         assert res.rhs_at_opt == separation_rhs(E, res.alpha_star, res.eps_tilde_max)
 
     def test_branches_reached(self, monkeypatch):
-        # near the cap the path drops alphas that admit nothing
+        # near the cap some alphas admit nothing, and the search still finds the best
         partial = scalar_grid(0.27865, 1e3, 1.0, 0.0)
         assert 0 < partial.count(0.0) < len(GRID_ALPHAS)
-        # at the default point it takes its 6 leading midpoints down unevaluated
-        evaluated = []
-        original = bounds._separation_rhs_array
-        monkeypatch.setattr(bounds, "_separation_rhs_array",
-                            lambda E, factors, et: evaluated.append(et) or original(E, factors, et))
-        max_eps_tilde(*PUBLISHED[3])
-        assert len(evaluated) == 27 - 6  # a bisection to BISECT_TOL takes 27 steps
+        assert max_eps_tilde(0.27865, 1e3, 1.0, 0.0).eps_tilde_max == max(partial) > 0.0
+        # at the default point the first candidate ends below the optimum, so
+        # the grid check at its hi starts a second round, whose alpha is alpha_star
+        rounds, evaluated = [], []
+        original_bisect, original_rhs = bounds._bisect, bounds.separation_rhs
+        monkeypatch.setattr(bounds, "_bisect", lambda E, alpha, cap_margin, top: rounds.append(
+            (alpha, original_bisect(E, alpha, cap_margin, top))) or rounds[-1][1])
+        monkeypatch.setattr(bounds, "separation_rhs",
+                            lambda E, alpha, et: evaluated.append(et) or original_rhs(E, alpha, et))
+        res = max_eps_tilde(*PUBLISHED[3])
+        assert len(rounds) == 2
+        (first, (first_lo, _)), (second, (second_lo, _)) = rounds
+        assert first != res.alpha_star and first_lo < res.eps_tilde_max
+        assert second == res.alpha_star and second_lo == res.eps_tilde_max
+        # each round takes its 6 leading midpoints down unevaluated: a bisection to
+        # BISECT_TOL takes 27 steps, and rhs_at_opt is one more call
+        assert len(evaluated) == 2 * (27 - 6) + 1
         assert max(evaluated) <= _no_margin_above(eps_cap(1.0, 0.0) - 0.1, 1e3)
+        assert evaluated[0] == evaluated[27 - 6] == (1.0 - 1e-12) / 2 ** 7
+
+    def test_array_check_cannot_override_the_scalar_bisection(self, monkeypatch):
+        # the grid checks use np.log2, which may judge a margin within an ulp of
+        # zero differently from separation_rhs; simulate both misjudgements
+        point = PUBLISHED[3]
+        cap_margin = eps_cap(*point[2:]) - point[0]
+        top = _no_margin_above(cap_margin, point[1])
+        original = bounds._separation_rhs_array
+        exact = max_eps_tilde(*point)
+
+        def claims_alpha_0_everywhere(E, factors, et):
+            rhs = original(E, factors, et)
+            if et != top:
+                rhs[0] = -math.inf
+            return rhs
+
+        monkeypatch.setattr(bounds, "_separation_rhs_array", claims_alpha_0_everywhere)
+        # alpha 0's repeat ends no higher, so it keeps the candidate, is not
+        # bisected again, and the search goes on to the best alpha
+        assert max_eps_tilde(*point).eps_tilde_max == exact.eps_tilde_max
+
+        def claims_nothing(E, factors, et):
+            rhs = original(E, factors, et)
+            return rhs if et == top else np.full_like(rhs, math.inf)
+
+        monkeypatch.setattr(bounds, "_separation_rhs_array", claims_nothing)
+        # the first candidate is accepted, and alpha_star is it: the reported
+        # alpha_star still admits the reported eps_tilde_max
+        res = max_eps_tilde(*point)
+        assert 0.0 < res.eps_tilde_max < exact.eps_tilde_max
+        assert res.rhs_at_opt < cap_margin
 
     @pytest.mark.parametrize("eps,E,t,u", PUBLISHED + [
         (0.05, 10.0, 0.9, 0.05),

@@ -303,6 +303,16 @@ class TestFailureRates:
         s2 = [s.generate_state(2).tolist() for s in session_seeds(99, 5)]
         assert s1 == s2
 
+    @pytest.mark.parametrize("master_seed", [0, 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("sessions", [1, 3])
+    def test_session_seeds_equal_spawned_children(self, master_seed, sessions):
+        spawned = np.random.SeedSequence(master_seed).spawn(sessions)
+        direct = session_seeds(master_seed, sessions)
+        assert isinstance(direct, list) and len(direct) == sessions
+        for s, d in zip(spawned, direct):
+            assert d.generate_state(4).tolist() == s.generate_state(4).tolist()
+            assert (d.entropy, d.spawn_key, d.pool_size) == (s.entropy, s.spawn_key, s.pool_size)
+
 
 class TestEmission:
     def test_round_csv(self, tmp_path):

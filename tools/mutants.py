@@ -69,9 +69,15 @@ MUTANTS = [
            "killed",
            "htilde must be exactly 1.0 from x = 1/2 up; condition_surface equals "
            "separation_rhs bit for bit"),
-    Mutant("survivors-not-carried", "src/cvqpv/bounds.py",
-           "factors, lo = factors[:, up], mid", "factors, lo = factors, mid", "killed",
-           "alpha_star would stay the first grid alpha; the optimum's alpha is pinned"),
+    Mutant("repeat-skipped", "src/cvqpv/bounds.py",
+           "if not rhs[j] < cap_margin:", "if True:", "killed",
+           "the first candidate is accepted unchecked; at 188 of the 192 feasible calc_table "
+           "points it ends below the optimum, which the golden and the scalar oracle pin"),
+    Mutant("alpha-star-candidate", "src/cvqpv/bounds.py",
+           "alpha_star = float(_ALPHAS[int(np.argmax(up))])", "alpha_star = float(_ALPHAS[k])",
+           "killed",
+           "the candidate is often not the first alpha tied at the optimum (at PUBLISHED[0] "
+           "it is 0.00486, not 0.00469); the optimum's alpha is pinned"),
     Mutant("chebyshev-in-floats", "src/cvqpv/attack.py",
            "return N * d_num * d_num * scale >= target * d_den * d_den",
            "return N * d * d >= score_variance / eps_hon", "killed",
