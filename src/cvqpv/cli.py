@@ -48,7 +48,7 @@ from .attack import (
     make_pessimistic_attacker,
     rounds_required,
 )
-from .bounds import condition_surface, eps_cap, max_eps_tilde
+from .bounds import condition_surface, eps_cap, linspace, log_grid, max_eps_tilde
 from .channel import ChannelParams, feasibility_margin
 from .gaussian import h_U_given_P_limit
 from .protocol import (
@@ -469,12 +469,12 @@ def cmd_bounds(cfg: dict, out: Path | None) -> int:
             "honest_entropy_bits": honest,
             "attacker_floor_bits": floor,
         })
-        alphas = np.logspace(-4, math.log10(0.5), 80)
-        ets = np.linspace(1e-5, max(4.0 * result.eps_tilde_max, 1e-4), 80)
+        alphas = log_grid(1e-4, 0.5, 80)
+        ets = linspace(1e-5, max(4.0 * result.eps_tilde_max, 1e-4), 80)
         grid = condition_surface(eps, E, t, u, alphas, ets)
-        et_texts = [repr(et) for et in ets.tolist()]
+        et_texts = [repr(et) for et in ets]
         rows = [[a_text, et_text, repr(margin)]
-                for a_text, grid_row in zip(map(repr, alphas.tolist()), grid.tolist())
+                for a_text, grid_row in zip(map(repr, alphas), grid)
                 for et_text, margin in zip(et_texts, grid_row)]
         _write_table(out, "condition_surface", ["alpha", "eps_tilde", "margin_vs_eps0"],
                      rows, cfg["format"])

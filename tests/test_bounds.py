@@ -162,20 +162,23 @@ class TestMaxEpsTilde:
         assert not max_eps_tilde(0.3, 1e3, 1.0, 0.0).feasible
 
     def test_calc_table_grid_golden(self):
-        # the benchmark's 244-point calculator grid: (eps, t, u, E) over the
-        # product below, then the four published points at E = 1e3
-        grid = list(itertools.product((0.03, 0.05, 0.07, 0.1), (0.8, 0.85, 0.9, 0.95, 1.0),
-                                      (0.0, 0.05, 0.1), (10.0, 1e2, 1e3, 1e4)))
-        grid += [(eps, t, u, 1e3) for (eps, E, t, u) in PUBLISHED]
-        text = "\n".join(repr(max_eps_tilde(eps, E, t, u)) for (eps, t, u, E) in grid)
+        text = "\n".join(repr(max_eps_tilde(*point)) for point in CALC_TABLE_GRID)
         # every result's repr, so a change to any bit of any optimum shows
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "e526c5217990d4564cc6696e78baaff3717143e8f21c08bbac155f332f042e34")
+        assert hashlib.sha256(text.encode()).hexdigest() == CALC_TABLE_DIGEST
 
 
 PUBLISHED = [(0.03, 1e3, 0.8, 0.05), (0.03, 1e3, 0.9, 0.12), (0.07, 1e3, 0.95, 0.075),
              (0.1, 1e3, 1.0, 0.0)]  # the last one is also the CLI default
-GRID_ALPHAS = np.logspace(math.log10(ALPHA_MIN), math.log10(ALPHA_MAX), N_ALPHA)  # max_eps_tilde's
+# the benchmark's 244-point calculator grid as (eps, E, t, u): (eps, t, u, E) over
+# the product below, then the four published points at E = 1e3
+CALC_TABLE_GRID = [(eps, E, t, u) for (eps, t, u, E) in itertools.product(
+    (0.03, 0.05, 0.07, 0.1), (0.8, 0.85, 0.9, 0.95, 1.0), (0.0, 0.05, 0.1), (10.0, 1e2, 1e3, 1e4))]
+CALC_TABLE_GRID += [(eps, 1e3, t, u) for (eps, E, t, u) in PUBLISHED]
+CALC_TABLE_DIGEST = "30f9ea911f44917dca4752671531338b31a2add1ad744357c42d0f9a79a4b2b9"
+# max_eps_tilde's grid: the C library's pow at numpy's linspace points, not
+# np.logspace, whose bits depend on the vector loop numpy dispatches to
+GRID_ALPHAS = [10.0 ** v for v in
+               np.linspace(math.log10(ALPHA_MIN), math.log10(ALPHA_MAX), N_ALPHA).tolist()]
 
 
 def scalar_eps_tilde(eps, E, t, u, alpha):
@@ -232,60 +235,45 @@ class TestEpsTildeGrid:
         assert res.alpha_star == GRID_ALPHAS[scalar.index(max(scalar))]
         assert res.rhs_at_opt == separation_rhs(E, res.alpha_star, res.eps_tilde_max)
 
+    def test_grid_is_pow_at_numpy_linspace(self):
+        assert [a.hex() for a in bounds._ALPHAS] == [a.hex() for a in GRID_ALPHAS]
+
     def test_branches_reached(self, monkeypatch):
         # near the cap some alphas admit nothing, and the search still finds the best
         partial = scalar_grid(0.27865, 1e3, 1.0, 0.0)
         assert 0 < partial.count(0.0) < len(GRID_ALPHAS)
         assert max_eps_tilde(0.27865, 1e3, 1.0, 0.0).eps_tilde_max == max(partial) > 0.0
         # at the default point the first candidate ends below the optimum, so
-        # the grid check at its hi starts a second round, whose alpha is alpha_star
-        rounds, evaluated = [], []
-        original_bisect, original_rhs = bounds._bisect, bounds.separation_rhs
-        monkeypatch.setattr(bounds, "_bisect", lambda E, alpha, cap_margin, top: rounds.append(
-            (alpha, original_bisect(E, alpha, cap_margin, top))) or rounds[-1][1])
+        # the grid search at its hi starts a second round, whose alpha is alpha_star
+        rounds, searched, evaluated = [], [], []
+        original_bisect, original_best = bounds._bisect, bounds._best_alpha
+        original_rhs = bounds.separation_rhs
+
+        def bisect(E, alpha, cap_margin, top):
+            start = len(evaluated)
+            lo, hi = original_bisect(E, alpha, cap_margin, top)
+            rounds.append((alpha, lo, evaluated[start:]))
+            return lo, hi
+
+        monkeypatch.setattr(bounds, "_bisect", bisect)
+        monkeypatch.setattr(bounds, "_best_alpha",
+                            lambda E, et: searched.append(et) or original_best(E, et))
         monkeypatch.setattr(bounds, "separation_rhs",
                             lambda E, alpha, et: evaluated.append(et) or original_rhs(E, alpha, et))
         res = max_eps_tilde(*PUBLISHED[3])
+        top = _no_margin_above(eps_cap(1.0, 0.0) - 0.1, 1e3)
         assert len(rounds) == 2
-        (first, (first_lo, _)), (second, (second_lo, _)) = rounds
+        (first, first_lo, first_calls), (second, second_lo, second_calls) = rounds
         assert first != res.alpha_star and first_lo < res.eps_tilde_max
         assert second == res.alpha_star and second_lo == res.eps_tilde_max
         # each round takes its 6 leading midpoints down unevaluated: a bisection to
-        # BISECT_TOL takes 27 steps, and rhs_at_opt is one more call
-        assert len(evaluated) == 2 * (27 - 6) + 1
-        assert max(evaluated) <= _no_margin_above(eps_cap(1.0, 0.0) - 0.1, 1e3)
-        assert evaluated[0] == evaluated[27 - 6] == (1.0 - 1e-12) / 2 ** 7
-
-    def test_array_check_cannot_override_the_scalar_bisection(self, monkeypatch):
-        # the grid checks use np.log2, which may judge a margin within an ulp of
-        # zero differently from separation_rhs; simulate both misjudgements
-        point = PUBLISHED[3]
-        cap_margin = eps_cap(*point[2:]) - point[0]
-        top = _no_margin_above(cap_margin, point[1])
-        original = bounds._separation_rhs_array
-        exact = max_eps_tilde(*point)
-
-        def claims_alpha_0_everywhere(E, factors, et):
-            rhs = original(E, factors, et)
-            if et != top:
-                rhs[0] = -math.inf
-            return rhs
-
-        monkeypatch.setattr(bounds, "_separation_rhs_array", claims_alpha_0_everywhere)
-        # alpha 0's repeat ends no higher, so it keeps the candidate, is not
-        # bisected again, and the search goes on to the best alpha
-        assert max_eps_tilde(*point).eps_tilde_max == exact.eps_tilde_max
-
-        def claims_nothing(E, factors, et):
-            rhs = original(E, factors, et)
-            return rhs if et == top else np.full_like(rhs, math.inf)
-
-        monkeypatch.setattr(bounds, "_separation_rhs_array", claims_nothing)
-        # the first candidate is accepted, and alpha_star is it: the reported
-        # alpha_star still admits the reported eps_tilde_max
-        res = max_eps_tilde(*point)
-        assert 0.0 < res.eps_tilde_max < exact.eps_tilde_max
-        assert res.rhs_at_opt < cap_margin
+        # BISECT_TOL takes 27 steps, the first evaluated being the 7th midpoint
+        for calls in (first_calls, second_calls):
+            assert len(calls) == 27 - 6
+            assert calls[0] == (1.0 - 1e-12) / 2 ** 7
+        # the grid is searched at top and at each round's hi, and no call goes above top
+        assert searched[0] == top and len(searched) == 3
+        assert max(evaluated) <= top
 
     @pytest.mark.parametrize("eps,E,t,u", PUBLISHED + [
         (0.05, 10.0, 0.9, 0.05),
@@ -323,11 +311,20 @@ class TestEpsTildeGrid:
 
 class TestConditionSurface:
     def test_grid_shape_and_consistency(self):
-        alphas = np.logspace(-3, math.log10(0.5), 12)
-        ets = np.linspace(1e-4, 0.01, 10)
+        alphas = bounds.log_grid(1e-3, 0.5, 12)
+        ets = bounds.linspace(1e-4, 0.01, 10)
         grid = condition_surface(0.1, 1e3, 1.0, 0.0, alphas, ets)
-        assert grid.shape == (12, 10)
+        assert [len(row) for row in grid] == [10] * 12
         # the margin-vs-zero grid crosses eps=0.1 exactly where the
         # condition flips
         b = BoundInputs(eps=0.1, E=1e3, t=1.0, u=0.0, alpha=alphas[3], eps_tilde=ets[2])
-        assert (grid[3, 2] > 0.1) == condition_holds(b)
+        assert (grid[3][2] > 0.1) == condition_holds(b)
+
+    @pytest.mark.parametrize("E,alphas,ets,match", [
+        (0.0, [0.1], [0.01], "E must"),
+        (1e3, [0.1, 0.6], [0.01], "alpha must"),
+        (1e3, [0.1], [0.01, 1.0], "eps_tilde must"),
+    ])
+    def test_domain_errors(self, E, alphas, ets, match):
+        with pytest.raises(ValueError, match=match):
+            condition_surface(0.1, E, 1.0, 0.0, alphas, ets)

@@ -3,8 +3,11 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import signal
+import subprocess
+import sys
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -24,6 +27,7 @@ from cvqpv.cli import (
     main,
 )
 from cvqpv.protocol import RoundTrace
+from test_bounds import CALC_TABLE_DIGEST, CALC_TABLE_GRID
 
 
 def run(args):
@@ -651,7 +655,9 @@ class TestConfig:
 # resources.json, recorded after rounding_size_logfactor stopped cancelling
 # (k_factor_real 11.552188332945317 -> 11.552188332945429), and metadata.json,
 # recorded once it echoed only the keys its subcommand takes (simulate's once
-# trace became one of them).
+# trace became one of them), and condition_surface.*, recorded once its alphas
+# became the C library's pow at numpy's linspace points instead of np.logspace,
+# whose bits depend on numpy's vector loops (those of np.logspace without AVX-512).
 GOLDEN = [
     ('feasibility --format csv', 0, {
         'feasibility_grid.csv': 'fd5c166c5007f92821c4971a83182bcea33745b624cfb65caba7ca9e167c0f42',
@@ -665,12 +671,12 @@ GOLDEN = [
     }),
     ('bounds --format csv', 0, {
         'bounds.json': '159aedc7606d854aded5f8d8597a4747e0a1e584cf1181332743402510369ca1',
-        'condition_surface.csv': 'eb34dd0e53aa0f82c720715ed90f930fb62eefeba2d900f77b7d2496d0557ddb',
+        'condition_surface.csv': '3c0423b7602deaa2d74872bdbe1a35196dc39188f90064ab7e3dcf494165c0a4',
         'metadata.json': 'a5f3f5e0139ac1456fda3c818c9a5a25521b7b98277b1e0e2319c3319d24ac59',
     }),
     ('bounds --format json', 0, {
         'bounds.json': '159aedc7606d854aded5f8d8597a4747e0a1e584cf1181332743402510369ca1',
-        'condition_surface.json': '8180c4b98392dfd0b2f907dffd34540e81e3db36f03b10512e2d873988d37cb1',
+        'condition_surface.json': 'a8371922980be87a5c384c132b03b504b36ec04083b2513b8d9626fb1390e302',
         'metadata.json': '4525a5d1af4dd33555ed96f0f1a4477a33fb566be714e39daf0b2d1c866ff790',
     }),
     ('sweep --format csv', 0, {
@@ -705,17 +711,17 @@ GOLDEN = [
     }),
     ('bounds --eps 0.03 --t 0.8 --u 0.05 --format json', 0, {
         'bounds.json': '27797747fed5a1222d6a1280a6a280bcf0e11a226237a4f9b86b55d94b996834',
-        'condition_surface.json': 'bedcac18f7f97dc21ef7cc25faf586cff7e3921b428bc34bacd7f5ac1f0922dc',
+        'condition_surface.json': '0675d793d5548ec2a4de06a678620164fa1edde20d21be42d29b9a81786d9fee',
         'metadata.json': '160feb96d27eca9b9d4a4226ba49f10443d942ce529e56edc03e9494b34c2984',
     }),
     ('bounds --eps 0.03 --t 0.9 --u 0.12 --format json', 0, {
         'bounds.json': 'da7415d315df816dbea15127ff7aed741d476c8146fb2835df0d397b4920978c',
-        'condition_surface.json': '9a70a837abd325ecda4ac6cffe0dd4b420a6dc8b7f76b0056bfe6e555f6ab013',
+        'condition_surface.json': 'c4ba6c52ed16f3ee65c9d5bfda7e538b544a0b90ddd6c46c5cee301f61b3cbf3',
         'metadata.json': '000556c84fa9181e8142542365b188894300c28688d60361cdff5bb95b6b5334',
     }),
     ('bounds --eps 0.07 --t 0.95 --u 0.075 --format json', 0, {
         'bounds.json': '55ba066e831f3bb002e93be686294d2969a491b587b684664d13162790d107b3',
-        'condition_surface.json': 'a1564bb7567576f76bc0e9b3ac9efb4239f1c5dd03109e9cd7fd5afc34124cb6',
+        'condition_surface.json': '3179c745f04648ef3a66ee1cf104bc9a833aaebfa9fa205c9fc4da09266e75e0',
         'metadata.json': 'e62f1e2b25f5163c61fa3bd53991f35125396fb34a9fff4f0812d3c2a754a41c',
     }),
 ]
@@ -727,3 +733,30 @@ def test_out_files_pinned(tmp_path, command, code, digests):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.iterdir())}
     assert written == digests
+
+
+# the calc_table grid golden and one bounds --out digest, in a fresh interpreter
+HOST_CHECK = """
+import contextlib, hashlib, io, json, pathlib, sys
+from cvqpv.bounds import max_eps_tilde
+from cvqpv.cli import main
+points, out = json.loads(sys.argv[1]), pathlib.Path(sys.argv[2])
+text = "\\n".join(repr(max_eps_tilde(*point)) for point in points)
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["bounds", "--format", "csv", "--seed", "11", "--out", str(out)])
+print(json.dumps([hashlib.sha256(text.encode()).hexdigest(),
+                  hashlib.sha256((out / "condition_surface.csv").read_bytes()).hexdigest()]))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the disabled features are x86-64 ones")
+def test_outputs_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    # numpy's AVX-512 power loop rounds np.logspace differently from its other
+    # loops; no optimum and no surface cell may depend on which one runs
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    proc = subprocess.run([sys.executable, "-c", HOST_CHECK, json.dumps(CALC_TABLE_GRID),
+                           str(tmp_path)], env=env, capture_output=True, text=True, check=True)
+    surface = next(d for c, _, d in GOLDEN if c == "bounds --format csv")["condition_surface.csv"]
+    assert json.loads(proc.stdout) == [CALC_TABLE_DIGEST, surface]

@@ -86,6 +86,11 @@ class TestBinaryEntropies:
         assert h_tilde(0.6) == 1.0
         assert h_tilde(0.5) == 1.0
 
+    def test_h_tilde_below_half_is_the_binary_entropy(self):
+        # 1.0 only from x = 1/2 up: just below it the binary entropy is still under 1
+        for x in (0.4999, 0.49995, 0.499999):
+            assert h_tilde(x) == binary_entropy(x) < 1.0
+
     def test_h_tilde_quarter(self):
         assert h_tilde(0.25) == pytest.approx(0.811278, abs=1e-6)
 

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import cvqpv
 from cvqpv import attack, bounds, channel, cli, gaussian, protocol, resources
 
-NUMPY_FREE = ["channel.py", "attack.py", "gaussian.py", "resources.py"]
+NUMPY_FREE = ["channel.py", "attack.py", "gaussian.py", "resources.py", "bounds.py"]
 PACKAGE = Path(cvqpv.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,7 +34,7 @@ def test_scalar_modules_import_no_numpy():
 
 def test_scalar_modules_load_without_numpy():
     # a fresh interpreter: the package __init__ must not pull numpy in either
-    code = ("import sys, cvqpv.gaussian, cvqpv.channel, cvqpv.resources; "
+    code = ("import sys, cvqpv.gaussian, cvqpv.channel, cvqpv.resources, cvqpv.bounds; "
             "print('numpy' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(cvqpv.__file__).parent.parent)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

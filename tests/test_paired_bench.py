@@ -1,4 +1,5 @@
-"""The verdict arithmetic of tools/paired_bench.py, on fixed numbers."""
+"""The verdict arithmetic of tools/paired_bench.py, on fixed numbers, and the
+digest that names a measured src/ tree in its records."""
 
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import paired_bench  # noqa: E402
+import record_bench  # noqa: E402
 
 # exclusive quartiles of 10..19: q1 = 11.75, median 14.5, q3 = 17.25, so the IQR is 5.5
 PARENT = [10.0 + i for i in range(10)]
@@ -79,3 +81,32 @@ def test_verdict_lists_unresolved_metrics():
     declared = [{"name": "work_rate_rel", "better": "higher", "bound": 0.15}]
     runs = [run(side, value, 0) for value in PARENT for side in ("parent", "change")]
     assert paired_bench.verdict(runs, declared)["unresolved"] == ["work_rate_rel"]
+
+
+def write_tree(root, files):
+    for name, data in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+SRC = {"cvqpv/__init__.py": b"", "cvqpv/bounds.py": b"x = 1\n"}
+
+
+def test_tree_digest_ignores_creation_order_and_caches(tmp_path):
+    digest = record_bench.tree_digest(write_tree(tmp_path / "a", SRC))
+    copy = {**dict(reversed(SRC.items())), "cvqpv/__pycache__/bounds.cpython-311.pyc": b"\0"}
+    assert record_bench.tree_digest(write_tree(tmp_path / "b", copy)) == digest
+    assert len(digest) == 64 and int(digest, 16) >= 0
+
+
+@pytest.mark.parametrize("files", [
+    {**SRC, "cvqpv/bounds.py": b"x = 2\n"},  # one byte
+    {"cvqpv/__init__.py": b"", "cvqpv/bound.py": b"x = 1\n"},  # one file name
+    {**SRC, "cvqpv/extra.py": b""},  # one more file, even an empty one
+    {"cvqpv/__init__.py": b"x = 1\n", "cvqpv/bounds.py": b""},  # bytes moved between files
+])
+def test_tree_digest_changes_with_any_file(tmp_path, files):
+    assert (record_bench.tree_digest(write_tree(tmp_path / "a", SRC))
+            != record_bench.tree_digest(write_tree(tmp_path / "b", files)))

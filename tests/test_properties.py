@@ -4,32 +4,37 @@ The bisections in cvqpv.bounds assume the separation term grows with
 eps_tilde; q_max assumes the counting bound never falls as q grows; the
 round planner assumes gamma falls as N grows; the cutoff argument assumes
 the truncated state has less energy than the untruncated one. The
-optimizer's shared bisection path must equal the per-alpha scalar
-bisections it replaced, whose oracle lives in test_bounds. The round
-trace CSV must give back the session's columns exactly. The table writer
-and the condition surface must equal the reference implementations kept
-here: csv.writer and json.dumps, and the scalar double loop over
-separation_rhs. Examples are derandomized so the suite gives the same
-verdict on every run.
+optimizer's grid searches assume the separation term is strictly
+unimodal in alpha at every eps_tilde they run at, and its shared
+bisection path must equal the per-alpha scalar bisections it replaced,
+whose oracle lives in test_bounds. Its grid must be numpy's linspace
+points, bit for bit. The round trace CSV must give back the session's
+columns exactly. The table writer and the condition surface must equal
+the reference implementations kept here: csv.writer and json.dumps, and
+the scalar double loop over separation_rhs. Examples are derandomized so
+the suite gives the same verdict on every run.
 """
 
 import csv
 import io
 import json
 import math
+import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvqpv import bounds
 from cvqpv.bounds import (
-    _alpha_factors,
-    _separation_rhs_array,
     condition_surface,
     eps_cap,
+    linspace,
+    log_grid,
     max_eps_tilde,
     separation_rhs,
 )
@@ -43,7 +48,7 @@ from cvqpv.protocol import (
     run_session,
 )
 from cvqpv.resources import N_MAX, count_bound_log2
-from test_bounds import GRID_ALPHAS, scalar_eps_tilde
+from test_bounds import CALC_TABLE_GRID, GRID_ALPHAS, scalar_eps_tilde
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
 
@@ -62,17 +67,64 @@ def test_separation_rhs_increasing_in_eps_tilde(E, alpha, et1, et2):
         assert separation_rhs(E, alpha, lo) <= separation_rhs(E, alpha, hi)
 
 
+def strictly_unimodal(values) -> bool:
+    """True when values fall strictly and then rise strictly; either run may be empty."""
+    j = values.index(min(values))
+    return (all(x > y for x, y in zip(values[:j], values[1:j + 1]))
+            and all(x < y for x, y in zip(values[j:], values[j + 1:])))
+
+
+@pytest.mark.parametrize("values,unimodal", [
+    ([3.0, 2.0, 1.0, 2.0], True), ([1.0, 2.0, 3.0], True), ([3.0, 2.0, 1.0], True), ([1.0], True),
+    ([3.0, 2.0, 2.0, 3.0], False), ([3.0, 1.0, 1.0], False), ([1.0, 1.0, 2.0], False),
+    ([2.0, 1.0, 2.0, 1.0], False), ([0.0, 0.0], False),
+])
+def test_strictly_unimodal_rejects_every_plateau(values, unimodal):
+    assert strictly_unimodal(values) is unimodal
+
+
+def searched_eps_tildes(eps, E, t, u):
+    """The eps_tildes at which max_eps_tilde searches the grid: top, each round's hi and lo."""
+    searched = []
+    original = bounds._best_alpha
+    with mock.patch.object(bounds, "_best_alpha",
+                           lambda E, et: searched.append(et) or original(E, et)):
+        res = max_eps_tilde(eps, E, t, u)
+    return searched + ([res.eps_tilde_max] if res.feasible else [])
+
+
+def assert_unimodal_where_searched(eps, E, t, u):
+    for et in searched_eps_tildes(eps, E, t, u):
+        rhs = [separation_rhs(E, a, et) for a in GRID_ALPHAS]
+        assert strictly_unimodal(rhs), (eps, E, t, u, et)
+        assert bounds._best_alpha(E, et) == rhs.index(min(rhs))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(eps=st.floats(min_value=0.0, max_value=0.28), E=st.floats(min_value=1e-6, max_value=1e300),
+       t=st.floats(min_value=0.69, max_value=1.0), u=st.floats(min_value=0.0, max_value=0.1))
+def test_separation_rhs_strictly_unimodal_where_searched(eps, E, t, u):
+    # the grid searches (a first j whose term is no more than the next one's, and
+    # the first alpha positive at lo) are exact only on a strictly unimodal term
+    assert_unimodal_where_searched(eps, E, t, u)
+
+
+def test_separation_rhs_strictly_unimodal_where_searched_on_calc_table_grid():
+    for point in CALC_TABLE_GRID:
+        assert_unimodal_where_searched(*point)
+
+
+def test_best_alpha_takes_the_first_of_tied_terms():
+    # every term is 0 at eps_tilde = 0; like np.argmin, the search takes the first alpha
+    assert bounds._best_alpha(1e3, 0.0) == 0
+
+
 @SETTINGS
-@given(E=energies, cap=st.floats(min_value=-1.0, max_value=2.0),
-       points=st.lists(st.tuples(alphas, eps_tildes), min_size=1, max_size=16))
-def test_array_form_matches_scalar_sign(E, cap, points):
-    a = np.array([p[0] for p in points])
-    et = np.array([p[1] for p in points])
-    array_rhs = _separation_rhs_array(E, _alpha_factors(a), et)
-    scalar_rhs = np.array([separation_rhs(E, x, y) for x, y in points])
-    # np.log2 and math.log2 may differ in the last ulp, never by more
-    np.testing.assert_allclose(array_rhs, scalar_rhs, rtol=1e-14, atol=0.0)
-    assert ((cap - array_rhs) > 0.0).tolist() == ((cap - scalar_rhs) > 0.0).tolist()
+@given(start=st.floats(min_value=-1e6, max_value=1e6), stop=st.floats(min_value=-1e6, max_value=1e6),
+       num=st.integers(2, 400))
+def test_linspace_equals_numpy_bit_for_bit(start, stop, num):
+    assert [x.hex() for x in linspace(start, stop, num)] == \
+        [x.hex() for x in np.linspace(start, stop, num).tolist()]
 
 
 @settings(SETTINGS, max_examples=50)  # the oracle makes about 7,000 scalar calls an example
@@ -191,6 +243,12 @@ def scalar_condition_surface(E, t, u, alphas, eps_tildes):
     return grid
 
 
+def surface_bytes(rows) -> bytes:
+    """The rows' float64 bits, in order."""
+    cells = [cell for row in rows for cell in row]
+    return struct.pack(f"<{len(cells)}d", *cells)
+
+
 @SETTINGS
 @given(E=energies, t=st.floats(min_value=1e-3, max_value=1.0),
        u=st.floats(min_value=0.0, max_value=0.3),
@@ -199,16 +257,15 @@ def scalar_condition_surface(E, t, u, alphas, eps_tildes):
 def test_condition_surface_matches_scalar_loop(E, t, u, grid_alphas, grid_ets):
     # eps_tilde up to 1 - 1e-12 puts many cells at x = (1+a)/(1-a) et >= 1/2
     expected = scalar_condition_surface(E, t, u, grid_alphas, grid_ets)
-    got = condition_surface(0.1, E, t, u, np.array(grid_alphas), np.array(grid_ets))
-    assert got.shape == expected.shape
-    assert got.tobytes() == expected.tobytes()  # bit for bit
+    got = condition_surface(0.1, E, t, u, grid_alphas, grid_ets)
+    assert [len(row) for row in got] == [len(grid_ets)] * len(grid_alphas)
+    assert surface_bytes(got) == expected.astype("<f8").tobytes()  # bit for bit
 
 
 def test_condition_surface_matches_scalar_loop_on_the_cli_grid():
-    # the 80 x 80 grid of `cvqpv bounds` at its defaults, where np.log2 in place of
-    # math.log2 would change 3 cells
-    alphas_cli = np.logspace(-4, math.log10(0.5), 80)
-    ets_cli = np.linspace(1e-5, 4.0 * max_eps_tilde(0.1, 1e3, 1.0, 0.0).eps_tilde_max, 80)
+    # the 80 x 80 grid of `cvqpv bounds` at its defaults
+    alphas_cli = log_grid(1e-4, 0.5, 80)
+    ets_cli = linspace(1e-5, 4.0 * max_eps_tilde(0.1, 1e3, 1.0, 0.0).eps_tilde_max, 80)
     expected = scalar_condition_surface(1e3, 1.0, 0.0, alphas_cli, ets_cli)
-    assert condition_surface(0.1, 1e3, 1.0, 0.0, alphas_cli, ets_cli).tobytes() == \
-        expected.tobytes()
+    assert surface_bytes(condition_surface(0.1, 1e3, 1.0, 0.0, alphas_cli, ets_cli)) == \
+        expected.astype("<f8").tobytes()

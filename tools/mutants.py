@@ -20,7 +20,9 @@ killed when pytest exits 1 (a test failed or a module failed to import) and
 survives when it exits 0; any other exit is recorded as an error.
 
 MUTANTS.json holds every entry with its observed result, the test that
-failed, pytest's last line and the seconds it took. The tool exits 1 when
+failed, pytest's last line and the seconds it took, next to the commit and
+``src_sha256``, the digest of the ``src/`` files it mutated
+(record_bench.tree_digest). The tool exits 1 when
 an observed result differs from the expected one.
 """
 
@@ -37,7 +39,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from record_bench import ROOT, git
+from record_bench import ROOT, git, tree_digest
 
 # tests/test_mutants.py checks that each old text occurs once, so every mutant fails it
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
@@ -64,20 +66,24 @@ MUTANTS = [
     Mutant("gamma-log-term-halved", "src/cvqpv/protocol.py",
            "+ 2.0 / N * log_term", "+ 1.0 / N * log_term", "killed",
            "the default plan's N and gamma are pinned by the rounds CLI line"),
-    Mutant("half-clamp", "src/cvqpv/bounds.py",
-           "np.minimum(ratio * eps_tilde, 0.5)", "np.minimum(ratio * eps_tilde, 0.4999)",
-           "killed",
-           "htilde must be exactly 1.0 from x = 1/2 up; condition_surface equals "
-           "separation_rhs bit for bit"),
+    Mutant("half-clamp", "src/cvqpv/gaussian.py",
+           "if x >= 0.5:", "if x >= 0.4999:", "killed",
+           "htilde is the binary entropy below x = 1/2, under 1.0, and exactly 1.0 from there "
+           "up; the test near 1/2 pins it"),
     Mutant("repeat-skipped", "src/cvqpv/bounds.py",
-           "if not rhs[j] < cap_margin:", "if True:", "killed",
+           "if not separation_rhs(E, _ALPHAS[j], hi) < cap_margin:", "if True:", "killed",
            "the first candidate is accepted unchecked; at 188 of the 192 feasible calc_table "
            "points it ends below the optimum, which the golden and the scalar oracle pin"),
     Mutant("alpha-star-candidate", "src/cvqpv/bounds.py",
-           "alpha_star = float(_ALPHAS[int(np.argmax(up))])", "alpha_star = float(_ALPHAS[k])",
-           "killed",
+           "alpha_star = _ALPHAS[first]", "alpha_star = _ALPHAS[k]", "killed",
            "the candidate is often not the first alpha tied at the optimum (at PUBLISHED[0] "
            "it is 0.00486, not 0.00469); the optimum's alpha is pinned"),
+    Mutant("best-alpha-strict", "src/cvqpv/bounds.py",
+           "<= separation_rhs(E, _ALPHAS[j + 1], eps_tilde):",
+           "< separation_rhs(E, _ALPHAS[j + 1], eps_tilde):", "killed",
+           "it moves the grid search only where two adjacent terms tie, which the unimodality "
+           "property tests find at no eps_tilde the optimizer searches; the tie rule's own test "
+           "(every term is 0 at eps_tilde = 0, and the first alpha is taken) sees it"),
     Mutant("chebyshev-in-floats", "src/cvqpv/attack.py",
            "return N * d_num * d_num * scale >= target * d_den * d_den",
            "return N * d * d >= score_variance / eps_hon", "killed",
@@ -154,6 +160,7 @@ def main(argv=None) -> int:
     record = {
         "schema": "cvqpv.mutants/1",
         "commit": git("rev-parse", "HEAD") + ("-dirty" if dirty else ""),
+        "src_sha256": tree_digest(ROOT / "src"),
         "command": ["python", *TIER1[1:]],
         "baseline": baseline,
         "mutants": results,

@@ -8,7 +8,8 @@ Run from anywhere in a checkout:
 Each pair runs ``perfbench/run.py --trace 0`` once on PARENT's ``src/``
 and once on this checkout's working tree, one after the other; the side that
 runs first alternates from pair to pair. ``record_bench.measured_tree``
-builds both sides, each in its own temporary directory.
+builds both sides, each in its own temporary directory; the digest of each
+side's ``src/`` files is recorded next to its commit (``src_sha256``).
 
 It writes ``PAIRS_<label>_<workload>_<seed>.json`` in the repo root, the
 label being PARENT's short hash. The file holds every result line, each
@@ -37,7 +38,7 @@ import math
 import statistics
 import sys
 
-from record_bench import ROOT, git, measured_tree, run_workload
+from record_bench import ROOT, git, measured_tree, run_workload, tree_digest
 
 GAIN_WIN_SHARE = 0.9
 
@@ -117,6 +118,7 @@ def main(argv=None) -> int:
     runs, env = [], None
     with measured_tree(args.parent) as parent, measured_tree(None) as change:
         trees = {"parent": parent, "change": change}
+        src_sha256 = {side: tree_digest(tree[0] / "src") for side, tree in trees.items()}
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
@@ -131,6 +133,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "seconds": seconds,
         "commits": {side: tree[1] for side, tree in trees.items()},
+        "src_sha256": src_sha256,
         "env": env,
         "runs": runs,
         **verdict(runs, benchmark["end_to_end"]),

@@ -20,8 +20,11 @@ Both cases run from the same kind of location because the location alone
 moves ``setup_s``: on the same code, a run from the checkout itself read it
 about 10% lower than a run from a temporary directory. The ``commit`` field
 names the measured tree: COMMIT's full hash, or HEAD's with ``-dirty``
-appended when ``src/`` or ``perfbench/`` differ from HEAD. perfbench's own
-``env.git_commit`` reads the directory it runs in, which is no git checkout.
+appended when ``src/`` or ``perfbench/`` differ from HEAD. So a record made
+before its change is committed names the parent; ``src_sha256``, a digest
+of the measured ``src/`` files (tree_digest), names the code itself and
+can be matched to a commit afterwards. perfbench's own ``env.git_commit``
+reads the directory it runs in, which is no git checkout.
 
 The file is a report: nothing here compares it with an earlier one or
 fails on a slow number. It holds each workload's JSON result line, under
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import shutil
@@ -54,6 +58,20 @@ SEED, SECONDS, TRACED_SECONDS, REPEATS = 11, 15, 5, 5
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def tree_digest(src: Path) -> str:
+    """sha256 over the files under src, each by its relative path and its bytes.
+
+    __pycache__ directories are left out, so a copy of a working tree and the
+    output of ``git archive COMMIT src`` give the same digest for the same files.
+    """
+    files = sorted((path.relative_to(src).as_posix(), path) for path in src.rglob("*")
+                   if path.is_file() and "__pycache__" not in path.parts)
+    digest = hashlib.sha256()
+    for name, path in files:
+        digest.update(name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
 
 
 @contextlib.contextmanager
@@ -111,6 +129,7 @@ def main(argv=None) -> int:
 
     workloads, per_layer, env = {}, {}, None
     with measured_tree(args.src) as (root, commit):
+        src_sha256 = tree_digest(root / "src")
         for name in WORKLOADS:
             print(f"running {name} for {SECONDS} s ...", file=sys.stderr)
             workloads[name], env = run_workload(root, name, 0, SECONDS)
@@ -126,6 +145,7 @@ def main(argv=None) -> int:
     record = {
         "schema": "cvqpv.bench/1",
         "commit": commit,
+        "src_sha256": src_sha256,
         "env": env,
         "workloads": workloads,
         "per_layer": per_layer,
