@@ -40,11 +40,13 @@ BISECT_TOL = 1e-8  # final bisection width in eps_tilde
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
-    """num >= 2 evenly spaced floats from start to stop, bit for bit those of np.linspace.
+    """num >= 1 evenly spaced floats from start to stop, bit for bit those of np.linspace.
 
     Each is start + i * step with step = (stop - start) / (num - 1), as numpy
-    computes them, and the last is stop itself.
+    computes them, and the last is stop itself; one float is start alone.
     """
+    if num == 1:
+        return [start]
     step = (stop - start) / (num - 1)
     return [start + i * step for i in range(num - 1)] + [stop]
 

@@ -32,14 +32,13 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 import threading
 import warnings
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from . import __version__
 from .attack import (
@@ -239,11 +238,9 @@ def _write_metadata(out: Path | None, cfg: dict) -> None:
     _write_json(out / "metadata.json", meta, sort_keys=True)
 
 
-_CSV_CHUNK_ROWS = 8192  # rows per parent write; the forked child holds its whole half in memory
+_CSV_CHUNK_ROWS = 8192  # rows per write, in the parent and in the forked child alike
 _THETA_TEXT = (repr(0.0), repr(math.pi / 2.0))  # theta = pi/2 * basis bit
-# POSIX's smallest PIPE_BUF: an empty pipe takes this much of the child's error text at once,
-# so the child never waits on a parent that reads it only after waitpid
-_CHILD_ERROR_BYTES = 512
+_CHILD_ERROR_BYTES = 512  # the longest error line a failed child leaves for the parent
 
 
 def _csv_rows(trace, start: int, stop: int):
@@ -270,61 +267,49 @@ def _error_text(exc: BaseException) -> bytes:
     return text.encode("utf-8", "backslashreplace")[:_CHILD_ERROR_BYTES]
 
 
-def _send_rows(read_fd: int, write_fd: int, err_fd: int, trace, start: int, stop: int) -> None:
-    """In a forked child: format rows [start, stop), write them to the pipe and exit.
+def _send_rows(spool, trace, start: int, stop: int) -> None:
+    """In a forked child: write rows [start, stop) to the file spool and exit.
 
-    A raise of any kind, SystemExit included, writes its text to err_fd and
-    ends the child with status 1; no exception and no exit handler of the
+    A raise of any kind, SystemExit included, leaves only its text in spool
+    and ends the child with status 1; no exception and no exit handler of the
     parent runs on in the child.
     """
     status = 1
     try:
-        os.close(read_fd)  # else a write would wait on a reader the parent has closed
-        view = memoryview(b"".join(_csv_rows(trace, start, stop)))
-        while view:
-            view = view[os.write(write_fd, view):]
+        spool.writelines(_csv_rows(trace, start, stop))
+        spool.flush()
         status = 0
     except BaseException as exc:
-        os.write(err_fd, _error_text(exc))
+        os.ftruncate(spool.fileno(), 0)
+        os.pwrite(spool.fileno(), _error_text(exc), 0)
         raise  # ended by the os._exit below
     finally:
         os._exit(status)
 
 
-def _write_forked(fh, trace, lower: tuple, upper: tuple) -> None:
-    """Write rows lower to fh while a forked child formats rows upper, then append those.
+def _write_forked(fh, directory: Path, trace, lower: tuple, upper: tuple) -> None:
+    """Write rows lower to fh while a forked child writes rows upper to a file, then append it.
 
-    A failed child's status, and the error text it sent on a second pipe, are
-    raised as OSError; a child that succeeded is not read from that pipe.
+    The file is anonymous, in directory. A failed child's status, and the
+    error text it left in that file, are raised as OSError.
     """
-    fds = []
-    try:
-        fds += os.pipe()
-        fds += os.pipe()
+    with tempfile.TemporaryFile(dir=directory) as spool:
         with warnings.catch_warnings():  # 3.12+ warns of the BLAS thread: see write_rounds_csv
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
-    except BaseException:
-        for fd in fds:
-            os.close(fd)
-        raise
-    read_fd, write_fd, err_read, err_write = fds
-    if pid == 0:
-        _send_rows(read_fd, write_fd, err_write, trace, *upper)
-    os.close(write_fd)
-    os.close(err_write)
-    try:
-        with open(read_fd, "rb") as pipe:  # closed first, so a child blocked on it ends
+        if pid == 0:
+            _send_rows(spool, trace, *upper)
+        try:
             fh.writelines(_csv_rows(trace, *lower))
-            shutil.copyfileobj(pipe, fh)
-    finally:
-        with open(err_read, "rb") as err:
+        finally:
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            cause = err.read().decode("utf-8", "replace") if code > 0 else ""
-    if code:
-        how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        raise OSError(f"the process formatting the upper half of the trace {how}"
-                      + (f": {cause}" if cause else ""))
+        spool.seek(0)
+        if code:
+            cause = spool.read(_CHILD_ERROR_BYTES).decode("utf-8", "replace") if code > 0 else ""
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+            raise OSError(f"the process formatting the upper half of the trace {how}"
+                          + (f": {cause}" if cause else ""))
+        shutil.copyfileobj(spool, fh)
 
 
 def write_rounds_csv(trace, path: Path) -> None:
@@ -332,16 +317,17 @@ def write_rounds_csv(trace, path: Path) -> None:
 
     The theta column is the repr of pi/2 * f(x, y), looked up by basis bit.
     The rows are split into two contiguous halves. Where this process can
-    fork, a child formats the upper half in its own memory while this one
-    writes the lower half, then the child's bytes are appended from a pipe;
-    the file is the same either way. The child is safe although numpy's
-    OpenBLAS keeps a helper thread: it calls only .tolist(), repr and
-    os.write, with no BLAS call and no lock another thread can hold, and
-    leaves by os._exit, so no buffer or exit handler of the parent runs
-    twice. Python 3.12 and later warn on any fork() in a process with more
-    than one OS thread, that BLAS thread included; the warning is silenced
-    for this one call only. Where os.fork is missing or another Python
-    thread is alive, the same formatter writes both halves here, in order.
+    fork, a child writes the upper half to an anonymous file next to path
+    while this one writes the lower half, then that file is appended; both
+    stream _CSV_CHUNK_ROWS rows at a time, and the CSV is the same either
+    way. The child is safe although numpy's OpenBLAS keeps a helper thread:
+    it calls only .tolist(), repr and file writes, with no BLAS call and no
+    lock another thread can hold, and leaves by os._exit, so no buffer or
+    exit handler of the parent runs twice. Python 3.12 and later warn on any
+    fork() in a process with more than one OS thread, that BLAS thread
+    included; the warning is silenced for this one call only. Where os.fork
+    is missing or another Python thread is alive, the same formatter writes
+    both halves here, in order.
     """
     n = len(trace.r)
     lower, upper = (0, n // 2), (n // 2, n)
@@ -350,7 +336,7 @@ def write_rounds_csv(trace, path: Path) -> None:
         with fh:
             fh.write(b"index,theta,r,r_prime,score_term\r\n")
             if hasattr(os, "fork") and threading.active_count() == 1:
-                _write_forked(fh, trace, lower, upper)
+                _write_forked(fh, path.parent, trace, lower, upper)
             else:
                 fh.writelines(_csv_rows(trace, *lower))
                 fh.writelines(_csv_rows(trace, *upper))
@@ -422,12 +408,10 @@ def _write_table(out: Path, name: str, header, rows, fmt: str) -> None:
 
 
 def cmd_feasibility(cfg: dict, out: Path | None) -> int:
-    us = np.linspace(0.0, 0.3, cfg["u_steps"])
-    ts = np.linspace(0.5, 1.0, cfg["t_steps"])
-    t_values = ts.tolist()
+    t_values = linspace(0.5, 1.0, cfg["t_steps"])
     t_texts = [repr(t) for t in t_values]
     rows = []
-    for u in us.tolist():
+    for u in linspace(0.0, 0.3, cfg["u_steps"]):
         u_text = repr(u)
         for t, t_text in zip(t_values, t_texts):
             margin = feasibility_margin(t, u)
@@ -550,6 +534,9 @@ def cmd_simulate(cfg: dict, out: Path | None) -> int:
         traced = run_session(params, ch, honest, cfg["seed"], trace=True)
         if not math.isfinite(traced.mean_score):  # r draws overflow at sigma near 1e308
             raise ValueError("score terms leave float range: sigma is too large to trace")
+        # past this, r' - sqrt(t) r loses more than 1e-6 of the response noise to rounding
+        if abs(traced.records.r).max() * 2.0**-52 > 1e-6 * math.sqrt(0.5 + cfg["u"]):
+            raise ValueError("float64 cannot resolve the score terms: sigma is too large to trace")
         write_rounds_csv(traced.records, out / "honest_rounds.csv")
         write_session_json(traced, out / "honest_session.json", honest.name, flags)
     _write_json(out / "simulate.json", {

@@ -195,6 +195,15 @@ class TestFeasibility:
             assert float(margin) == 4.0 * float(t) - math.e * (1.0 + 2.0 * float(u))
 
 
+    def test_one_point_grid(self, tmp_path):
+        # a one-point axis is its start, as np.linspace gives it
+        assert run(["feasibility", "--u-steps", "1", "--t-steps", "1", "--out",
+                    str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "feasibility_grid.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["u", "t", "margin", "feasible"],
+                                            ["0.0", "0.5", repr(2.0 - math.e), "0"]]
+
+
 class TestSimulate:
     def test_deterministic_outputs(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -226,6 +235,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: score terms leave float range")
         assert not out.exists()
+
+    def test_trace_beyond_float64_resolution_is_an_error(self, capsys, tmp_path):
+        # r' - sqrt(t) r cancels the response noise: every score term would read 0.0
+        out = tmp_path / "run"
+        assert run(["simulate", "--sigma", "1e17", "--trace", "--rounds", "1000", "--sessions",
+                    "1", "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: float64 cannot resolve the score terms")
+        assert not out.exists()
+
+    def test_trace_at_large_sigma_is_written(self, tmp_path):
+        assert run(["simulate", "--sigma", "1e6", "--trace", "--rounds", "1000", "--sessions",
+                    "1", "--out", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "honest_rounds.csv", newline="") as fh:
+            assert len(list(csv.reader(fh))) == 1001
 
     @pytest.mark.parametrize("n", ["0", "64", "70"])
     def test_string_length_checked_before_output(self, capsys, tmp_path, n):
@@ -311,6 +335,31 @@ def live_thread():
         assert not thread.is_alive()
 
 
+def failing_rows(half, failure):
+    """A _csv_rows whose half ("lower", "upper" or "upper mid-stream") raises failure.
+
+    "upper mid-stream" yields the first chunk of its rows before it raises;
+    a signal kills the child instead, and only ever the child.
+    """
+    pid = os.getpid()
+    real_rows = cli._csv_rows
+
+    def first_chunk_then_failure(trace, start, stop):
+        yield next(real_rows(trace, start, stop))
+        raise failure("formatter failed")
+
+    def rows(trace, start, stop):
+        if (start > 0) != half.startswith("upper"):
+            return real_rows(trace, start, stop)
+        if failure is signal.SIGKILL and os.getpid() != pid:
+            os.kill(os.getpid(), failure)
+        if half == "upper mid-stream":
+            return first_chunk_then_failure(trace, start, stop)
+        raise failure("formatter failed")
+
+    return rows
+
+
 class TestTraceWriter:
     @pytest.mark.parametrize("n", [1, 2, 3, 8191, 8192, 8193, 16385, 16386, 139999])
     def test_bytes_match_the_serial_writer(self, tmp_path, monkeypatch, n):
@@ -346,23 +395,18 @@ class TestTraceWriter:
         ("upper", SystemExit, False,
          "upper half of the trace exited with status 1: SystemExit: formatter failed"),
         ("upper", signal.SIGKILL, False, "upper half of the trace was killed by signal 9\n"),
+        # the child fails after writing its first chunk: only its error reaches the parent
+        ("upper mid-stream", ValueError, False,
+         "upper half of the trace exited with status 1: ValueError: formatter failed\n"),
     ])
     def test_failed_half_leaves_no_trace(self, capsys, tmp_path, monkeypatch, half, failure,
                                          threaded, message):
         pid = os.getpid()
-        real_rows = cli._csv_rows
-
-        def failing_rows(trace, start, stop):
-            if (start > 0) != (half == "upper"):
-                return real_rows(trace, start, stop)
-            if failure is signal.SIGKILL and os.getpid() != pid:  # only ever the child
-                os.kill(os.getpid(), failure)
-            raise failure("formatter failed")
-
-        monkeypatch.setattr(cli, "_csv_rows", failing_rows)
+        monkeypatch.setattr(cli, "_csv_rows", failing_rows(half, failure))
         kept = tmp_path / "kept"
         kept.mkdir()
-        argv = ["simulate", "--trace", "--sessions", "2", "--rounds", "100", "--out", str(kept)]
+        rounds = "20000" if half == "upper mid-stream" else "100"  # two chunks in the upper half
+        argv = ["simulate", "--trace", "--sessions", "2", "--rounds", rounds, "--out", str(kept)]
         if threaded:
             with live_thread():
                 assert run(argv) == EXIT_ERROR
@@ -372,6 +416,30 @@ class TestTraceWriter:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert list(kept.iterdir()) == []
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("half,failure", [
+        (None, None),
+        ("lower", ValueError),
+        ("upper", ValueError),
+        ("upper", SystemExit),
+        ("upper", signal.SIGKILL),
+        ("upper mid-stream", ValueError),
+    ])
+    def test_no_descriptor_or_stray_file_left(self, tmp_path, monkeypatch, half, failure):
+        if half is not None:
+            monkeypatch.setattr(cli, "_csv_rows", failing_rows(half, failure))
+        fds = set(os.listdir("/proc/self/fd"))
+        path = tmp_path / "honest_rounds.csv"
+        try:
+            cli.write_rounds_csv(random_trace(20000), path)
+        except (OSError, ValueError):
+            assert half is not None
+        else:
+            assert half is None
+        assert set(os.listdir("/proc/self/fd")) == fds
+        assert list(tmp_path.iterdir()) == ([] if half else [path])
         assert_no_child_left()
 
     def test_child_error_text(self):

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import cvqpv
 from cvqpv import attack, bounds, channel, cli, gaussian, protocol, resources
 
-NUMPY_FREE = ["channel.py", "attack.py", "gaussian.py", "resources.py", "bounds.py"]
+NUMPY_FREE = ["channel.py", "attack.py", "gaussian.py", "resources.py", "bounds.py", "cli.py"]
 PACKAGE = Path(cvqpv.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -104,6 +104,10 @@ MUTANTS = [
     Mutant("csv-chunk-rows", "src/cvqpv/cli.py",
            "_CSV_CHUNK_ROWS = 8192", "_CSV_CHUNK_ROWS = 8191", "equivalent",
            "the trace's bytes do not depend on how many rows each write holds"),
+    Mutant("child-error-not-truncated", "src/cvqpv/cli.py",
+           "os.ftruncate(spool.fileno(), 0)", "pass", "killed",
+           "a child that fails after its first chunk leaves CSV bytes behind its error text; "
+           "the mid-stream failure test pins the error line"),
 ]
 
 
