@@ -15,6 +15,7 @@ h(U|P) in bits. The CLI converts a gap given in bits once, to eps ln 2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .channel import ChannelParams
@@ -72,17 +73,21 @@ def attacker_score_variance(eps: float, u: float) -> float:
     """Exact variance 2 (v/(1/2+u))^2 of the pessimistic attacker's score term."""
     v = fano_mse_floor(eps)
     try:
-        return 2.0 * (v / (0.5 + u)) ** 2
+        var = 2.0 * (v / (0.5 + u)) ** 2  # 2.0 * a finite square can round to inf
     except OverflowError:
-        raise ValueError(f"eps = {eps!r} overflows the attacker's score variance") from None
+        var = math.inf
+    if var == math.inf:
+        raise ValueError(f"eps = {eps!r} overflows the attacker's score variance")
+    return var
 
 
 def rounds_required(eps: float, u: float, eps_hon: float) -> RoundPlan:
     """Smallest N with Delta(N) > 0 and N Delta(N)^2 >= var / eps_hon.
 
-    gamma depends on N, so this is a fixed point; N Delta(N)^2 is monotone
-    increasing once Delta is positive, enabling a doubling-plus-bisection
-    search. var is the pessimistic attacker's exact score-term variance.
+    gamma depends on N, so this is a fixed point. The test is monotone in N,
+    as Delta(N) rises with N and N Delta(N)^2 rises once Delta > 0, which it
+    checks first; so once it holds at N_SEARCH_CAP, one binary search finds
+    the smallest N. var is the pessimistic attacker's exact score-term variance.
     The test is decided exactly on the float values of Delta(N), var and
     eps_hon, in integers. In floating point, where gamma is below an ulp of
     the estimation-error floor, N Delta^2 and var / eps_hon agree to within
@@ -97,7 +102,7 @@ def rounds_required(eps: float, u: float, eps_hon: float) -> RoundPlan:
         raise NoMarginError(
             f"parameters give no margin: asymptotic Delta <= 0 for eps={eps}, u={u}"
         )
-    # 2 (v/(1/2+u))^2 > 2 wherever that margin is positive, so no underflow to 0
+    # 2 (v/(1/2+u))^2 > 2 wherever that margin is positive: it can overflow, not underflow to 0
     score_variance = attacker_score_variance(eps, u)
     # N d^2 >= var / eps_hon as N d_num^2 var_den hon_num >= var_num hon_den d_den^2
     var_num, var_den = score_variance.as_integer_ratio()
@@ -111,21 +116,12 @@ def rounds_required(eps: float, u: float, eps_hon: float) -> RoundPlan:
         d_num, d_den = d.as_integer_ratio()
         return N * d_num * d_num * scale >= target * d_den * d_den
 
-    hi = 1
-    while not ok(hi):
-        if hi >= N_SEARCH_CAP:
-            raise NoMarginError(f"no N <= {N_SEARCH_CAP} satisfies the margin condition")
-        hi = min(hi * 2, N_SEARCH_CAP)
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    gamma = gamma_threshold(hi, eps_hon)
+    if not ok(N_SEARCH_CAP):
+        raise NoMarginError(f"no N <= {N_SEARCH_CAP} satisfies the margin condition")
+    N = 1 + bisect_left(range(1, N_SEARCH_CAP), True, key=ok)
+    gamma = gamma_threshold(N, eps_hon)
     return RoundPlan(
-        N=hi,
+        N=N,
         gamma=gamma,
         delta=delta_margin(eps, u, gamma),
         score_variance=score_variance,

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cvqpv import attack
 from cvqpv.attack import (
     NoMarginError,
     attacker_entropy_floor,
@@ -64,6 +65,7 @@ class TestFanoFloor:
         (fano_mse_floor, (1500.0,)),                 # exp(750) overflows
         (fano_mse_floor, (2100.0 * math.log(2.0),)),  # 2100 bits: 2^1050 overflows
         (attacker_score_variance, (1000.0, 0.0)),    # the floor is finite, its square is not
+        (attacker_score_variance, (709.5, 0.0)),     # the square is finite, twice it is not
     ])
     def test_overflow_is_a_value_error_naming_eps(self, fn, args):
         with pytest.raises(ValueError, match="eps = "):
@@ -103,7 +105,8 @@ class TestRoundsRequired:
         assert d <= 0.0 or (plan.N - 1) * d * d < target
 
     def test_zero_eps_no_margin(self):
-        with pytest.raises(NoMarginError):
+        # Delta(inf) = 0: refused before the search, whose own error would read "no N <= ..."
+        with pytest.raises(NoMarginError, match="asymptotic Delta <= 0"):
             rounds_required(0.0, 0.0, 0.01)
 
     def test_huge_noise_no_margin(self):
@@ -125,6 +128,20 @@ class TestRoundsRequired:
     def test_validation(self):
         with pytest.raises(ValueError):
             rounds_required(0.1, 0.0, 1.5)
+
+    def test_negative_margin_never_meets_the_test(self, monkeypatch):
+        # N Delta^2 grows again below Delta = 0: at N = 1, Delta = -3 gives 9 >= var / eps_hon.
+        # The test must fail there to be monotone in N; the binary search never probes that
+        # low, but a scan up from N = 1, as valid a search of a monotone test, does
+        assert delta_margin(0.1, 0.0, gamma_threshold(1, 0.5)) < -2.9
+        plan = rounds_required(0.1, 0.0, 0.5)
+        assert plan.N == 5454 and plan.delta > 0.0
+
+        def scan(a, x, key):
+            return next(i for i, n in enumerate(a) if key(n) >= x)
+
+        monkeypatch.setattr(attack, "bisect_left", scan)
+        assert rounds_required(0.1, 0.0, 0.5) == plan
 
     @pytest.mark.parametrize("eps,u,eps_hon,N", [
         (100.0, 0.0, 0.01, 201),  # the rounded test passed at 200
@@ -161,6 +178,18 @@ class TestRoundsRequired:
         assert attacker_score_variance(700.0, 0.0) / 1e-9 == math.inf
         with pytest.raises(NoMarginError, match="no N <="):
             rounds_required(700.0, 0.0, 1e-9)
+
+
+@pytest.mark.parametrize("fn,args,message", [
+    (attacker_entropy_floor, (ChannelParams(1.0, 0.0), -0.1), "eps must be nonnegative"),
+    (fano_mse_floor, (-0.1,), "eps must be nonnegative"),
+    (delta_margin, (0.1, -0.1, 1.0), "u must be nonnegative"),
+    # eps = 0 has no margin either; eps_hon is checked first
+    (rounds_required, (0.0, 0.0, 1.5), "eps_hon must lie in"),
+])
+def test_input_checks(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
 
 
 class TestPessimisticAttacker:

@@ -161,10 +161,40 @@ class TestMaxEpsTilde:
     def test_eps_above_cap_infeasible(self):
         assert not max_eps_tilde(0.3, 1e3, 1.0, 0.0).feasible
 
+    def test_eps_just_below_cap_infeasible(self):
+        # the margin is positive at eps_tilde = 0 but at no bisection midpoint
+        res = max_eps_tilde(eps_cap(1.0, 0.0) - 1e-7, 1e3, 1.0, 0.0)
+        assert not res.feasible
+        assert res.eps_tilde_max == 0.0 and math.isnan(res.alpha_star)
+
     def test_calc_table_grid_golden(self):
         text = "\n".join(repr(max_eps_tilde(*point)) for point in CALC_TABLE_GRID)
         # every result's repr, so a change to any bit of any optimum shows
         assert hashlib.sha256(text.encode()).hexdigest() == CALC_TABLE_DIGEST
+
+
+VALID = {"eps": 0.1, "E": 1e3, "t": 1.0, "u": 0.0, "alpha": 0.036, "eps_tilde": 0.003}
+
+
+@pytest.mark.parametrize("fn,args,message", [
+    (BoundInputs, {**VALID, "eps": -0.1}, "eps must be nonnegative"),
+    (BoundInputs, {**VALID, "E": 0.0}, "E must be positive"),
+    (BoundInputs, {**VALID, "alpha": 0.6}, "alpha must lie in"),
+    (BoundInputs, {**VALID, "eps_tilde": 0.0}, "eps_tilde must lie in"),
+    (eps_cap, {"t": 1.0, "u": -0.1}, "u must be nonnegative"),
+    (max_eps_tilde, {"eps": -0.1, "E": 1e3, "t": 1.0, "u": 0.0}, "eps must be nonnegative"),
+    # log2(E + 1) would fail on its own, with a math domain error
+    (max_eps_tilde, {"eps": 0.1, "E": -2.0, "t": 1.0, "u": 0.0}, "E must be positive"),
+    # checked before an infeasible channel returns early
+    (max_eps_tilde, {"eps": 0.1, "E": 0.0, "t": 0.5, "u": 0.0}, "E must be positive"),
+])
+def test_input_checks(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(**args)
+
+
+def test_zero_eps_is_a_valid_input():
+    assert BoundInputs(**{**VALID, "eps": 0.0}).eps == 0.0
 
 
 PUBLISHED = [(0.03, 1e3, 0.8, 0.05), (0.03, 1e3, 0.9, 0.12), (0.07, 1e3, 0.95, 0.075),

@@ -16,6 +16,10 @@ class TestFeasibility:
     def test_half_transmission(self):
         assert not ChannelParams(0.5, 0.0).feasible()
 
+    def test_boundary_is_infeasible(self):
+        # 4t = e exactly in floats at t = e/4: the condition 4t > e(1+2u) is strict
+        assert not ChannelParams(math.e / 4.0, 0.0).feasible()
+
     def test_reference_point(self):
         assert ChannelParams(0.8, 0.05).feasible()
 
@@ -39,6 +43,7 @@ class TestFeasibility:
 
     def test_regime_flags(self):
         assert "generic-attack-regime" in ChannelParams(0.4, 0.0).regime_flags()
+        assert "generic-attack-regime" in ChannelParams(0.5, 0.0).regime_flags()  # t <= 1/2
         assert "channel-infeasible" in ChannelParams(0.6, 0.3).regime_flags()
         assert ChannelParams(1.0, 0.0).regime_flags() == set()
 

@@ -83,6 +83,12 @@ class TestBounds:
         payload = strict_json(tmp_path / "bounds.json")
         assert payload["feasible"] is False and payload["eps_cap"] is None
 
+    def test_eps_just_below_cap_is_infeasible(self, tmp_path):
+        # below eps_cap(1, 0) = 0.2786524795555183 by 1e-7: no bisection midpoint has a margin
+        assert run(["bounds", "--eps", "0.2786523795555183", "--out",
+                    str(tmp_path)]) == EXIT_INFEASIBLE
+        assert strict_json(tmp_path / "bounds.json")["feasible"] is False
+
 
 class TestResources:
     def test_reference_factor(self, capsys):
@@ -97,6 +103,14 @@ class TestResources:
 
     def test_no_budget_exit(self, capsys):
         assert run(["resources", "--n", "10", "--m0", "9"]) == EXIT_INFEASIBLE
+
+    def test_zero_budget_is_a_budget(self, tmp_path):
+        # q_max = 0 is a budget of one query: exit 0, with the bound at q = 0 reported
+        assert run(["resources", "--n", "10", "--m0", "1", "--eps-tilde", "0.004",
+                    "--out", str(tmp_path)]) == EXIT_OK
+        payload = strict_json(tmp_path / "resources.json")
+        assert payload["q_max"] == 0
+        assert isinstance(payload["log2_count_bound_at_qmax"], float)
 
     def test_overflowing_count_bound_is_no_budget(self, capsys, tmp_path):
         # 2^(2q+2m0) and 2^m0 log2(lambda) leave float range at m0 = 2000
@@ -153,6 +167,11 @@ class TestRounds:
             _name, value = field.split(" = ")
             assert len(value) <= 20
             float(value)
+
+    def test_overflowing_variance_names_eps(self, capsys):
+        assert run(["rounds", "--eps", "709.5"]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: eps = 709.5 overflows the attacker's score variance\n")
 
     def test_no_margin_structured(self, capsys):
         assert run(["rounds", "--eps", "0"]) == EXIT_INFEASIBLE
@@ -219,6 +238,13 @@ class TestSimulate:
         payload = json.loads((tmp_path / "simulate.json").read_text())
         assert 0.0 <= payload["honest_acceptance"] <= 1.0
         assert payload["rounds"] == 2000
+
+    def test_without_out_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["simulate", "--rounds", "200", "--sessions", "2"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "honest acceptance rate" in out and "attacker acceptance rate" in out
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_margin_structured(self, capsys, tmp_path):
         # same NoMarginError and exit code as `rounds --eps 0`
@@ -478,6 +504,10 @@ class TestErrorExit:
         ["sweep", "--n-lo", "30", "--n-hi", "20"],
         # the traced session fails its finiteness check, which runs before any write
         ["simulate", "--sigma", "1e308", "--trace", "--sessions", "2", "--rounds", "1000"],
+        # the floor and its square are finite, twice the square is not
+        ["rounds", "--eps", "709.5"],
+        ["simulate", "--eps", "709.5"],
+        ["rounds", "--eps", "1023.5", "--eps-unit", "bits"],
     ])
     def test_error_after_validation_leaves_no_output(self, capsys, tmp_path, argv):
         fresh = tmp_path / "new" / "run"
@@ -662,11 +692,21 @@ class TestConfig:
                     "--out", str(tmp_path / "b")]) == EXIT_OK
         assert not (tmp_path / "b" / "honest_rounds.csv").exists()
 
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n 30\n")
+        assert run(["resources", "--config", str(cfg)]) == EXIT_ERROR
+        assert "expected key=value" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
         assert run(["resources", "--config", str(cfg)]) == EXIT_ERROR
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_open_lower_bound_excludes_its_value(self, capsys):
+        assert run(["bounds", "--energy", "0"]) == EXIT_ERROR
+        assert "energy: must be > 0" in capsys.readouterr().err
 
     def test_aggregated_validation_errors(self, capsys):
         assert run(["bounds", "--t", "1.5", "--u", "-1"]) == EXIT_ERROR

@@ -112,6 +112,17 @@ class TestBinaryEntropies:
             assert h_tilde(p) == binary_entropy(p)
 
 
+@pytest.mark.parametrize("fn,args,message", [
+    (h_U_given_P_limit, (1.0, -0.1), "u must be nonnegative"),
+    (binary_entropy, (1.5,), "p must lie in"),
+    (h_tilde, (-0.1,), "x must be nonnegative"),
+    (neg_log_rho, (0.0,), "sigma must be positive"),
+])
+def test_input_checks(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
 def direct_sum_energy(m0, sigma):
     """sum_k k rho^k / sum_k rho^k over k < 2^m0, rho^k = exp(-k log1p(1/sigma^2))."""
     k = np.arange(2**m0, dtype=np.float64)

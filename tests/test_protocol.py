@@ -88,6 +88,16 @@ class TestRunSession:
         assert res.mean_score == 0.0
         assert res.accepted
 
+    def test_zero_residual_variance_draws_nothing(self):
+        # s^2 = 0 gives mean 0 without a chisquare draw: the stream is left as it was
+        ch = ChannelParams(0.8, 0.05)
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        exact = GaussianResponder("exact", math.sqrt(ch.t), 0.0)
+        res = run_session(_params(N=50), ch, exact, rng)
+        assert res.mean_score == 0.0
+        assert rng.bit_generator.state == state
+
     def test_single_round_edge_case(self):
         ch = ChannelParams(1.0, 0.0)
         res = run_session(_params(N=1), ch, HonestProver(ch), 3)
@@ -129,6 +139,28 @@ class TestRunSession:
             # once accepted at a small gamma, accepted at every larger one
             for a, b in zip(accepted, accepted[1:]):
                 assert (not a) or b
+
+
+@pytest.mark.parametrize("fn,args,message", [
+    (ProtocolParams, {"sigma": 10.0, "n": 8, "N": 0, "eps_hon": 0.01}, "N must be >= 1"),
+    (ProtocolParams, {"sigma": 10.0, "n": 8, "N": 10, "eps_hon": 1.0}, "eps_hon must lie in"),
+    (ProtocolParams, {"sigma": 10.0, "n": 8, "N": 10, "eps_hon": 0.01, "f_seed": 2**64},
+     "f_seed must lie in"),
+    (gamma_threshold, {"N": 10, "eps_hon": 0.0}, "eps_hon must lie in"),
+    (GaussianResponder, {"name": "x", "mean_scale": math.inf, "noise_var": 0.5},
+     "mean scale must be finite"),
+    (GaussianResponder, {"name": "x", "mean_scale": 1.0, "noise_var": -1.0},
+     "noise variance must be"),
+    (GaussianResponder, {"name": "x", "mean_scale": 1.0, "noise_var": math.inf},
+     "noise variance must be"),
+    # a ValueError, not the ZeroDivisionError of 0 / 0
+    (acceptance_rate, {"p": _params(N=10), "ch": ChannelParams(1.0, 0.0),
+                       "responder": HonestProver(ChannelParams(1.0, 0.0)), "sessions": 0,
+                       "master_seed": 1}, "sessions must be >= 1"),
+])
+def test_input_checks(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(**args)
 
 
 class TestProtocolParams:

@@ -91,6 +91,20 @@ MUTANTS = [
     Mutant("chebyshev-exact-strict", "src/cvqpv/attack.py",
            "* scale >= target *", "* scale > target *", "killed",
            "an exact tie, N Delta^2 = var / eps_hon as rationals, is pinned to pass"),
+    Mutant("chebyshev-margin-guard", "src/cvqpv/attack.py",
+           "if d <= 0.0:", "if False:", "killed",
+           "below Delta = 0, N Delta^2 grows again as Delta falls, so N = 1 passes at eps_hon = "
+           "1/2 with Delta = -3; once a probe fails, the binary search stays above N/2, where "
+           "no such N passes, but the test is no longer monotone, and a scan up from N = 1 in "
+           "its place is pinned"),
+    Mutant("chebyshev-cap-check", "src/cvqpv/attack.py",
+           "if not ok(N_SEARCH_CAP):", "if False:", "killed",
+           "the binary search returns N_SEARCH_CAP when no N below it passes; an input where "
+           "no N up to the cap passes is pinned to raise NoMarginError"),
+    Mutant("no-eps-tilde-infeasible", "src/cvqpv/bounds.py",
+           "if lo == 0.0:", "if False:", "killed",
+           "just below the cap the margin is positive at eps_tilde = 0 and at no midpoint; "
+           "that point is pinned infeasible, in the library and in the bounds CLI"),
     Mutant("phi-series-switch", "src/cvqpv/gaussian.py",
            "if y >= 0.1:", "if y >= 0.5:", "equivalent",
            "moves phi by at most 4.1e-11, the series' first omitted term at y = 0.5: "
