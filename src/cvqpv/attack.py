@@ -39,7 +39,7 @@ class RoundPlan:
 
 def attacker_entropy_floor(ch: ChannelParams, eps: float) -> float:
     """Lower bound h(U|P) + eps/4 (bits) on the better attacker's uncertainty."""
-    if eps < 0.0:
+    if not (eps >= 0.0):
         raise ValueError("eps must be nonnegative")
     return h_U_given_P_limit(ch.t, ch.u) + eps / 4.0
 
@@ -50,7 +50,7 @@ def fano_mse_floor(eps: float) -> float:
     eps is the entropy gap in nats. eps=0 gives the shot-noise floor 1/2,
     saturated by the honest ideal response.
     """
-    if eps < 0.0:
+    if not (eps >= 0.0):
         raise ValueError("eps must be nonnegative")
     try:
         return 0.5 * math.exp(eps / 2.0)
@@ -64,7 +64,7 @@ def delta_margin(eps: float, u: float, gamma: float) -> float:
     Negative values are a valid 'no separation at these parameters'
     outcome (e.g. eps = 0, or excess noise eating the margin).
     """
-    if u < 0.0:
+    if not (u >= 0.0):
         raise ValueError("u must be nonnegative")
     return fano_mse_floor(eps) / (0.5 + u) - gamma
 
@@ -81,13 +81,36 @@ def attacker_score_variance(eps: float, u: float) -> float:
     return var
 
 
+def _rounds_guess(d_inf: float, log_term: float, c: float) -> int:
+    """ceil(s^2), clipped to [1, N_SEARCH_CAP], for the positive root s of
+    d_inf s^2 - (2 sqrt(L) + c) s - 2 L = 0.
+
+    With L = log_term, Delta(N) = d_inf - 2 sqrt(L/N) - 2 L/N, so s = sqrt(N)
+    solves sqrt(N) Delta(N) = c there.
+    """
+    b = 2.0 * math.sqrt(log_term) + c
+    s = (b + math.sqrt(b * b + 8.0 * d_inf * log_term)) / (2.0 * d_inf)
+    return N_SEARCH_CAP if not s * s < N_SEARCH_CAP else max(1, math.ceil(s * s))
+
+
 def rounds_required(eps: float, u: float, eps_hon: float) -> RoundPlan:
     """Smallest N with Delta(N) > 0 and N Delta(N)^2 >= var / eps_hon.
 
     gamma depends on N, so this is a fixed point. The test is monotone in N,
     as Delta(N) rises with N and N Delta(N)^2 rises once Delta > 0, which it
-    checks first; so once it holds at N_SEARCH_CAP, one binary search finds
-    the smallest N. var is the pessimistic attacker's exact score-term variance.
+    checks first. var is the pessimistic attacker's exact score-term variance.
+
+    The search starts at a closed-form guess. With D = Delta(inf) =
+    delta_margin(eps, u, 1), L = ln(1/eps_hon) and c = sqrt(var / eps_hon),
+    Delta(N) = D - 2 sqrt(L/N) - 2 L/N, so sqrt(N) Delta(N) = c is the
+    quadratic D s^2 - (2 sqrt(L) + c) s - 2 L = 0 in s = sqrt(N), and
+    ceil(s^2) of its positive root is the guess (_rounds_guess). From it,
+    steps that double go up until the test holds at hi, or down while it
+    holds at lo - 1; then one binary search over [lo, hi) finds the smallest
+    N. The test decides every step and the guess only where to look, so,
+    as the test is monotone, the result is the smallest N wherever the
+    guess lands. If the test fails at N_SEARCH_CAP, no N is found.
+
     The test is decided exactly on the float values of Delta(N), var and
     eps_hon, in integers. In floating point, where gamma is below an ulp of
     the estimation-error floor, N Delta^2 and var / eps_hon agree to within
@@ -98,7 +121,8 @@ def rounds_required(eps: float, u: float, eps_hon: float) -> RoundPlan:
     if not (0.0 < eps_hon < 1.0):
         raise ValueError("eps_hon must lie in (0,1)")
     # Delta(inf) must be positive for any N to work
-    if delta_margin(eps, u, 1.0) <= 0.0:
+    d_inf = delta_margin(eps, u, 1.0)
+    if not (d_inf > 0.0):
         raise NoMarginError(
             f"parameters give no margin: asymptotic Delta <= 0 for eps={eps}, u={u}"
         )
@@ -116,9 +140,23 @@ def rounds_required(eps: float, u: float, eps_hon: float) -> RoundPlan:
         d_num, d_den = d.as_integer_ratio()
         return N * d_num * d_num * scale >= target * d_den * d_den
 
-    if not ok(N_SEARCH_CAP):
-        raise NoMarginError(f"no N <= {N_SEARCH_CAP} satisfies the margin condition")
-    N = 1 + bisect_left(range(1, N_SEARCH_CAP), True, key=ok)
+    # the smallest N lies in [lo, hi]: the test holds at hi and fails at lo - 1 (or lo = 1)
+    lo = hi = _rounds_guess(d_inf, -math.log(eps_hon), math.sqrt(score_variance / eps_hon))
+    step = 1
+    if ok(hi):  # gallop down
+        while lo > 1 and ok(lo - 1):
+            hi = lo - 1
+            lo = max(hi + 1 - step, 1)
+            step *= 2
+    else:  # gallop up
+        while True:
+            if hi == N_SEARCH_CAP:
+                raise NoMarginError(f"no N <= {N_SEARCH_CAP} satisfies the margin condition")
+            lo, hi = hi + 1, min(hi + step, N_SEARCH_CAP)
+            step *= 2
+            if ok(hi):
+                break
+    N = lo + bisect_left(range(lo, hi), True, key=ok)
     gamma = gamma_threshold(N, eps_hon)
     return RoundPlan(
         N=N,

@@ -12,9 +12,11 @@ with the continuity bracket
 All logs are base 2 (checked empirically against the reference parameter
 tables; a natural-log reading does not reproduce them). The right-hand side
 is increasing in et, so for fixed a the largest admissible et is found by
-bisection; the outer maximization over a takes the best point of a
-log-spaced grid, found by binary searches that rely on the term being
-strictly unimodal in a (max_eps_tilde). The formula is written once, in
+bisection, whose midpoints a known bracket and regula falsi probes decide
+without a call where they can (_bisect); the outer maximization over a
+takes the best point of a log-spaced grid, found by binary searches that
+start from the last candidate and rely on the term being strictly unimodal
+in a (max_eps_tilde). The formula is written once, in
 separation_rhs; the optimizer and condition_surface make only scalar calls
 to it. The grid is computed with plain float arithmetic (log_grid), so no
 result depends on numpy's vector loops. Everything is deterministic.
@@ -37,6 +39,7 @@ ALPHA_MIN = 1e-4  # bracket diverges as a -> 0, safe lower cutoff
 ALPHA_MAX = 0.5
 N_ALPHA = 240  # log-spaced grid alphas in [ALPHA_MIN, ALPHA_MAX]
 BISECT_TOL = 1e-8  # final bisection width in eps_tilde
+_PROBES = 8  # most Illinois probes before a bisection's walk
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -74,9 +77,9 @@ class BoundInputs:
     eps_tilde: float
 
     def __post_init__(self):
-        if self.eps < 0.0:
+        if not (self.eps >= 0.0):
             raise ValueError("eps must be nonnegative")
-        if self.E <= 0.0:
+        if not (self.E > 0.0):
             raise ValueError("E must be positive")
         if not (0.0 < self.alpha <= 0.5):
             raise ValueError("alpha must lie in (0, 1/2]")
@@ -105,7 +108,7 @@ def _bracket(E: float, alpha: float, eps_tilde: float) -> float:
 
 def separation_rhs(E: float, alpha: float, eps_tilde: float) -> float:
     """Halved-prefactor form (1+a)/(2(1-a)) + a used in the eps condition."""
-    if E <= 0.0:
+    if not (E > 0.0):
         raise ValueError("E must be positive")
     return ((1.0 + alpha) / (2.0 * (1.0 - alpha)) + alpha) * _bracket(E, alpha, eps_tilde)
 
@@ -115,9 +118,9 @@ def eps_cap(t: float, u: float) -> float:
 
     -inf where the ratio is 0: at t = 0, or where it underflows.
     """
-    if t < 0.0:
+    if not (t >= 0.0):
         raise ValueError("t must be nonnegative")
-    if u < 0.0:
+    if not (u >= 0.0):
         raise ValueError("u must be nonnegative")
     ratio = 4.0 * t / (math.e * (1.0 + 2.0 * u))
     return -math.inf if ratio == 0.0 else 0.5 * math.log2(ratio)
@@ -136,50 +139,129 @@ def condition_holds(b: BoundInputs) -> bool:
 _SLOPE_TERMS = [((1.0 + a) / (1.0 - a) + 2.0 * a, math.log2(math.e / a)) for a in _ALPHAS]
 
 
+def _first(holds, last: int, start: int | None = None) -> int:
+    """The first j in [0, last] with holds(j), where holds is false and then
+    true along j and is taken to hold at last unevaluated.
+
+    A binary search finds it. From a start index, steps that double first
+    bracket it, so that a start near the answer costs a few calls.
+    """
+    lo, hi = 0, last
+    if start is not None:
+        step = 1
+        if start == last or holds(start):
+            hi = start
+            while start - step > 0:
+                if not holds(start - step):
+                    lo = start - step + 1
+                    break
+                hi = start - step
+                step *= 2
+        else:
+            lo = start + 1
+            while start + step < last:
+                if holds(start + step):
+                    hi = start + step
+                    break
+                lo = start + step + 1
+                step *= 2
+    while lo < hi:
+        j = (lo + hi) // 2
+        if holds(j):
+            hi = j
+        else:
+            lo = j + 1
+    return lo
+
+
 def _no_margin_above(cap_margin: float, E: float) -> float:
     """An eps_tilde above which no grid alpha has a positive margin.
 
     The bracket is at least its 2 et (log2(E+1) + log2(e/a)) part, since
     htilde >= 0 and log2(1/(1-et)) > 0; the factor 1 + 1e-6 covers rounding.
+    The slope falls and then rises along the grid, so the least is at the
+    first j whose slope is no more than the next one's.
     """
     log_energy = math.log2(E + 1.0)
-    slope = min(factor * (log_energy + log_e_over_a) for factor, log_e_over_a in _SLOPE_TERMS)
-    return cap_margin / slope * (1.0 + 1e-6)
+
+    def slope(j: int) -> float:
+        factor, log_e_over_a = _SLOPE_TERMS[j]
+        return factor * (log_energy + log_e_over_a)
+
+    least = slope(_first(lambda j: slope(j) <= slope(j + 1), N_ALPHA - 1))
+    return cap_margin / least * (1.0 + 1e-6)
 
 
-def _bisect(E: float, alpha: float, cap_margin: float, top: float) -> tuple[float, float]:
+def _bisect(E: float, alpha: float, cap_margin: float, top: float,
+            pos: float = 0.0, rhs_at_pos: float = 0.0) -> tuple[float, float]:
     """(lo, hi) of the bisection of alpha's boundary, on scalar separation_rhs calls.
 
     It starts on [0, 1 - 1e-12] and halves until the width is at most
-    BISECT_TOL, going up where the margin at the midpoint is positive; a
-    midpoint above top is taken down unevaluated.
+    BISECT_TOL, going up where the margin at the midpoint is positive. The
+    margin is known positive at pos, where the term is rhs_at_pos. A
+    midpoint at or below pos goes up unevaluated; one above top, or at or
+    above a point already found non-positive, goes down unevaluated.
+
+    Before the walk, up to _PROBES Illinois (regula falsi) probes between
+    pos and top narrow that bracket. As the margin decreases in eps_tilde,
+    a skipped midpoint goes the way its evaluation would, so the walk ends
+    where it would without them; they only save its calls.
     """
+    neg = math.inf  # the least point found non-positive
+    rhs = separation_rhs(E, alpha, top)
+    if rhs < cap_margin:  # top bounds the grid alphas' boundaries from above: not expected
+        pos = top
+    else:
+        a, fa, b, fb = pos, cap_margin - rhs_at_pos, top, cap_margin - rhs
+        side = 0  # the end the last probe moved: +1 the positive one, -1 the other
+        for _ in range(_PROBES):
+            x = (a * fb - b * fa) / (fb - fa)  # where the chord crosses zero
+            if b - a <= BISECT_TOL or not a < x < b:
+                break
+            rhs = separation_rhs(E, alpha, x)
+            # a second move of the same end halves the other end's value (Illinois)
+            if rhs < cap_margin:
+                a, fa = x, cap_margin - rhs
+                if side > 0:
+                    fb *= 0.5
+                side = 1
+            else:
+                b, fb = x, cap_margin - rhs
+                if side < 0:
+                    fa *= 0.5
+                side = -1
+        pos, neg = a, b
     lo, hi = 0.0, 1.0 - 1e-12
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
+        if mid <= pos:
+            lo = mid
+        elif mid > top or mid >= neg:
+            hi = mid
         # rhs < cap_margin decides exactly as cap_margin - rhs > 0.0: subnormals keep it so
-        if mid <= top and separation_rhs(E, alpha, mid) < cap_margin:
+        elif separation_rhs(E, alpha, mid) < cap_margin:
             lo = mid
         else:
             hi = mid
     return lo, hi
 
 
-def _best_alpha(E: float, eps_tilde: float) -> int:
-    """Index of the grid alpha with the smallest separation term at eps_tilde.
+def _best_alpha(E: float, eps_tilde: float, start: int | None = None) -> tuple[int, float]:
+    """Index and term of the grid alpha with the smallest separation term at eps_tilde.
 
     The term falls strictly and then rises strictly along the grid, so the
-    least is at the first j whose term is no more than the next one's, which
-    a binary search finds with two calls a step.
+    least is at the first j whose term is no more than the next one's
+    (_first, from start when given). Each term is computed once a call.
     """
-    lo, hi = 0, N_ALPHA - 1
-    while lo < hi:
-        j = (lo + hi) // 2
-        if separation_rhs(E, _ALPHAS[j], eps_tilde) <= separation_rhs(E, _ALPHAS[j + 1], eps_tilde):
-            hi = j
-        else:
-            lo = j + 1
-    return lo
+    terms = {}
+
+    def term(j: int) -> float:
+        if j not in terms:
+            terms[j] = separation_rhs(E, _ALPHAS[j], eps_tilde)
+        return terms[j]
+
+    j = _first(lambda j: term(j) <= term(j + 1), N_ALPHA - 1, start)
+    return j, term(j)
 
 
 def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
@@ -192,13 +274,15 @@ def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     Rather than bisect every alpha, it
 
     1. takes as candidate the grid alpha with the largest margin at top,
-       the _no_margin_above bound (_best_alpha);
-    2. bisects the candidate alone to (lo, hi);
-    3. finds the grid alpha with the largest margin at hi: if that margin
-       is not positive, lo is the optimum; else that alpha becomes the
-       candidate and step 2 repeats;
+       the _no_margin_above bound, by a binary search (_best_alpha);
+    2. bisects the candidate alone to (lo, hi); in a repeat, the margin is
+       known positive at the previous hi, and the bisection takes every
+       midpoint up to it up without a call (_bisect);
+    3. finds the grid alpha with the largest margin at hi, searching out
+       from the candidate: if that margin is not positive, lo is the
+       optimum; else that alpha becomes the candidate and step 2 repeats;
     4. takes alpha_star as the first grid alpha whose margin at lo is
-       positive, by a binary search up to the candidate.
+       positive, searching down from the candidate.
 
     Why that is the largest bisection: the margin decreases in eps_tilde,
     and every bisection walks the same tree of midpoints, so where two part,
@@ -211,9 +295,9 @@ def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     alphas positive at lo are then one run of the grid that holds the
     candidate.
     """
-    if eps < 0.0:
+    if not (eps >= 0.0):
         raise ValueError("eps must be nonnegative")
-    if E <= 0.0:
+    if not (E > 0.0):
         raise ValueError("E must be positive")
     if not ChannelParams(t, u).feasible() or eps >= eps_cap(t, u):
         return BoundResult(0.0, math.nan, False, math.nan)
@@ -221,23 +305,18 @@ def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     # the margin is cap_margin > 0 at eps_tilde = 0 and, as t <= 1, negative at the top
     cap_margin = eps_cap(t, u) - eps
     top = _no_margin_above(cap_margin, E)
-    k = _best_alpha(E, top)
+    k, _ = _best_alpha(E, top)
     lo, hi = _bisect(E, _ALPHAS[k], cap_margin, top)
     while True:
-        j = _best_alpha(E, hi)
-        if not separation_rhs(E, _ALPHAS[j], hi) < cap_margin:
+        j, rhs = _best_alpha(E, hi, k)
+        if not rhs < cap_margin:
             break
         k = j
-        lo, hi = _bisect(E, _ALPHAS[k], cap_margin, top)
+        lo, hi = _bisect(E, _ALPHAS[k], cap_margin, top, hi, rhs)
     if lo == 0.0:
         return BoundResult(0.0, math.nan, False, math.nan)
-    first, last = 0, k  # the first alpha positive at lo lies in [first, last]
-    while first < last:
-        j = (first + last) // 2
-        if separation_rhs(E, _ALPHAS[j], lo) < cap_margin:
-            last = j
-        else:
-            first = j + 1
+    # the first alpha positive at lo lies at or below the candidate
+    first = _first(lambda j: separation_rhs(E, _ALPHAS[j], lo) < cap_margin, k, k)
     alpha_star = _ALPHAS[first]
     return BoundResult(lo, alpha_star, True, separation_rhs(E, alpha_star, lo))
 

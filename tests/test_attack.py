@@ -6,6 +6,7 @@ import pytest
 
 from cvqpv import attack
 from cvqpv.attack import (
+    N_SEARCH_CAP,
     NoMarginError,
     attacker_entropy_floor,
     attacker_score_variance,
@@ -131,17 +132,52 @@ class TestRoundsRequired:
 
     def test_negative_margin_never_meets_the_test(self, monkeypatch):
         # N Delta^2 grows again below Delta = 0: at N = 1, Delta = -3 gives 9 >= var / eps_hon.
-        # The test must fail there to be monotone in N; the binary search never probes that
-        # low, but a scan up from N = 1, as valid a search of a monotone test, does
+        # The test must fail there to be monotone in N. The closed-form guess lands near
+        # N = 5454, far above; from a guess of 1, the search asks the test at N = 1 first
         assert delta_margin(0.1, 0.0, gamma_threshold(1, 0.5)) < -2.9
         plan = rounds_required(0.1, 0.0, 0.5)
         assert plan.N == 5454 and plan.delta > 0.0
 
+        # a scan up the bracketed range, as valid a search of a monotone test; the
+        # range is empty when the gallops leave lo == hi
         def scan(a, x, key):
-            return next(i for i, n in enumerate(a) if key(n) >= x)
+            return next((i for i, n in enumerate(a) if key(n) >= x), len(a))
 
         monkeypatch.setattr(attack, "bisect_left", scan)
         assert rounds_required(0.1, 0.0, 0.5) == plan
+        monkeypatch.setattr(attack, "_rounds_guess", lambda *args: 1)
+        assert rounds_required(0.1, 0.0, 0.5) == plan
+
+    @pytest.mark.parametrize("eps,u,eps_hon", [
+        (0.1, 0.0, 0.01),  # the default plan
+        (0.1, 0.0, 0.5),
+        (0.3, 0.02, 1e-6),  # N = 183,593,842
+        (700.0, 0.0, 0.001),  # decided exactly, at N = 2/eps_hon
+        (700.0, 0.0, 1e-9),  # no N up to the cap
+        (0.5, 0.1, 1e-300),  # none either: N would pass 1e9
+    ])
+    def test_every_guess_gives_the_same_plan(self, monkeypatch, eps, u, eps_hon):
+        # the guess only says where to ask the exact test first: from 1 the search
+        # gallops up, from the cap down, and from either side of N both ways
+        try:
+            plan = rounds_required(eps, u, eps_hon)
+            guesses = [plan.N - 1000, plan.N - 1, plan.N, plan.N + 1, plan.N + 1000]
+        except NoMarginError as e:
+            plan, guesses = str(e), [2, 10**6]
+        for guess in [1, N_SEARCH_CAP] + [g for g in guesses if 1 <= g <= N_SEARCH_CAP]:
+            monkeypatch.setattr(attack, "_rounds_guess", lambda *args: guess)
+            try:
+                assert rounds_required(eps, u, eps_hon) == plan, guess
+            except NoMarginError as e:
+                assert str(e) == plan, guess
+
+    def test_guess_is_close_at_the_default_plan(self, monkeypatch):
+        # the closed form lands on N = 139,999: the test is asked there and one below
+        asked = []
+        monkeypatch.setattr(attack, "gamma_threshold",
+                            lambda N, eps_hon: asked.append(N) or gamma_threshold(N, eps_hon))
+        assert rounds_required(0.1, 0.0, 0.01).N == 139_999
+        assert asked == [139_999, 139_998, 139_999]  # the last gives the plan's gamma
 
     @pytest.mark.parametrize("eps,u,eps_hon,N", [
         (100.0, 0.0, 0.01, 201),  # the rounded test passed at 200

@@ -7,6 +7,12 @@ import numpy as np
 import pytest
 
 from cvqpv import bounds
+from cvqpv.attack import (
+    attacker_entropy_floor,
+    delta_margin,
+    fano_mse_floor,
+    rounds_required,
+)
 from cvqpv.bounds import (
     ALPHA_MAX,
     ALPHA_MIN,
@@ -193,6 +199,31 @@ def test_input_checks(fn, args, message):
         fn(**args)
 
 
+@pytest.mark.parametrize("fn,args,message", [
+    (max_eps_tilde, (math.nan, 1e3, 1.0, 0.0), "eps must be nonnegative"),
+    (max_eps_tilde, (0.1, math.nan, 1.0, 0.0), "E must be positive"),
+    (max_eps_tilde, (0.1, 1e3, math.nan, 0.0), "t must lie in"),
+    (max_eps_tilde, (0.1, 1e3, 1.0, math.nan), "u must be nonnegative"),
+    (separation_rhs, (math.nan, 0.01, 1e-3), "E must be positive"),
+    (separation_rhs, (1e3, math.nan, 1e-3), "alpha must lie in"),
+    (separation_rhs, (1e3, 0.01, math.nan), "eps_tilde must lie in"),
+    (eps_cap, (math.nan, 0.0), "t must be nonnegative"),
+    (eps_cap, (1.0, math.nan), "u must be nonnegative"),
+    (BoundInputs, (math.nan, 1e3, 1.0, 0.0, 0.036, 0.003), "eps must be nonnegative"),
+    (BoundInputs, (0.1, math.nan, 1.0, 0.0, 0.036, 0.003), "E must be positive"),
+    (attacker_entropy_floor, (ChannelParams(1.0, 0.0), math.nan), "eps must be nonnegative"),
+    (fano_mse_floor, (math.nan,), "eps must be nonnegative"),
+    (delta_margin, (0.1, math.nan, 1.0), "u must be nonnegative"),
+    (rounds_required, (math.nan, 0.0, 0.01), "eps must be nonnegative"),
+    (rounds_required, (0.1, math.nan, 0.01), "u must be nonnegative"),
+    (rounds_required, (0.1, 0.0, math.nan), "eps_hon must lie in"),
+])
+def test_nan_inputs_are_rejected(fn, args, message):
+    # each check is written so that NaN fails it, with the message of its parameter
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
 def test_zero_eps_is_a_valid_input():
     assert BoundInputs(**{**VALID, "eps": 0.0}).eps == 0.0
 
@@ -275,35 +306,52 @@ class TestEpsTildeGrid:
         assert max_eps_tilde(0.27865, 1e3, 1.0, 0.0).eps_tilde_max == max(partial) > 0.0
         # at the default point the first candidate ends below the optimum, so
         # the grid search at its hi starts a second round, whose alpha is alpha_star
-        rounds, searched, evaluated = [], [], []
         original_bisect, original_best = bounds._bisect, bounds._best_alpha
         original_rhs = bounds.separation_rhs
-
-        def bisect(E, alpha, cap_margin, top):
-            start = len(evaluated)
-            lo, hi = original_bisect(E, alpha, cap_margin, top)
-            rounds.append((alpha, lo, evaluated[start:]))
-            return lo, hi
-
-        monkeypatch.setattr(bounds, "_bisect", bisect)
-        monkeypatch.setattr(bounds, "_best_alpha",
-                            lambda E, et: searched.append(et) or original_best(E, et))
-        monkeypatch.setattr(bounds, "separation_rhs",
-                            lambda E, alpha, et: evaluated.append(et) or original_rhs(E, alpha, et))
-        res = max_eps_tilde(*PUBLISHED[3])
         top = _no_margin_above(eps_cap(1.0, 0.0) - 0.1, 1e3)
-        assert len(rounds) == 2
-        (first, first_lo, first_calls), (second, second_lo, second_calls) = rounds
-        assert first != res.alpha_star and first_lo < res.eps_tilde_max
-        assert second == res.alpha_star and second_lo == res.eps_tilde_max
-        # each round takes its 6 leading midpoints down unevaluated: a bisection to
-        # BISECT_TOL takes 27 steps, the first evaluated being the 7th midpoint
-        for calls in (first_calls, second_calls):
-            assert len(calls) == 27 - 6
-            assert calls[0] == (1.0 - 1e-12) / 2 ** 7
-        # the grid is searched at top and at each round's hi, and no call goes above top
-        assert searched[0] == top and len(searched) == 3
-        assert max(evaluated) <= top
+        probes = bounds._PROBES
+
+        def traced(probes):
+            rounds, searched, evaluated = [], [], []
+
+            def bisect(E, alpha, cap_margin, top, *known):
+                start = len(evaluated)
+                lo, hi = original_bisect(E, alpha, cap_margin, top, *known)
+                rounds.append((alpha, known, lo, hi, evaluated[start:]))
+                return lo, hi
+
+            monkeypatch.setattr(bounds, "_PROBES", probes)
+            monkeypatch.setattr(bounds, "_bisect", bisect)
+            monkeypatch.setattr(bounds, "_best_alpha", lambda E, et, *start:
+                                searched.append((et, start)) or original_best(E, et, *start))
+            monkeypatch.setattr(bounds, "separation_rhs", lambda E, alpha, et:
+                                evaluated.append(et) or original_rhs(E, alpha, et))
+            res = max_eps_tilde(*PUBLISHED[3])
+            assert len(rounds) == 2
+            (first, known, first_lo, first_hi, first_calls), \
+                (second, second_known, second_lo, second_hi, second_calls) = rounds
+            assert known == ()
+            assert first != res.alpha_star and first_lo < res.eps_tilde_max
+            assert second == res.alpha_star and second_lo == res.eps_tilde_max
+            # round 2 knows its margin is positive at round 1's hi, and evaluates nothing at
+            # or below it
+            assert second_known == (first_hi, original_rhs(1e3, second, first_hi))
+            assert min(second_calls) > first_hi
+            # each round evaluates top first, and nothing is evaluated above it
+            assert first_calls[0] == second_calls[0] == top
+            assert max(evaluated) <= top
+            # the grid is searched cold at top, then at each round's hi from the candidate
+            assert searched == [(top, ()), (first_hi, (GRID_ALPHAS.index(first),)),
+                                (second_hi, (GRID_ALPHAS.index(second),))]
+            return res, len(first_calls), len(second_calls)
+
+        # without probes, round 1 evaluates top and then every midpoint at or below it:
+        # a bisection to BISECT_TOL takes 27 steps, the first evaluated being the 7th
+        # midpoint; round 2 takes round 1's path unevaluated up to where the two part
+        walked, first_calls, second_calls = traced(0)
+        assert (first_calls, second_calls) == (1 + 27 - 6, 1 + 12)
+        # the probes end where the walk does, with fewer calls: top, then 6 and 3 probes
+        assert traced(probes) == (walked, 7, 4)
 
     @pytest.mark.parametrize("eps,E,t,u", PUBLISHED + [
         (0.05, 10.0, 0.9, 0.05),

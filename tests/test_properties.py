@@ -9,18 +9,22 @@ unimodal in alpha at every eps_tilde they run at, and its shared
 bisection path must equal the per-alpha scalar bisections it replaced,
 whose oracle lives in test_bounds. Its grid must be numpy's linspace
 points, bit for bit. The round trace CSV must give back the session's
-columns exactly. The table writer and the condition surface must equal
-the reference implementations kept here: csv.writer and json.dumps, and
-the scalar double loop over separation_rhs. Examples are derandomized so
+columns exactly. The table writer, the condition surface, the bound above
+which no alpha has a margin, and the round count must equal the reference
+implementations kept here: csv.writer and json.dumps, the scalar double
+loop over separation_rhs, a min over the grid's slopes, and one bisect_left
+over [1, N_SEARCH_CAP). Examples are derandomized so
 the suite gives the same verdict on every run.
 """
 
+import bisect
 import csv
 import io
 import json
 import math
 import struct
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -30,7 +34,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqpv import bounds
+from cvqpv.attack import (
+    N_SEARCH_CAP,
+    NoMarginError,
+    RoundPlan,
+    attacker_score_variance,
+    delta_margin,
+    rounds_required,
+)
 from cvqpv.bounds import (
+    N_ALPHA,
     condition_surface,
     eps_cap,
     linspace,
@@ -84,20 +97,24 @@ def test_strictly_unimodal_rejects_every_plateau(values, unimodal):
 
 
 def searched_eps_tildes(eps, E, t, u):
-    """The eps_tildes at which max_eps_tilde searches the grid: top, each round's hi and lo."""
+    """The eps_tildes at which max_eps_tilde searches the grid, each with the start
+    it searches from: top cold (None), each round's hi from its candidate, and lo."""
     searched = []
     original = bounds._best_alpha
-    with mock.patch.object(bounds, "_best_alpha",
-                           lambda E, et: searched.append(et) or original(E, et)):
+    with mock.patch.object(bounds, "_best_alpha", lambda E, et, start=None:
+                           searched.append((et, start)) or original(E, et, start)):
         res = max_eps_tilde(eps, E, t, u)
-    return searched + ([res.eps_tilde_max] if res.feasible else [])
+    return searched + ([(res.eps_tilde_max, None)] if res.feasible else [])
 
 
 def assert_unimodal_where_searched(eps, E, t, u):
-    for et in searched_eps_tildes(eps, E, t, u):
+    for et, start in searched_eps_tildes(eps, E, t, u):
         rhs = [separation_rhs(E, a, et) for a in GRID_ALPHAS]
         assert strictly_unimodal(rhs), (eps, E, t, u, et)
-        assert bounds._best_alpha(E, et) == rhs.index(min(rhs))
+        # the least term and its index, whether the search starts cold, from the
+        # optimizer's start, or galloping from either end of the grid
+        for s in (None, start, 0, N_ALPHA - 1):
+            assert bounds._best_alpha(E, et, s) == (rhs.index(min(rhs)), min(rhs))
 
 
 @settings(SETTINGS, max_examples=200)
@@ -115,8 +132,73 @@ def test_separation_rhs_strictly_unimodal_where_searched_on_calc_table_grid():
 
 
 def test_best_alpha_takes_the_first_of_tied_terms():
-    # every term is 0 at eps_tilde = 0; like np.argmin, the search takes the first alpha
-    assert bounds._best_alpha(1e3, 0.0) == 0
+    # every term is 0 at eps_tilde = 0; like np.argmin, the search takes the first
+    # alpha, from any start
+    for start in (None, 0, 1, 119, N_ALPHA - 2, N_ALPHA - 1):
+        assert bounds._best_alpha(1e3, 0.0, start) == (0, 0.0)
+
+
+def no_margin_above_by_min(cap_margin, E):
+    """Oracle: the bound from the least of the 240 slopes, by min over the grid."""
+    log_energy = math.log2(E + 1.0)
+    slope = min(((1.0 + a) / (1.0 - a) + 2.0 * a) * (log_energy + math.log2(math.e / a))
+                for a in GRID_ALPHAS)
+    return cap_margin / slope * (1.0 + 1e-6)
+
+
+@settings(SETTINGS, max_examples=500)
+@given(cap_margin=st.floats(min_value=1e-12, max_value=0.5),
+       E=st.floats(min_value=1e-6, max_value=1e300))
+def test_no_margin_above_takes_the_least_slope_on_the_grid(cap_margin, E):
+    # the binary search finds the minimum of the 240 slopes, bit for bit
+    assert bounds._no_margin_above(cap_margin, E) == no_margin_above_by_min(cap_margin, E)
+
+
+@pytest.mark.parametrize("E", [10.0, 1e2, 1e3, 1e4])  # calc_table's energies
+def test_no_margin_above_at_the_calc_table_energies(E):
+    for cap_margin in (1e-7, eps_cap(0.8, 0.1) - 0.03, eps_cap(1.0, 0.0) - 0.1, eps_cap(1.0, 0.0)):
+        assert bounds._no_margin_above(cap_margin, E) == no_margin_above_by_min(cap_margin, E)
+
+
+def rounds_by_one_bisection(eps, u, eps_hon):
+    """Oracle: the round count as a check at the cap and one bisect_left over
+    [1, N_SEARCH_CAP), with rounds_required's exact test; a plan or the error's text."""
+    try:
+        if not (0.0 < eps_hon < 1.0):
+            raise ValueError("eps_hon must lie in (0,1)")
+        if not delta_margin(eps, u, 1.0) > 0.0:
+            raise NoMarginError(
+                f"parameters give no margin: asymptotic Delta <= 0 for eps={eps}, u={u}")
+        score_variance = attacker_score_variance(eps, u)
+        target = Fraction(score_variance) / Fraction(eps_hon)
+
+        def ok(N):
+            d = delta_margin(eps, u, gamma_threshold(N, eps_hon))
+            return d > 0.0 and N * Fraction(d) ** 2 >= target
+
+        if not ok(N_SEARCH_CAP):
+            raise NoMarginError(f"no N <= {N_SEARCH_CAP} satisfies the margin condition")
+        N = 1 + bisect.bisect_left(range(1, N_SEARCH_CAP), True, key=ok)
+        gamma = gamma_threshold(N, eps_hon)
+        return RoundPlan(N, gamma, delta_margin(eps, u, gamma), score_variance)
+    except ValueError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@settings(SETTINGS, max_examples=1000)
+@given(u=st.floats(min_value=0.0, max_value=0.3) | st.floats(min_value=0.0, max_value=1e3),
+       excess=st.floats(min_value=-0.5, max_value=3.0) | st.floats(min_value=0.0, max_value=1500.0),
+       eps_hon=st.floats(min_value=1e-9, max_value=0.999999)
+       | st.floats(min_value=5e-324, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_rounds_required_equals_one_bisection(u, excess, eps_hon):
+    # the guess and the gallops only choose where the exact test is asked; eps is
+    # drawn relative to 2 ln(1 + 2u), where the asymptotic margin turns positive
+    eps = max(0.0, 2.0 * math.log1p(2.0 * u) + excess)
+    try:
+        plan = rounds_required(eps, u, eps_hon)
+    except ValueError as e:
+        plan = f"{type(e).__name__}: {e}"
+    assert plan == rounds_by_one_bisection(eps, u, eps_hon)
 
 
 @SETTINGS

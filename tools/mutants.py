@@ -71,7 +71,7 @@ MUTANTS = [
            "htilde is the binary entropy below x = 1/2, under 1.0, and exactly 1.0 from there "
            "up; the test near 1/2 pins it"),
     Mutant("repeat-skipped", "src/cvqpv/bounds.py",
-           "if not separation_rhs(E, _ALPHAS[j], hi) < cap_margin:", "if True:", "killed",
+           "if not rhs < cap_margin:", "if True:", "killed",
            "the first candidate is accepted unchecked; at 188 of the 192 feasible calc_table "
            "points it ends below the optimum, which the golden and the scalar oracle pin"),
     Mutant("alpha-star-candidate", "src/cvqpv/bounds.py",
@@ -79,8 +79,7 @@ MUTANTS = [
            "the candidate is often not the first alpha tied at the optimum (at PUBLISHED[0] "
            "it is 0.00486, not 0.00469); the optimum's alpha is pinned"),
     Mutant("best-alpha-strict", "src/cvqpv/bounds.py",
-           "<= separation_rhs(E, _ALPHAS[j + 1], eps_tilde):",
-           "< separation_rhs(E, _ALPHAS[j + 1], eps_tilde):", "killed",
+           "term(j) <= term(j + 1)", "term(j) < term(j + 1)", "killed",
            "it moves the grid search only where two adjacent terms tie, which the unimodality "
            "property tests find at no eps_tilde the optimizer searches; the tie rule's own test "
            "(every term is 0 at eps_tilde = 0, and the first alpha is taken) sees it"),
@@ -98,9 +97,28 @@ MUTANTS = [
            "no such N passes, but the test is no longer monotone, and a scan up from N = 1 in "
            "its place is pinned"),
     Mutant("chebyshev-cap-check", "src/cvqpv/attack.py",
-           "if not ok(N_SEARCH_CAP):", "if False:", "killed",
-           "the binary search returns N_SEARCH_CAP when no N below it passes; an input where "
-           "no N up to the cap passes is pinned to raise NoMarginError"),
+           'raise NoMarginError(f"no N <= {N_SEARCH_CAP} satisfies the margin condition")',
+           "break", "killed",
+           "the gallop up stops at N_SEARCH_CAP and the binary search then returns the cap "
+           "when no N below it passes; an input where no N up to the cap passes is pinned to "
+           "raise NoMarginError"),
+    Mutant("chebyshev-gallop-down-at-lo", "src/cvqpv/attack.py",
+           "while lo > 1 and ok(lo - 1):", "while lo > 1 and ok(lo):", "killed",
+           "the test is known to hold at lo, so the gallop down steps below the smallest N "
+           "and returns one under it; guesses on both sides of N are pinned to give one plan"),
+    Mutant("bisect-round-two-from-top", "src/cvqpv/bounds.py",
+           "lo, hi = _bisect(E, _ALPHAS[k], cap_margin, top, hi, rhs)",
+           "lo, hi = _bisect(E, _ALPHAS[k], cap_margin, top, top, rhs)", "killed",
+           "round 2 takes every midpoint up to top as positive and ends above the optimum; "
+           "the optimizer golden pins it"),
+    Mutant("bisect-no-negative-skip", "src/cvqpv/bounds.py",
+           "elif mid > top or mid >= neg:", "elif mid > top:", "killed",
+           "the walk then evaluates midpoints a probe already found non-positive: the same "
+           "result with more calls, which the pinned call counts of each round see"),
+    Mutant("first-gallop-up-skips", "src/cvqpv/bounds.py",
+           "lo = start + step + 1", "lo = start + step + 2", "killed",
+           "the gallop up steps over the first j it has not asked, so the grid search misses "
+           "an answer just past a probe; searches from the grid's first alpha are pinned"),
     Mutant("no-eps-tilde-infeasible", "src/cvqpv/bounds.py",
            "if lo == 0.0:", "if False:", "killed",
            "just below the cap the margin is positive at eps_tilde = 0 and at no midpoint; "
