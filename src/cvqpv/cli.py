@@ -32,9 +32,6 @@ import math
 import os
 import shutil
 import sys
-import tempfile
-import threading
-import warnings
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -238,108 +235,47 @@ def _write_metadata(out: Path | None, cfg: dict) -> None:
     _write_json(out / "metadata.json", meta, sort_keys=True)
 
 
-_CSV_CHUNK_ROWS = 8192  # rows per write, in the parent and in the forked child alike
-_THETA_TEXT = (repr(0.0), repr(math.pi / 2.0))  # theta = pi/2 * basis bit
-_CHILD_ERROR_BYTES = 512  # the longest error line a failed child leaves for the parent
+_CSV_CHUNK_ROWS = 8192  # rows per write
+_THETAS = (0.0, math.pi / 2.0)  # theta = pi/2 * basis bit
+# orjson prints a float in repr's text wherever repr uses plain decimals, and for +-0.0
+_PLAIN_LO, _PLAIN_HI = 1e-4, 1e16
+
+
+def _cells(col) -> list:
+    """The values of a float array, each outside orjson's repr range as its repr string."""
+    values = col.tolist()
+    size = abs(col)
+    for k in ((size < _PLAIN_LO) & (col != 0.0) | ~(size < _PLAIN_HI)).nonzero()[0].tolist():
+        values[k] = repr(values[k])  # NaN and +-inf land here: orjson writes them as null
+    return values
 
 
 def _csv_rows(trace, start: int, stop: int):
     """The CSV bytes of trace rows [start, stop), _CSV_CHUNK_ROWS rows at a time.
 
-    int and float repr fields need no quoting, so this is RFC-4180 as it stands.
+    Each chunk is one orjson array of row arrays, re-punctuated as CSV; no
+    cell holds a bracket, comma or quote, so this is RFC-4180 as it stands.
     """
+    import orjson  # not at module top: its import would slow every subcommand's start
+
     for lo in range(start, stop, _CSV_CHUNK_ROWS):
         hi = min(lo + _CSV_CHUNK_ROWS, stop)
-        thetas = map(_THETA_TEXT.__getitem__, trace.basis[lo:hi].tolist())
-        rows = zip(range(lo, hi), thetas, *(col[lo:hi].tolist() for col in trace[1:]))
-        yield "".join([f"{i},{theta},{r!r},{r_prime!r},{term!r}\r\n"
-                       for i, theta, r, r_prime, term in rows]).encode()
-
-
-def _error_text(exc: BaseException) -> bytes:
-    """'Type: message' of exc, or the bare type name when the message is empty or fails."""
-    name = type(exc).__name__
-    try:
-        message = str(exc)
-    except Exception:  # a __str__ that raises
-        message = ""
-    text = f"{name}: {message}" if message else name
-    return text.encode("utf-8", "backslashreplace")[:_CHILD_ERROR_BYTES]
-
-
-def _send_rows(spool, trace, start: int, stop: int) -> None:
-    """In a forked child: write rows [start, stop) to the file spool and exit.
-
-    A raise of any kind, SystemExit included, leaves only its text in spool
-    and ends the child with status 1; no exception and no exit handler of the
-    parent runs on in the child.
-    """
-    status = 1
-    try:
-        spool.writelines(_csv_rows(trace, start, stop))
-        spool.flush()
-        status = 0
-    except BaseException as exc:
-        os.ftruncate(spool.fileno(), 0)
-        os.pwrite(spool.fileno(), _error_text(exc), 0)
-        raise  # ended by the os._exit below
-    finally:
-        os._exit(status)
-
-
-def _write_forked(fh, directory: Path, trace, lower: tuple, upper: tuple) -> None:
-    """Write rows lower to fh while a forked child writes rows upper to a file, then append it.
-
-    The file is anonymous, in directory. A failed child's status, and the
-    error text it left in that file, are raised as OSError.
-    """
-    with tempfile.TemporaryFile(dir=directory) as spool:
-        with warnings.catch_warnings():  # 3.12+ warns of the BLAS thread: see write_rounds_csv
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            _send_rows(spool, trace, *upper)
-        try:
-            fh.writelines(_csv_rows(trace, *lower))
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        spool.seek(0)
-        if code:
-            cause = spool.read(_CHILD_ERROR_BYTES).decode("utf-8", "replace") if code > 0 else ""
-            how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            raise OSError(f"the process formatting the upper half of the trace {how}"
-                          + (f": {cause}" if cause else ""))
-        shutil.copyfileobj(spool, fh)
+        thetas = map(_THETAS.__getitem__, trace.basis[lo:hi].tolist())
+        rows = list(zip(range(lo, hi), thetas, *(_cells(col[lo:hi]) for col in trace[1:])))
+        yield orjson.dumps(rows)[2:-2].replace(b"],[", b"\r\n").replace(b'"', b"") + b"\r\n"
 
 
 def write_rounds_csv(trace, path: Path) -> None:
     """Per-round trace of a traced session as CSV; a failed write leaves no file.
 
-    The theta column is the repr of pi/2 * f(x, y), looked up by basis bit.
-    The rows are split into two contiguous halves. Where this process can
-    fork, a child writes the upper half to an anonymous file next to path
-    while this one writes the lower half, then that file is appended; both
-    stream _CSV_CHUNK_ROWS rows at a time, and the CSV is the same either
-    way. The child is safe although numpy's OpenBLAS keeps a helper thread:
-    it calls only .tolist(), repr and file writes, with no BLAS call and no
-    lock another thread can hold, and leaves by os._exit, so no buffer or
-    exit handler of the parent runs twice. Python 3.12 and later warn on any
-    fork() in a process with more than one OS thread, that BLAS thread
-    included; the warning is silenced for this one call only. Where os.fork
-    is missing or another Python thread is alive, the same formatter writes
-    both halves here, in order.
+    Every cell holds repr's text of its value: theta is pi/2 * f(x, y),
+    looked up by basis bit.
     """
-    n = len(trace.r)
-    lower, upper = (0, n // 2), (n // 2, n)
     fh = open(path, "wb")
     try:
         with fh:
             fh.write(b"index,theta,r,r_prime,score_term\r\n")
-            if hasattr(os, "fork") and threading.active_count() == 1:
-                _write_forked(fh, path.parent, trace, lower, upper)
-            else:
-                fh.writelines(_csv_rows(trace, *lower))
-                fh.writelines(_csv_rows(trace, *upper))
+            fh.writelines(_csv_rows(trace, 0, len(trace.r)))
     except BaseException:
         os.unlink(path)
         raise
@@ -609,7 +545,7 @@ def main(argv=None) -> int:
         code = globals()[f"cmd_{args.command}"](cfg, out)
         _write_metadata(out, cfg)
         return code
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, ImportError) as exc:
         # exit 1 leaves no partial output: drop what this call created, never more
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)

@@ -5,15 +5,14 @@ import math
 import os
 import platform
 import re
-import signal
 import subprocess
 import sys
-import threading
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cvqpv import cli
 from cvqpv.cli import (
@@ -321,18 +320,14 @@ class TestSimulate:
         assert (tmp_path / "honest_rounds.csv").exists()
 
 
-def serial_rounds_csv(trace, path):
-    """The single-loop trace writer the two-process one replaced, kept as its byte oracle."""
+def serial_rounds_csv(trace) -> bytes:
+    """The trace CSV of a plain repr loop, kept as the byte oracle of the orjson writer."""
     theta_text = (repr(0.0), repr(math.pi / 2.0))
-    with open(path, "w", newline="") as fh:
-        fh.write("index,theta,r,r_prime,score_term\r\n")
-        for start in range(0, len(trace.r), 8192):
-            stop = start + 8192
-            thetas = map(theta_text.__getitem__, trace.basis[start:stop].tolist())
-            rows = zip(range(start, stop), thetas,
-                       *(col[start:stop].tolist() for col in trace[1:]))
-            fh.write("".join([f"{i},{theta},{r!r},{r_prime!r},{term!r}\r\n"
-                              for i, theta, r, r_prime, term in rows]))
+    rows = zip(range(len(trace.r)), map(theta_text.__getitem__, trace.basis.tolist()),
+               *(col.tolist() for col in trace[1:]))
+    return ("index,theta,r,r_prime,score_term\r\n"
+            + "".join([f"{i},{theta},{r!r},{r_prime!r},{term!r}\r\n"
+                       for i, theta, r, r_prime, term in rows])).encode()
 
 
 def random_trace(n):
@@ -342,141 +337,87 @@ def random_trace(n):
     return RoundTrace(rng.integers(0, 2, n, dtype=np.uint8), r, r_prime, (r_prime - r) ** 2 / 0.5)
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def trace_of(values):
+    """A trace whose r, r_prime and score_term columns are values, -values and values[::-1]."""
+    values = np.array(values, dtype=float)
+    basis = np.arange(len(values), dtype=np.uint8) % 2
+    return RoundTrace(basis, values, -values, values[::-1])
 
 
-@contextmanager
-def live_thread():
-    """A second Python thread for the block's length: the writer must not fork then."""
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        yield
-    finally:
-        done.set()
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-
-
-def failing_rows(half, failure):
-    """A _csv_rows whose half ("lower", "upper" or "upper mid-stream") raises failure.
-
-    "upper mid-stream" yields the first chunk of its rows before it raises;
-    a signal kills the child instead, and only ever the child.
-    """
-    pid = os.getpid()
+def failing_rows(when, failure):
+    """A _csv_rows that raises failure "before first chunk" or "after first chunk"."""
     real_rows = cli._csv_rows
 
-    def first_chunk_then_failure(trace, start, stop):
-        yield next(real_rows(trace, start, stop))
-        raise failure("formatter failed")
-
     def rows(trace, start, stop):
-        if (start > 0) != half.startswith("upper"):
-            return real_rows(trace, start, stop)
-        if failure is signal.SIGKILL and os.getpid() != pid:
-            os.kill(os.getpid(), failure)
-        if half == "upper mid-stream":
-            return first_chunk_then_failure(trace, start, stop)
+        if when == "after first chunk":
+            yield next(real_rows(trace, start, stop))
         raise failure("formatter failed")
 
     return rows
 
 
+# orjson's float text equals repr's from 1e-4 up to 1e16; both switch points,
+# each side of them, and the extremes of the float range
+SWITCH_POINTS = [v for x in (1e-4, 1e16) for v in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+EXTREMES = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.0, math.inf, math.nan]
+
+
 class TestTraceWriter:
     @pytest.mark.parametrize("n", [1, 2, 3, 8191, 8192, 8193, 16385, 16386, 139999])
-    def test_bytes_match_the_serial_writer(self, tmp_path, monkeypatch, n):
+    def test_bytes_match_the_serial_writer(self, tmp_path, n):
         trace = random_trace(n)
-        serial_rounds_csv(trace, tmp_path / "serial.csv")
-        forks = []
-        real_fork = os.fork
+        cli.write_rounds_csv(trace, tmp_path / "honest_rounds.csv")
+        assert (tmp_path / "honest_rounds.csv").read_bytes() == serial_rounds_csv(trace)
 
-        def counted_fork():
-            forks.append(os.getpid())
-            return real_fork()
+    def test_switch_points_match_the_serial_writer(self, tmp_path):
+        trace = trace_of([sign * x for x in SWITCH_POINTS + EXTREMES for sign in (1.0, -1.0)])
+        cli.write_rounds_csv(trace, tmp_path / "honest_rounds.csv")
+        text = (tmp_path / "honest_rounds.csv").read_bytes()
+        assert text == serial_rounds_csv(trace)
+        assert b",1e+16," in text and b",nan," in text
 
-        monkeypatch.setattr(os, "fork", counted_fork)
-        cli.write_rounds_csv(trace, tmp_path / "forked.csv")
-        assert forks == [os.getpid()]
-        assert_no_child_left()
-        with live_thread():
-            cli.write_rounds_csv(trace, tmp_path / "in_process.csv")
-        assert len(forks) == 1
-        expected = (tmp_path / "serial.csv").read_bytes()
-        assert (tmp_path / "forked.csv").read_bytes() == expected
-        assert (tmp_path / "in_process.csv").read_bytes() == expected
-
-    @pytest.mark.parametrize("half,failure,threaded,message", [
-        ("upper", ValueError, False, "upper half of the trace exited with status 1"),
-        ("upper", SystemExit, False, "upper half of the trace exited with status 1"),
-        ("upper", signal.SIGKILL, False, "upper half of the trace was killed by signal 9"),
-        ("lower", ValueError, False, "formatter failed"),
-        ("upper", ValueError, True, "formatter failed"),
-        # the child's own error follows its status; a killed child sends none
-        ("upper", ValueError, False,
-         "upper half of the trace exited with status 1: ValueError: formatter failed"),
-        ("upper", SystemExit, False,
-         "upper half of the trace exited with status 1: SystemExit: formatter failed"),
-        ("upper", signal.SIGKILL, False, "upper half of the trace was killed by signal 9\n"),
-        # the child fails after writing its first chunk: only its error reaches the parent
-        ("upper mid-stream", ValueError, False,
-         "upper half of the trace exited with status 1: ValueError: formatter failed\n"),
-    ])
-    def test_failed_half_leaves_no_trace(self, capsys, tmp_path, monkeypatch, half, failure,
-                                         threaded, message):
-        pid = os.getpid()
-        monkeypatch.setattr(cli, "_csv_rows", failing_rows(half, failure))
-        kept = tmp_path / "kept"
-        kept.mkdir()
-        rounds = "20000" if half == "upper mid-stream" else "100"  # two chunks in the upper half
-        argv = ["simulate", "--trace", "--sessions", "2", "--rounds", rounds, "--out", str(kept)]
-        if threaded:
-            with live_thread():
-                assert run(argv) == EXIT_ERROR
-        else:
-            assert run(argv) == EXIT_ERROR
-        assert os.getpid() == pid
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
-        assert list(kept.iterdir()) == []
-        assert_no_child_left()
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(st.floats(), min_size=1, max_size=12))
+    def test_any_floats_match_the_serial_writer(self, tmp_path, values):
+        trace = trace_of(values)
+        cli.write_rounds_csv(trace, tmp_path / "honest_rounds.csv")
+        assert (tmp_path / "honest_rounds.csv").read_bytes() == serial_rounds_csv(trace)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-    @pytest.mark.parametrize("half,failure", [
+    @pytest.mark.parametrize("when", ["before first chunk", "after first chunk"])
+    def test_failed_write_leaves_no_trace(self, capsys, tmp_path, monkeypatch, when):
+        monkeypatch.setattr(cli, "_csv_rows", failing_rows(when, ValueError))
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        fds = set(os.listdir("/proc/self/fd"))
+        argv = ["simulate", "--trace", "--sessions", "2", "--rounds", "100", "--out", str(kept)]
+        assert run(argv) == EXIT_ERROR
+        assert set(os.listdir("/proc/self/fd")) == fds
+        assert capsys.readouterr().err == "error: formatter failed\n"
+        assert list(kept.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("when,failure", [
         (None, None),
-        ("lower", ValueError),
-        ("upper", ValueError),
-        ("upper", SystemExit),
-        ("upper", signal.SIGKILL),
-        ("upper mid-stream", ValueError),
+        ("before first chunk", ValueError),
+        ("after first chunk", ValueError),
+        # not an Exception: the writer still removes its file
+        ("after first chunk", KeyboardInterrupt),
     ])
-    def test_no_descriptor_or_stray_file_left(self, tmp_path, monkeypatch, half, failure):
-        if half is not None:
-            monkeypatch.setattr(cli, "_csv_rows", failing_rows(half, failure))
+    def test_no_descriptor_or_stray_file_left(self, tmp_path, monkeypatch, when, failure):
+        if when is not None:
+            monkeypatch.setattr(cli, "_csv_rows", failing_rows(when, failure))
         fds = set(os.listdir("/proc/self/fd"))
         path = tmp_path / "honest_rounds.csv"
         try:
             cli.write_rounds_csv(random_trace(20000), path)
-        except (OSError, ValueError):
-            assert half is not None
+        except (ValueError, KeyboardInterrupt):
+            assert when is not None
         else:
-            assert half is None
+            assert when is None
         assert set(os.listdir("/proc/self/fd")) == fds
-        assert list(tmp_path.iterdir()) == ([] if half else [path])
-        assert_no_child_left()
-
-    def test_child_error_text(self):
-        class Unprintable(Exception):
-            def __str__(self):
-                raise RuntimeError("no text")
-
-        assert cli._error_text(ValueError("formatter failed")) == b"ValueError: formatter failed"
-        assert cli._error_text(MemoryError()) == b"MemoryError"
-        assert cli._error_text(Unprintable()) == b"Unprintable"
-        assert cli._error_text(ValueError("x" * 4096)) == b"ValueError: " + b"x" * 500
+        assert list(tmp_path.iterdir()) == ([] if when else [path])
 
 
 class TestSweep:
@@ -537,6 +478,14 @@ class TestErrorExit:
         kept.mkdir()
         assert run(argv + [str(kept)]) == EXIT_ERROR
         assert list(kept.iterdir()) == []
+
+    def test_missing_orjson_leaves_no_output(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "orjson", None)  # import orjson now raises ImportError
+        fresh = tmp_path / "new" / "run"
+        argv = ["simulate", "--trace", "--rounds", "100", "--sessions", "2", "--out", str(fresh)]
+        assert run(argv) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "new").exists()
 
 
     @pytest.mark.parametrize("argv,message", [

@@ -114,3 +114,16 @@ def test_perfbench_reads_only_names_that_exist():
     missing = sorted(f"{module}.{name}" for module, name in reads
                      if not hasattr(importlib.import_module(module), name))
     assert not missing
+
+
+def test_cli_loads_orjson_only_to_write_a_trace(tmp_path):
+    # a fresh interpreter: only simulate --trace --out formats with orjson
+    code = ("import sys, cvqpv.cli as cli; loaded = ['orjson' in sys.modules]\n"
+            "for argv in (['resources'], ['rounds'], ['sweep'], ['bounds', '--out', sys.argv[1]]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    loaded.append('orjson' in sys.modules)\n"
+            "print(loaded)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cvqpv.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "bounds")], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == str([False] * 5)

@@ -136,10 +136,17 @@ MUTANTS = [
     Mutant("csv-chunk-rows", "src/cvqpv/cli.py",
            "_CSV_CHUNK_ROWS = 8192", "_CSV_CHUNK_ROWS = 8191", "equivalent",
            "the trace's bytes do not depend on how many rows each write holds"),
-    Mutant("child-error-not-truncated", "src/cvqpv/cli.py",
-           "os.ftruncate(spool.fileno(), 0)", "pass", "killed",
-           "a child that fails after its first chunk leaves CSV bytes behind its error text; "
-           "the mid-stream failure test pins the error line"),
+    Mutant("plain-floats-from-1e-5", "src/cvqpv/cli.py",
+           "_PLAIN_LO, _PLAIN_HI = 1e-4, 1e16", "_PLAIN_LO, _PLAIN_HI = 1e-5, 1e16", "killed",
+           "orjson writes 9.999999999999999e-05 as 0.00009999999999999999; the switch-point "
+           "test compares the floats either side of 1e-4 with the repr oracle"),
+    Mutant("plain-floats-below-1e17", "src/cvqpv/cli.py",
+           "_PLAIN_LO, _PLAIN_HI = 1e-4, 1e16", "_PLAIN_LO, _PLAIN_HI = 1e-4, 1e17", "killed",
+           "orjson writes 1e16 as 1e16, repr as 1e+16; the switch-point test compares them"),
+    Mutant("failed-trace-kept", "src/cvqpv/cli.py",
+           "os.unlink(path)", "pass", "killed",
+           "a write that fails leaves a partial honest_rounds.csv; the failure tests list the "
+           "directory"),
 ]
 
 
