@@ -15,9 +15,9 @@ h(U|P) in bits. The CLI converts a gap given in bits once, to eps ln 2.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
+from .bounds import _first
 from .channel import ChannelParams
 from .gaussian import h_U_given_P_limit
 from .protocol import GaussianResponder, gamma_threshold
@@ -104,12 +104,11 @@ def rounds_required(eps: float, u: float, eps_hon: float) -> RoundPlan:
     delta_margin(eps, u, 1), L = ln(1/eps_hon) and c = sqrt(var / eps_hon),
     Delta(N) = D - 2 sqrt(L/N) - 2 L/N, so sqrt(N) Delta(N) = c is the
     quadratic D s^2 - (2 sqrt(L) + c) s - 2 L = 0 in s = sqrt(N), and
-    ceil(s^2) of its positive root is the guess (_rounds_guess). From it,
-    steps that double go up until the test holds at hi, or down while it
-    holds at lo - 1; then one binary search over [lo, hi) finds the smallest
-    N. The test decides every step and the guess only where to look, so,
-    as the test is monotone, the result is the smallest N wherever the
-    guess lands. If the test fails at N_SEARCH_CAP, no N is found.
+    ceil(s^2) of its positive root is the guess (_rounds_guess). The search
+    (bounds._first) brackets the smallest N with steps that double from the
+    guess and then halves; the test decides every step and the guess only
+    where to look, so the result is the same wherever the guess lands. If
+    the test fails at N_SEARCH_CAP, no N is found.
 
     The test is decided exactly on the float values of Delta(N), var and
     eps_hon, in integers. In floating point, where gamma is below an ulp of
@@ -140,23 +139,11 @@ def rounds_required(eps: float, u: float, eps_hon: float) -> RoundPlan:
         d_num, d_den = d.as_integer_ratio()
         return N * d_num * d_num * scale >= target * d_den * d_den
 
-    # the smallest N lies in [lo, hi]: the test holds at hi and fails at lo - 1 (or lo = 1)
-    lo = hi = _rounds_guess(d_inf, -math.log(eps_hon), math.sqrt(score_variance / eps_hon))
-    step = 1
-    if ok(hi):  # gallop down
-        while lo > 1 and ok(lo - 1):
-            hi = lo - 1
-            lo = max(hi + 1 - step, 1)
-            step *= 2
-    else:  # gallop up
-        while True:
-            if hi == N_SEARCH_CAP:
-                raise NoMarginError(f"no N <= {N_SEARCH_CAP} satisfies the margin condition")
-            lo, hi = hi + 1, min(hi + step, N_SEARCH_CAP)
-            step *= 2
-            if ok(hi):
-                break
-    N = lo + bisect_left(range(lo, hi), True, key=ok)
+    # index j stands for N = j + 1; _first never asks its last index, N = N_SEARCH_CAP + 1
+    guess = _rounds_guess(d_inf, -math.log(eps_hon), math.sqrt(score_variance / eps_hon))
+    N = 1 + _first(lambda j: ok(j + 1), N_SEARCH_CAP, guess - 1)
+    if N > N_SEARCH_CAP:
+        raise NoMarginError(f"no N <= {N_SEARCH_CAP} satisfies the margin condition")
     gamma = gamma_threshold(N, eps_hon)
     return RoundPlan(
         N=N,

@@ -30,6 +30,7 @@ eps_tilde than the published one.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .channel import ChannelParams
@@ -143,8 +144,10 @@ def _first(holds, last: int, start: int | None = None) -> int:
     """The first j in [0, last] with holds(j), where holds is false and then
     true along j and is taken to hold at last unevaluated.
 
-    A binary search finds it. From a start index, steps that double first
-    bracket it, so that a start near the answer costs a few calls.
+    A binary search (bisect_left) finds it. From a start index, steps that
+    double first bracket it, so that a start near the answer costs a few
+    calls. As last is never asked, rounds_required uses it as the sentinel
+    for "no N up to the cap".
     """
     lo, hi = 0, last
     if start is not None:
@@ -165,13 +168,7 @@ def _first(holds, last: int, start: int | None = None) -> int:
                     break
                 lo = start + step + 1
                 step *= 2
-    while lo < hi:
-        j = (lo + hi) // 2
-        if holds(j):
-            hi = j
-        else:
-            lo = j + 1
-    return lo
+    return lo + bisect_left(range(lo, hi), True, key=holds)
 
 
 def _no_margin_above(cap_margin: float, E: float) -> float:
@@ -199,15 +196,16 @@ def _bisect(E: float, alpha: float, cap_margin: float, top: float,
     It starts on [0, 1 - 1e-12] and halves until the width is at most
     BISECT_TOL, going up where the margin at the midpoint is positive. The
     margin is known positive at pos, where the term is rhs_at_pos. A
-    midpoint at or below pos goes up unevaluated; one above top, or at or
-    above a point already found non-positive, goes down unevaluated.
+    midpoint at or below pos goes up unevaluated; one at or above the least
+    point found non-positive (top, until a probe finds a lower one) goes
+    down unevaluated.
 
     Before the walk, up to _PROBES Illinois (regula falsi) probes between
     pos and top narrow that bracket. As the margin decreases in eps_tilde,
     a skipped midpoint goes the way its evaluation would, so the walk ends
     where it would without them; they only save its calls.
     """
-    neg = math.inf  # the least point found non-positive
+    neg = top  # a midpoint at or above neg goes down unevaluated
     rhs = separation_rhs(E, alpha, top)
     if rhs < cap_margin:  # top bounds the grid alphas' boundaries from above: not expected
         pos = top
@@ -236,7 +234,7 @@ def _bisect(E: float, alpha: float, cap_margin: float, top: float,
         mid = 0.5 * (lo + hi)
         if mid <= pos:
             lo = mid
-        elif mid > top or mid >= neg:
+        elif mid >= neg:
             hi = mid
         # rhs < cap_margin decides exactly as cap_margin - rhs > 0.0: subnormals keep it so
         elif separation_rhs(E, alpha, mid) < cap_margin:
@@ -321,7 +319,7 @@ def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     return BoundResult(lo, alpha_star, True, separation_rhs(E, alpha_star, lo))
 
 
-def condition_surface(eps: float, E: float, t: float, u: float, alphas, eps_tildes):
+def condition_surface(E: float, t: float, u: float, alphas, eps_tildes):
     """Margin eps_cap(t, u) - separation_rhs over the (alpha, eps_tilde) grid.
 
     Row i, column j holds the value at alphas[i], eps_tildes[j]; each cell is

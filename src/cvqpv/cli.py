@@ -250,16 +250,17 @@ def _cells(col) -> list:
     return values
 
 
-def _csv_rows(trace, start: int, stop: int):
-    """The CSV bytes of trace rows [start, stop), _CSV_CHUNK_ROWS rows at a time.
+def _csv_rows(trace):
+    """The CSV bytes of the trace's rows, _CSV_CHUNK_ROWS rows at a time.
 
     Each chunk is one orjson array of row arrays, re-punctuated as CSV; no
     cell holds a bracket, comma or quote, so this is RFC-4180 as it stands.
     """
     import orjson  # not at module top: its import would slow every subcommand's start
 
-    for lo in range(start, stop, _CSV_CHUNK_ROWS):
-        hi = min(lo + _CSV_CHUNK_ROWS, stop)
+    n = len(trace.r)
+    for lo in range(0, n, _CSV_CHUNK_ROWS):
+        hi = min(lo + _CSV_CHUNK_ROWS, n)
         thetas = map(_THETAS.__getitem__, trace.basis[lo:hi].tolist())
         rows = list(zip(range(lo, hi), thetas, *(_cells(col[lo:hi]) for col in trace[1:])))
         yield orjson.dumps(rows)[2:-2].replace(b"],[", b"\r\n").replace(b'"', b"") + b"\r\n"
@@ -275,7 +276,7 @@ def write_rounds_csv(trace, path: Path) -> None:
     try:
         with fh:
             fh.write(b"index,theta,r,r_prime,score_term\r\n")
-            fh.writelines(_csv_rows(trace, 0, len(trace.r)))
+            fh.writelines(_csv_rows(trace))
     except BaseException:
         os.unlink(path)
         raise
@@ -391,7 +392,7 @@ def cmd_bounds(cfg: dict, out: Path | None) -> int:
         })
         alphas = log_grid(1e-4, 0.5, 80)
         ets = linspace(1e-5, max(4.0 * result.eps_tilde_max, 1e-4), 80)
-        grid = condition_surface(eps, E, t, u, alphas, ets)
+        grid = condition_surface(E, t, u, alphas, ets)
         et_texts = [repr(et) for et in ets]
         rows = [[a_text, et_text, repr(margin)]
                 for a_text, grid_row in zip(map(repr, alphas), grid)

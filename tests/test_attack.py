@@ -133,19 +133,16 @@ class TestRoundsRequired:
     def test_negative_margin_never_meets_the_test(self, monkeypatch):
         # N Delta^2 grows again below Delta = 0: at N = 1, Delta = -3 gives 9 >= var / eps_hon.
         # The test must fail there to be monotone in N. The closed-form guess lands near
-        # N = 5454, far above; from a guess of 1, the search asks the test at N = 1 first
+        # N = 5454, far above; a scan up from N = 1 asks the test there first
         assert delta_margin(0.1, 0.0, gamma_threshold(1, 0.5)) < -2.9
         plan = rounds_required(0.1, 0.0, 0.5)
         assert plan.N == 5454 and plan.delta > 0.0
 
-        # a scan up the bracketed range, as valid a search of a monotone test; the
-        # range is empty when the gallops leave lo == hi
-        def scan(a, x, key):
-            return next((i for i, n in enumerate(a) if key(n) >= x), len(a))
+        # a scan up from index 0 (N = 1), as valid a search of a monotone test
+        def scan(holds, last, start=None):
+            return next((j for j in range(last) if holds(j)), last)
 
-        monkeypatch.setattr(attack, "bisect_left", scan)
-        assert rounds_required(0.1, 0.0, 0.5) == plan
-        monkeypatch.setattr(attack, "_rounds_guess", lambda *args: 1)
+        monkeypatch.setattr(attack, "_first", scan)
         assert rounds_required(0.1, 0.0, 0.5) == plan
 
     @pytest.mark.parametrize("eps,u,eps_hon", [
@@ -208,12 +205,17 @@ class TestRoundsRequired:
         assert attacker_score_variance(200.0, u) == 2.0**287
         assert rounds_required(200.0, u, 0.5).N == 4
 
-    def test_overflowing_target_is_not_met_by_an_overflowing_product(self):
+    def test_overflowing_target_is_not_met_by_an_overflowing_product(self, monkeypatch):
         # var / eps_hon overflows to inf; so did N d^2 at N = 17,725, which passed
         # the rounded test, while the exact N is about 2/eps_hon = 2e9
         assert attacker_score_variance(700.0, 0.0) / 1e-9 == math.inf
+        asked = []
+        monkeypatch.setattr(attack, "gamma_threshold",
+                            lambda N, eps_hon: asked.append(N) or gamma_threshold(N, eps_hon))
         with pytest.raises(NoMarginError, match="no N <="):
             rounds_required(700.0, 0.0, 1e-9)
+        # the guess lands on the cap, where the test fails: nothing above it is asked
+        assert asked == [N_SEARCH_CAP]
 
 
 @pytest.mark.parametrize("fn,args,message", [

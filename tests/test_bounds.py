@@ -228,6 +228,21 @@ def test_zero_eps_is_a_valid_input():
     assert BoundInputs(**{**VALID, "eps": 0.0}).eps == 0.0
 
 
+def test_first_finds_every_threshold_from_every_start():
+    # holds is false below k and true from k; last is taken to hold and never asked
+    for last in range(41):
+        for k in range(last + 1):
+            for start in [None, *range(last + 1)]:
+                asked = []
+
+                def holds(j):
+                    asked.append(j)
+                    return j >= k
+
+                assert bounds._first(holds, last, start) == k, (last, k, start)
+                assert all(0 <= j < last for j in asked), (last, k, start)
+
+
 PUBLISHED = [(0.03, 1e3, 0.8, 0.05), (0.03, 1e3, 0.9, 0.12), (0.07, 1e3, 0.95, 0.075),
              (0.1, 1e3, 1.0, 0.0)]  # the last one is also the CLI default
 # the benchmark's 244-point calculator grid as (eps, E, t, u): (eps, t, u, E) over
@@ -391,7 +406,7 @@ class TestConditionSurface:
     def test_grid_shape_and_consistency(self):
         alphas = bounds.log_grid(1e-3, 0.5, 12)
         ets = bounds.linspace(1e-4, 0.01, 10)
-        grid = condition_surface(0.1, 1e3, 1.0, 0.0, alphas, ets)
+        grid = condition_surface(1e3, 1.0, 0.0, alphas, ets)
         assert [len(row) for row in grid] == [10] * 12
         # the margin-vs-zero grid crosses eps=0.1 exactly where the
         # condition flips
@@ -405,4 +420,4 @@ class TestConditionSurface:
     ])
     def test_domain_errors(self, E, alphas, ets, match):
         with pytest.raises(ValueError, match=match):
-            condition_surface(0.1, E, 1.0, 0.0, alphas, ets)
+            condition_surface(E, 1.0, 0.0, alphas, ets)

@@ -348,9 +348,9 @@ def failing_rows(when, failure):
     """A _csv_rows that raises failure "before first chunk" or "after first chunk"."""
     real_rows = cli._csv_rows
 
-    def rows(trace, start, stop):
+    def rows(trace):
         if when == "after first chunk":
-            yield next(real_rows(trace, start, stop))
+            yield next(real_rows(trace))
         raise failure("formatter failed")
 
     return rows

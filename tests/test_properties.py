@@ -339,7 +339,7 @@ def surface_bytes(rows) -> bytes:
 def test_condition_surface_matches_scalar_loop(E, t, u, grid_alphas, grid_ets):
     # eps_tilde up to 1 - 1e-12 puts many cells at x = (1+a)/(1-a) et >= 1/2
     expected = scalar_condition_surface(E, t, u, grid_alphas, grid_ets)
-    got = condition_surface(0.1, E, t, u, grid_alphas, grid_ets)
+    got = condition_surface(E, t, u, grid_alphas, grid_ets)
     assert [len(row) for row in got] == [len(grid_ets)] * len(grid_alphas)
     assert surface_bytes(got) == expected.astype("<f8").tobytes()  # bit for bit
 
@@ -349,5 +349,5 @@ def test_condition_surface_matches_scalar_loop_on_the_cli_grid():
     alphas_cli = log_grid(1e-4, 0.5, 80)
     ets_cli = linspace(1e-5, 4.0 * max_eps_tilde(0.1, 1e3, 1.0, 0.0).eps_tilde_max, 80)
     expected = scalar_condition_surface(1e3, 1.0, 0.0, alphas_cli, ets_cli)
-    assert surface_bytes(condition_surface(0.1, 1e3, 1.0, 0.0, alphas_cli, ets_cli)) == \
+    assert surface_bytes(condition_surface(1e3, 1.0, 0.0, alphas_cli, ets_cli)) == \
         expected.astype("<f8").tobytes()

@@ -98,23 +98,23 @@ MUTANTS = [
            "its place is pinned"),
     Mutant("chebyshev-cap-check", "src/cvqpv/attack.py",
            'raise NoMarginError(f"no N <= {N_SEARCH_CAP} satisfies the margin condition")',
-           "break", "killed",
-           "the gallop up stops at N_SEARCH_CAP and the binary search then returns the cap "
-           "when no N below it passes; an input where no N up to the cap passes is pinned to "
-           "raise NoMarginError"),
-    Mutant("chebyshev-gallop-down-at-lo", "src/cvqpv/attack.py",
-           "while lo > 1 and ok(lo - 1):", "while lo > 1 and ok(lo):", "killed",
-           "the test is known to hold at lo, so the gallop down steps below the smallest N "
-           "and returns one under it; guesses on both sides of N are pinned to give one plan"),
+           "pass", "killed",
+           "where no N up to the cap passes, the search returns its sentinel, N = "
+           "N_SEARCH_CAP + 1, as the plan; such an input is pinned to raise NoMarginError"),
+    Mutant("chebyshev-sentinel-at-cap", "src/cvqpv/attack.py",
+           "N_SEARCH_CAP, guess - 1)", "N_SEARCH_CAP - 1, guess - 1)", "killed",
+           "the sentinel becomes N = N_SEARCH_CAP, taken to pass unasked, so an input where "
+           "no N up to the cap passes gets a plan at the cap; it is pinned to raise"),
     Mutant("bisect-round-two-from-top", "src/cvqpv/bounds.py",
            "lo, hi = _bisect(E, _ALPHAS[k], cap_margin, top, hi, rhs)",
            "lo, hi = _bisect(E, _ALPHAS[k], cap_margin, top, top, rhs)", "killed",
            "round 2 takes every midpoint up to top as positive and ends above the optimum; "
            "the optimizer golden pins it"),
     Mutant("bisect-no-negative-skip", "src/cvqpv/bounds.py",
-           "elif mid > top or mid >= neg:", "elif mid > top:", "killed",
-           "the walk then evaluates midpoints a probe already found non-positive: the same "
-           "result with more calls, which the pinned call counts of each round see"),
+           "elif mid >= neg:", "elif False:", "killed",
+           "the walk then evaluates midpoints above top or at or above a point a probe found "
+           "non-positive: the same result with more calls, which the pinned call counts of "
+           "each round see"),
     Mutant("first-gallop-up-skips", "src/cvqpv/bounds.py",
            "lo = start + step + 1", "lo = start + step + 2", "killed",
            "the gallop up steps over the first j it has not asked, so the grid search misses "
