@@ -236,34 +236,44 @@ def _write_metadata(out: Path | None, cfg: dict) -> None:
 
 
 _CSV_CHUNK_ROWS = 8192  # rows per write
-_THETAS = (0.0, math.pi / 2.0)  # theta = pi/2 * basis bit
+# ",theta," by basis bit, theta = pi/2 * bit, in repr's text
+_THETA_CELLS = tuple(f",{theta!r},".encode() for theta in (0.0, math.pi / 2.0))
 # orjson prints a float in repr's text wherever repr uses plain decimals, and for +-0.0
 _PLAIN_LO, _PLAIN_HI = 1e-4, 1e16
 
 
-def _cells(col) -> list:
-    """The values of a float array, each outside orjson's repr range as its repr string."""
-    values = col.tolist()
-    size = abs(col)
-    for k in ((size < _PLAIN_LO) & (col != 0.0) | ~(size < _PLAIN_HI)).nonzero()[0].tolist():
-        values[k] = repr(values[k])  # NaN and +-inf land here: orjson writes them as null
-    return values
+def _csv_chunk(trace, lo: int, hi: int) -> bytes:
+    """The CSV bytes of the trace's rows lo <= i < hi.
 
-
-def _csv_rows(trace):
-    """The CSV bytes of the trace's rows, _CSV_CHUNK_ROWS rows at a time.
-
-    Each chunk is one orjson array of row arrays, re-punctuated as CSV; no
-    cell holds a bracket, comma or quote, so this is RFC-4180 as it stands.
+    r, r_prime and score_term are one (m, 3) float array, dumped once by
+    orjson and split into row texts; a row holding a float outside orjson's
+    repr range is rewritten from repr. The index cells come from one dump of
+    the indices and the theta cells from _THETA_CELLS. No cell holds a comma
+    or quote, so this is RFC-4180 as it stands. Its temporaries die when it
+    returns, before the next chunk's are made.
     """
     import orjson  # not at module top: its import would slow every subcommand's start
 
+    block = trace.r[lo:hi].repeat(3).reshape(-1, 3)  # C order, r in column 0
+    block[:, 1] = trace.r_prime[lo:hi]
+    block[:, 2] = trace.score_term[lo:hi]
+    floats = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    size = abs(block)
+    odd = ((size < _PLAIN_LO) & (block != 0.0) | ~(size < _PLAIN_HI)).any(axis=1)
+    for k in odd.nonzero()[0].tolist():  # NaN and +-inf land here: orjson writes them as null
+        floats[k] = ("%r,%r,%r" % tuple(block[k].tolist())).encode()
+    parts = [b"\r\n"] * (4 * (hi - lo))
+    parts[0::4] = orjson.dumps(list(range(lo, hi)))[1:-1].split(b",")
+    parts[1::4] = map(_THETA_CELLS.__getitem__, trace.basis[lo:hi].tolist())
+    parts[2::4] = floats
+    return b"".join(parts)
+
+
+def _csv_rows(trace):
+    """The CSV bytes of the trace's rows, _CSV_CHUNK_ROWS rows at a time."""
     n = len(trace.r)
     for lo in range(0, n, _CSV_CHUNK_ROWS):
-        hi = min(lo + _CSV_CHUNK_ROWS, n)
-        thetas = map(_THETAS.__getitem__, trace.basis[lo:hi].tolist())
-        rows = list(zip(range(lo, hi), thetas, *(_cells(col[lo:hi]) for col in trace[1:])))
-        yield orjson.dumps(rows)[2:-2].replace(b"],[", b"\r\n").replace(b'"', b"") + b"\r\n"
+        yield _csv_chunk(trace, lo, min(lo + _CSV_CHUNK_ROWS, n))
 
 
 def write_rounds_csv(trace, path: Path) -> None:

@@ -23,7 +23,7 @@ prefix of any longer batch with the same seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -35,16 +35,17 @@ _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
-    z = (z + _SPLITMIX_GAMMA).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z = z + _SPLITMIX_GAMMA  # the one copy; uint64 arithmetic wraps mod 2^64
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _parity64(z: np.ndarray) -> np.ndarray:
-    for shift in (32, 16, 8, 4, 2, 1):
-        z = z ^ (z >> np.uint64(shift))
-    return (z & np.uint64(1)).astype(np.uint8)
+    return np.bitwise_count(z) & 1
 
 
 def protocol_function(x: np.ndarray, y: np.ndarray, seed: int) -> np.ndarray:
@@ -64,6 +65,7 @@ class ProtocolParams:
     N: int
     eps_hon: float
     f_seed: int = 0
+    gamma: float = field(init=False, repr=False, compare=False)  # gamma_threshold(N, eps_hon)
 
     def __post_init__(self):
         if not (0.0 < self.sigma < math.inf):
@@ -76,10 +78,7 @@ class ProtocolParams:
             raise ValueError("eps_hon must lie in (0,1)")
         if not (0 <= self.f_seed < 2**64):  # the keyed mix takes it as a uint64
             raise ValueError("f_seed must lie in [0, 2^64)")
-
-    @property
-    def gamma(self) -> float:
-        return gamma_threshold(self.N, self.eps_hon)
+        object.__setattr__(self, "gamma", gamma_threshold(self.N, self.eps_hon))
 
 
 def gamma_threshold(N: int, eps_hon: float) -> float:
@@ -128,7 +127,7 @@ class RoundTrace(NamedTuple):
     score_term: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionResult:
     mean_score: float
     gamma: float

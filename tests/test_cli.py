@@ -384,6 +384,40 @@ class TestTraceWriter:
         cli.write_rounds_csv(trace, tmp_path / "honest_rounds.csv")
         assert (tmp_path / "honest_rounds.csv").read_bytes() == serial_rounds_csv(trace)
 
+    @pytest.mark.parametrize("column", [1, 2, 3])
+    @pytest.mark.parametrize("value", [9.999999999999999e-05, -1e-7, 1e16, -1e300, 5e-324,
+                                       math.inf, -math.inf, math.nan])
+    def test_one_odd_float_in_a_row_matches_the_serial_writer(self, tmp_path, column, value):
+        # the row's other two floats print alike in orjson and repr; the odd one does not
+        cols = [np.array([1.5, 0.25, -2.0]), np.array([-3.0, 0.5, 1e-3]), np.array([2.0, 7.0, 0.0])]
+        cols[column - 1][1] = value
+        trace = RoundTrace(np.array([0, 1, 0], dtype=np.uint8), *cols)
+        cli.write_rounds_csv(trace, tmp_path / "honest_rounds.csv")
+        text = (tmp_path / "honest_rounds.csv").read_bytes()
+        assert text == serial_rounds_csv(trace)
+        assert repr(value).encode() in text.split(b"\r\n")[2]
+
+    def test_odd_rows_at_the_chunk_edges_match_the_serial_writer(self, tmp_path):
+        trace = random_trace(20000)
+        for row, col in zip([8191, 8192, 8193], trace[1:]):
+            col[row] = 1e-9 * (row - 8190)
+        cli.write_rounds_csv(trace, tmp_path / "honest_rounds.csv")
+        assert (tmp_path / "honest_rounds.csv").read_bytes() == serial_rounds_csv(trace)
+
+    def test_a_chunk_of_odd_rows_matches_the_serial_writer(self, tmp_path):
+        trace = random_trace(20000)
+        trace.score_term[8192:16384] *= 1e-12  # every row of the second chunk
+        cli.write_rounds_csv(trace, tmp_path / "honest_rounds.csv")
+        assert (tmp_path / "honest_rounds.csv").read_bytes() == serial_rounds_csv(trace)
+
+    def test_strided_columns_match_the_serial_writer(self, tmp_path):
+        big = random_trace(2 * 8200)
+        big.r[::50] *= 1e20
+        trace = RoundTrace(big.basis[::2], big.r[::2], big.r_prime[1::2], big.score_term[::-2])
+        assert not any(col.flags.c_contiguous for col in trace)
+        cli.write_rounds_csv(trace, tmp_path / "honest_rounds.csv")
+        assert (tmp_path / "honest_rounds.csv").read_bytes() == serial_rounds_csv(trace)
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     @pytest.mark.parametrize("when", ["before first chunk", "after first chunk"])
     def test_failed_write_leaves_no_trace(self, capsys, tmp_path, monkeypatch, when):

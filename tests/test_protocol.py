@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -75,6 +76,36 @@ class TestProtocolFunction:
     def test_small_n_balanced(self, n):
         # the mix, not a drawn truth table, serves the short strings too
         self._balance(n, 1)
+
+    @staticmethod
+    def _copying_splitmix64(z):
+        z = (z + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    @staticmethod
+    def _xor_fold_parity(z):
+        for shift in (32, 16, 8, 4, 2, 1):
+            z = z ^ (z >> np.uint64(shift))
+        return (z & np.uint64(1)).astype(np.uint8)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_equals_the_copying_mix_and_xor_fold_parity(self, seed):
+        # the oracle is the mix written with a fresh array per step and a shift-xor parity
+        rng = np.random.default_rng(seed % 1000)
+        x = rng.integers(0, 2**64, size=50000, dtype=np.uint64, endpoint=False)
+        y = rng.integers(0, 2**64, size=50000, dtype=np.uint64, endpoint=False)
+        edges = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        x = np.concatenate([x, np.repeat(edges, 4)])
+        y = np.concatenate([y, np.tile(edges, 4)])
+        mix = self._copying_splitmix64
+        expected = self._xor_fold_parity(mix(mix(x ^ np.uint64(seed)) ^ y))
+        x_before, y_before = x.copy(), y.copy()
+        bits = protocol_function(x, y, seed)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, expected)
+        assert np.array_equal(x, x_before) and np.array_equal(y, y_before)  # inputs untouched
 
 
 def _params(N=1000, eps_hon=0.01, sigma=10.0, n=8):
@@ -173,6 +204,14 @@ class TestProtocolParams:
     def test_string_length_range(self, n):
         with pytest.raises(ValueError, match="n must lie in"):
             _params(n=n)
+
+    def test_gamma_is_the_threshold_and_not_compared(self):
+        p = _params(N=400, eps_hon=0.01)
+        assert p.gamma == gamma_threshold(400, 0.01)
+        assert p == _params(N=400, eps_hon=0.01) and "gamma" not in repr(p)
+        with pytest.raises(AttributeError):
+            p.gamma = 2.0
+        assert dataclasses.replace(p, N=10**4).gamma == gamma_threshold(10**4, 0.01)
 
     def test_longest_strings_trace(self):
         ch = ChannelParams(1.0, 0.0)

@@ -143,6 +143,15 @@ MUTANTS = [
     Mutant("plain-floats-below-1e17", "src/cvqpv/cli.py",
            "_PLAIN_LO, _PLAIN_HI = 1e-4, 1e16", "_PLAIN_LO, _PLAIN_HI = 1e-4, 1e17", "killed",
            "orjson writes 1e16 as 1e16, repr as 1e+16; the switch-point test compares them"),
+    Mutant("row-fallback-all", "src/cvqpv/cli.py",
+           ".any(axis=1)", ".all(axis=1)", "killed",
+           "a row is then rewritten from repr only when all three of its floats lie outside "
+           "orjson's repr range; a row with one such float keeps orjson's text, which the "
+           "one-odd-float tests compare with the repr oracle"),
+    Mutant("parity-two-bits", "src/cvqpv/protocol.py",
+           "np.bitwise_count(z) & 1", "np.bitwise_count(z) & 3", "killed",
+           "the basis bit then takes values 2 and 3; the parity oracle and the balance tests "
+           "see them, and the trace digests pin theta"),
     Mutant("failed-trace-kept", "src/cvqpv/cli.py",
            "os.unlink(path)", "pass", "killed",
            "a write that fails leaves a partial honest_rounds.csv; the failure tests list the "
