@@ -14,9 +14,10 @@ tables; a natural-log reading does not reproduce them). The right-hand side
 is increasing in et, so for fixed a the largest admissible et is found by
 bisection, whose midpoints a known bracket and regula falsi probes decide
 without a call where they can (_bisect); the outer maximization over a
-takes the best point of a log-spaced grid, found by binary searches that
-start from the last candidate and rely on the term being strictly unimodal
-in a (max_eps_tilde). The formula is written once, in
+takes the best point of a log-spaced grid, starting from a closed-form
+guess (_alpha_guess) and correcting it by binary searches that start from
+the last candidate and rely on the term being strictly unimodal in a
+(max_eps_tilde). The formula is written once, in
 separation_rhs; the optimizer and condition_surface make only scalar calls
 to it. The grid is computed with plain float arithmetic (log_grid), so no
 result depends on numpy's vector loops. Everything is deterministic.
@@ -66,6 +67,8 @@ def log_grid(lo: float, hi: float, num: int) -> list[float]:
 
 
 _ALPHAS = log_grid(ALPHA_MIN, ALPHA_MAX, N_ALPHA)
+_LOG_ALPHA_MIN = math.log10(ALPHA_MIN)
+_LOG_ALPHA_STEP = (math.log10(ALPHA_MAX) - _LOG_ALPHA_MIN) / (N_ALPHA - 1)
 
 
 @dataclass(frozen=True)
@@ -262,6 +265,29 @@ def _best_alpha(E: float, eps_tilde: float, start: int | None = None) -> tuple[i
     return j, term(j)
 
 
+def _alpha_guess(E: float, eps_tilde: float) -> int:
+    """Grid index nearest the alpha of least separation term at eps_tilde, to first order in a.
+
+    With the prefactor as 1/2 + 2a and htilde((1+a)/(1-a) et) as htilde(et)
+    + 2a et htilde'(et), the term's derivative in a vanishes where
+    a = 1 / (ln 2 (2 B / et + 6 log2((1-et)/et))), B the bracket at a with
+    htilde(et) and without its log2(1/(1-et)); two fixed-point steps from
+    a = 0.01 solve it. Any index is a valid first candidate, so where a step
+    leaves float range (eps_tilde 0, as at E = inf, or subnormal) it gives
+    the grid's middle one.
+    """
+    a = 0.01
+    try:
+        rest = (4.0 * math.log2(E + 1.0) + 12.0 * h_tilde(eps_tilde) / eps_tilde
+                + 6.0 * math.log2((1.0 - eps_tilde) / eps_tilde))
+        for _ in range(2):
+            a = 1.0 / (math.log(2.0) * (rest + 4.0 * math.log2(math.e / a)))
+        j = round((math.log10(a) - _LOG_ALPHA_MIN) / _LOG_ALPHA_STEP)
+    except (ArithmeticError, ValueError):  # 0 or inf met a division, a log or round
+        return N_ALPHA // 2
+    return min(max(j, 0), N_ALPHA - 1)
+
+
 def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     """Maximize eps_tilde over N_ALPHA log-spaced alphas in [ALPHA_MIN, 1/2].
 
@@ -271,8 +297,10 @@ def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     stays within 1% of its maximum from about alpha = 0.002 to 0.012).
     Rather than bisect every alpha, it
 
-    1. takes as candidate the grid alpha with the largest margin at top,
-       the _no_margin_above bound, by a binary search (_best_alpha);
+    1. takes as candidate the grid alpha nearest the closed-form minimizer
+       of the term at top, the _no_margin_above bound (_alpha_guess): no
+       call, and within one grid step of the largest margin there on the
+       calc_table grid, but any index would do;
     2. bisects the candidate alone to (lo, hi); in a repeat, the margin is
        known positive at the previous hi, and the bisection takes every
        midpoint up to it up without a call (_bisect);
@@ -288,10 +316,11 @@ def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     above the candidate exactly when its margin at the candidate's hi is
     positive, and ties with it when its margin is positive at lo but not at
     hi. Each repeat raises the candidate's end strictly, so there are at
-    most N_ALPHA rounds; two is usual. Steps 1, 3 and 4 rely on the margin
-    being strictly unimodal along the grid at a fixed eps_tilde: the
-    alphas positive at lo are then one run of the grid that holds the
-    candidate.
+    most N_ALPHA rounds; two is usual. The first candidate thus sets only
+    how many rounds and calls there are, not the result. Steps 3 and 4 rely
+    on the margin being strictly unimodal along the grid at a fixed
+    eps_tilde: the alphas positive at lo are then one run of the grid that
+    holds the candidate.
     """
     if not (eps >= 0.0):
         raise ValueError("eps must be nonnegative")
@@ -303,7 +332,7 @@ def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     # the margin is cap_margin > 0 at eps_tilde = 0 and, as t <= 1, negative at the top
     cap_margin = eps_cap(t, u) - eps
     top = _no_margin_above(cap_margin, E)
-    k, _ = _best_alpha(E, top)
+    k = _alpha_guess(E, top)
     lo, hi = _bisect(E, _ALPHAS[k], cap_margin, top)
     while True:
         j, rhs = _best_alpha(E, hi, k)

@@ -257,7 +257,9 @@ def _csv_chunk(trace, lo: int, hi: int) -> bytes:
     block = trace.r[lo:hi].repeat(3).reshape(-1, 3)  # C order, r in column 0
     block[:, 1] = trace.r_prime[lo:hi]
     block[:, 2] = trace.score_term[lo:hi]
-    floats = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    floats = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).split(b"],[")
+    floats[0] = floats[0][2:]  # "[[" opens the first row; a one-row chunk is one element
+    floats[-1] = floats[-1][:-2]  # and "]]" closes the last
     size = abs(block)
     odd = ((size < _PLAIN_LO) & (block != 0.0) | ~(size < _PLAIN_HI)).any(axis=1)
     for k in odd.nonzero()[0].tolist():  # NaN and +-inf land here: orjson writes them as null

@@ -173,6 +173,27 @@ class TestMaxEpsTilde:
         assert not res.feasible
         assert res.eps_tilde_max == 0.0 and math.isnan(res.alpha_star)
 
+    @pytest.mark.parametrize("point,cap,expected", [
+        # E = inf: top is 0, where the first candidate's guess divides by zero
+        ((0.1, math.inf, 1.0, 0.0), None, "BoundResult(eps_tilde_max=0.0, alpha_star=nan, "
+                                          "feasible=False, rhs_at_opt=nan)"),
+        ((0.1, 5e-324, 1.0, 0.0), None, "BoundResult(eps_tilde_max=0.004777200520033827, "
+         "alpha_star=0.007729958405789321, feasible=True, rhs_at_opt=0.17865241518947536)"),
+        # no t and u give a cap this small, so eps_cap is replaced: top is 5.4e-302
+        ((0.0, 1e3, 1.0, 0.0), 1e-300, "BoundResult(eps_tilde_max=0.0, alpha_star=nan, "
+                                       "feasible=False, rhs_at_opt=nan)"),
+    ])
+    def test_extreme_inputs(self, monkeypatch, point, cap, expected):
+        # recorded from the cold grid search at top that the guess replaced
+        if cap is not None:
+            monkeypatch.setattr(bounds, "eps_cap", lambda t, u: cap)
+        assert repr(max_eps_tilde(*point)) == expected
+
+    @pytest.mark.parametrize("E", [5e-324, 1e3, 1e300, math.inf])
+    @pytest.mark.parametrize("et", [0.0, 5e-324, 1e-300, 1e-3, 0.49, 0.5, 0.99])
+    def test_alpha_guess_is_a_grid_index(self, E, et):
+        assert 0 <= bounds._alpha_guess(E, et) < N_ALPHA
+
     def test_calc_table_grid_golden(self):
         text = "\n".join(repr(max_eps_tilde(*point)) for point in CALC_TABLE_GRID)
         # every result's repr, so a change to any bit of any optimum shows
@@ -355,9 +376,11 @@ class TestEpsTildeGrid:
             # each round evaluates top first, and nothing is evaluated above it
             assert first_calls[0] == second_calls[0] == top
             assert max(evaluated) <= top
-            # the grid is searched cold at top, then at each round's hi from the candidate
-            assert searched == [(top, ()), (first_hi, (GRID_ALPHAS.index(first),)),
-                                (second_hi, (GRID_ALPHAS.index(second),))]
+            # the first candidate is the closed-form guess at top (the cold search there took
+            # 119), and the grid is searched at each round's hi from the candidate
+            guess = bounds._alpha_guess(1e3, top)
+            assert guess == 118 and first == GRID_ALPHAS[guess]
+            assert searched == [(first_hi, (guess,)), (second_hi, (GRID_ALPHAS.index(second),))]
             return res, len(first_calls), len(second_calls)
 
         # without probes, round 1 evaluates top and then every midpoint at or below it:

@@ -7,7 +7,8 @@ the truncated state has less energy than the untruncated one. The
 optimizer's grid searches assume the separation term is strictly
 unimodal in alpha at every eps_tilde they run at, and its shared
 bisection path must equal the per-alpha scalar bisections it replaced,
-whose oracle lives in test_bounds. Its grid must be numpy's linspace
+whose oracle lives in test_bounds; its first candidate, a closed-form
+guess, must decide no output. Its grid must be numpy's linspace
 points, bit for bit. The round trace CSV must give back the session's
 columns exactly. The table writer, the condition surface, the bound above
 which no alpha has a margin, and the round count must equal the reference
@@ -98,7 +99,7 @@ def test_strictly_unimodal_rejects_every_plateau(values, unimodal):
 
 def searched_eps_tildes(eps, E, t, u):
     """The eps_tildes at which max_eps_tilde searches the grid, each with the start
-    it searches from: top cold (None), each round's hi from its candidate, and lo."""
+    it searches from: each round's hi from its candidate, and lo (None)."""
     searched = []
     original = bounds._best_alpha
     with mock.patch.object(bounds, "_best_alpha", lambda E, et, start=None:
@@ -136,6 +137,43 @@ def test_best_alpha_takes_the_first_of_tied_terms():
     # alpha, from any start
     for start in (None, 0, 1, 119, N_ALPHA - 2, N_ALPHA - 1):
         assert bounds._best_alpha(1e3, 0.0, start) == (0, 0.0)
+
+
+FIRST_CANDIDATES = {
+    "cold": lambda E, top: bounds._best_alpha(E, top)[0],  # the search the guess replaced
+    "least": lambda E, top: 0,
+    "greatest": lambda E, top: N_ALPHA - 1,
+}
+
+
+def assert_first_candidate_decides_nothing(eps, E, t, u):
+    # an alpha ends above the candidate exactly when its margin at the candidate's hi is
+    # positive, so the rounds reach the same optimum from any first candidate
+    expected = repr(max_eps_tilde(eps, E, t, u))
+    for name, guess in FIRST_CANDIDATES.items():
+        with mock.patch.object(bounds, "_alpha_guess", guess):
+            assert repr(max_eps_tilde(eps, E, t, u)) == expected, (name, eps, E, t, u)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(eps=st.floats(min_value=0.0, max_value=0.28), E=st.floats(min_value=1e-6, max_value=1e300),
+       t=st.floats(min_value=0.69, max_value=1.0), u=st.floats(min_value=0.0, max_value=0.1))
+def test_first_candidate_decides_nothing(eps, E, t, u):
+    assert_first_candidate_decides_nothing(eps, E, t, u)
+
+
+def test_first_candidate_decides_nothing_on_calc_table_grid():
+    for point in CALC_TABLE_GRID:
+        assert_first_candidate_decides_nothing(*point)
+
+
+def test_alpha_guess_within_one_step_of_cold_search_on_calc_table_grid():
+    # not needed for the result, but what makes the guess cheap: round 1 then starts
+    # where the cold search at top would have
+    for eps, E, t, u in CALC_TABLE_GRID:
+        if ChannelParams(t, u).feasible() and eps < eps_cap(t, u):
+            top = bounds._no_margin_above(eps_cap(t, u) - eps, E)
+            assert abs(bounds._alpha_guess(E, top) - bounds._best_alpha(E, top)[0]) <= 1
 
 
 def no_margin_above_by_min(cap_margin, E):

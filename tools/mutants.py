@@ -83,6 +83,11 @@ MUTANTS = [
            "it moves the grid search only where two adjacent terms tie, which the unimodality "
            "property tests find at no eps_tilde the optimizer searches; the tie rule's own test "
            "(every term is 0 at eps_tilde = 0, and the first alpha is taken) sees it"),
+    Mutant("alpha-guess-ignored", "src/cvqpv/bounds.py",
+           "return min(max(j, 0), N_ALPHA - 1)", "return N_ALPHA // 2", "killed",
+           "every first candidate gives the same result, so only the search path sees it: the "
+           "default point's guess (118) and the guess's distance from the cold search's "
+           "choice on the calc_table grid are pinned"),
     Mutant("chebyshev-in-floats", "src/cvqpv/attack.py",
            "return N * d_num * d_num * scale >= target * d_den * d_den",
            "return N * d * d >= score_variance / eps_hon", "killed",
