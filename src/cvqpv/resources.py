@@ -97,13 +97,34 @@ def corollary_q(n: int, m0: int) -> int | None:
     return n // 2 - m0 - 5
 
 
+def _q_guess(n: int, m0: int, k_factor: int) -> int:
+    """The closed-form q_max: floor(log2(room / ((2^(n+1)+1) k_factor)) / 2) - m0, or -1.
+
+    The counting bound is below -2^n exactly when (2^(n+1)+1) k_factor
+    4^(q+m0) is below room = 2^(2n)(1 - h(1/4)) - 2^n. The guess is clamped
+    at -1, and is -1 where room is not positive.
+    """
+    room = -(2.0**n) - 2.0 ** (2 * n) * (H_QUARTER - 1.0)
+    if room <= 0.0:
+        return -1
+    return max(math.floor(math.log2(room / ((2.0 ** (n + 1) + 1.0) * k_factor)) / 2.0) - m0, -1)
+
+
 def q_max(n: int, m0: int, eps_tilde: float) -> int:
-    """Largest q with count_bound_log2 < -2^n; -1 when no q >= 0 qualifies."""
+    """Largest q with count_bound_log2 < -2^n; -1 when no q >= 0 qualifies.
+
+    The search starts from _q_guess. The float test is monotone in q, so
+    stepping down while it fails at q and up while it holds at q + 1 makes
+    the result exact whatever the guess; the guess itself was exact on every
+    (n, m0, eps_tilde) tried, so each loop tests once.
+    """
     k_factor = _checked_k_factor(n, m0, 0, eps_tilde)
     threshold = -(2.0**n)
-    q = -1
+    q = _q_guess(n, m0, k_factor)
+    while q >= 0 and _count_bound_log2(n, m0, q, k_factor) >= threshold:
+        q -= 1  # the guess was too high
     while _count_bound_log2(n, m0, q + 1, k_factor) < threshold:
-        q += 1
+        q += 1  # the guess was too low
     closed_form = corollary_q(n, m0)
     if closed_form is not None and eps_tilde >= 0.004 and closed_form > q:
         raise AssertionError("closed-form corollary budget exceeds the numeric q_max")

@@ -319,23 +319,48 @@ def test_trace_csv_gives_back_the_columns(seed, N, t, u):
 # csv.writer quotes a field holding one of these, so the table writer rejects them
 plain_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=',"\r\n'))
 cells = st.one_of(plain_text, st.just(""), st.integers(), st.integers(-(2**80), 2**80))
-table_rows = st.lists(cells, max_size=5).filter(lambda row: row != [""])  # [""] is quoted
+
+
+@st.composite
+def tables(draw):
+    """A header and equal-length columns: 0-5 columns of 0-8 cells."""
+    n_cols, n_rows = draw(st.integers(0, 5)), draw(st.integers(0, 8))
+    cell = cells.filter(lambda v: v != "") if n_cols == 1 else cells  # a lone "" is quoted
+    header = draw(st.lists(cell, min_size=n_cols, max_size=n_cols))
+    return header, [draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
+                    for _ in range(n_cols)]
 
 
 @settings(SETTINGS, max_examples=150)
-@given(header=table_rows, rows=st.lists(table_rows, max_size=8))
-def test_write_table_matches_csv_and_json_modules(header, rows):
+@given(table=tables())
+def test_write_table_matches_csv_and_json_modules(table):
+    header, columns = table
+    rows = [list(row) for row in zip(*columns)]
     sink = io.StringIO()
     writer = csv.writer(sink, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
     payload = {"schema": "cvqpv.table/1", "columns": header, "rows": rows}
     with tempfile.TemporaryDirectory() as tmp:
-        _write_table(Path(tmp), "t", header, rows, "csv")
-        _write_table(Path(tmp), "t", header, rows, "json")
+        _write_table(Path(tmp), "t", header, columns, "csv")
+        _write_table(Path(tmp), "t", header, columns, "json")
         with open(Path(tmp) / "t.csv", newline="") as fh:
             assert fh.read() == sink.getvalue()
         assert (Path(tmp) / "t.json").read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("header, columns", [
+    (["a", "b"], [["1", "2"], ["3"]]),
+    (["a", "b"], [[], [4]]),
+    (["a"], [["1"], ["2"]]),
+    (["a", "b", "c"], [["1"], ["2"]]),
+])
+def test_write_table_rejects_columns_of_unequal_length(fmt, header, columns):
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(ValueError, match="columns of lengths"):
+            _write_table(Path(tmp), "t", header, columns, fmt)
+        assert not list(Path(tmp).iterdir())
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -343,7 +368,7 @@ def test_write_table_matches_csv_and_json_modules(header, rows):
 def test_write_table_rejects_other_cell_types(fmt, cell):
     with tempfile.TemporaryDirectory() as tmp:
         with pytest.raises(ValueError, match="only str and int cells"):
-            _write_table(Path(tmp), "t", ["a", "b"], [["1", cell]], fmt)
+            _write_table(Path(tmp), "t", ["a", "b"], [["1"], [cell]], fmt)
 
 
 @pytest.mark.parametrize("row", [["a,b"], ['say "x"'], ["two\nlines"], ["cr\r"], [""]])
@@ -351,6 +376,21 @@ def test_write_table_rejects_fields_csv_would_quote(row):
     with tempfile.TemporaryDirectory() as tmp:
         with pytest.raises(ValueError, match="CSV quoting"):
             _write_table(Path(tmp), "t", ["a"], [row], "csv")
+        assert not (Path(tmp) / "t.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["a,b", 'say "x"', "two\nlines", "cr\r", "\r\n"])
+@pytest.mark.parametrize("at", ["header", "first", "last"])
+def test_write_table_rejects_quoting_in_any_column(field, at):
+    # the fields checked are those of a three-column table, in the header or in the rows
+    header, columns = ["a", "b", "c"], [["1", "2"], [3, 4], ["5", ""]]
+    if at == "header":
+        header[1] = field
+    else:
+        columns[0 if at == "first" else 2][1] = field
+    with tempfile.TemporaryDirectory() as tmp:
+        with pytest.raises(ValueError, match="CSV quoting"):
+            _write_table(Path(tmp), "t", header, columns, "csv")
         assert not (Path(tmp) / "t.csv").exists()
 
 

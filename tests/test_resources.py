@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from cvqpv import resources
 from cvqpv.cli import main
 from cvqpv.gaussian import binary_entropy, cutoff_purified_distance
 from cvqpv.resources import (
@@ -13,6 +14,7 @@ from cvqpv.resources import (
     N_MAX,
     _cbrt_gap,
     _count_bound_log2,
+    _q_guess,
     corollary_q,
     count_bound_log2,
     q_max,
@@ -100,6 +102,14 @@ class TestCountBound:
                     q_max(n, m0, et)
 
 
+def scanned_q_max(n, m0, et):
+    """q_max as a scan: q up from 0 while the public counting bound is secure."""
+    q = -1
+    while count_bound_log2(n, m0, q + 1, et) < -(2.0**n):
+        q += 1
+    return q
+
+
 class TestQMax:
     def test_reference_point(self):
         assert q_max(30, 5, 0.004) >= 5
@@ -129,6 +139,54 @@ class TestQMax:
         for n in range(1, N_MAX + 1):
             for m0 in range(1, 31):
                 assert q_max(n, m0, et) == scanned(n, m0), (n, m0)
+
+    @pytest.mark.parametrize("et", [1e-12, 0.004, 0.999])
+    def test_guess_is_exact(self, et):
+        # so that each of q_max's two loops makes one test
+        k_factor = math.ceil(rounding_size_logfactor(et))
+        for n in range(1, N_MAX + 1):
+            for m0 in range(1, 31):
+                assert _q_guess(n, m0, k_factor) == scanned_q_max(n, m0, et), (n, m0)
+
+    @pytest.mark.parametrize("offset", [1, 2, 7, 40])
+    def test_guess_too_high_steps_down(self, monkeypatch, offset):
+        monkeypatch.setattr(resources, "_q_guess", lambda *a: _q_guess(*a) + offset)
+        for et in [1e-12, 0.004, 0.999]:
+            for n in range(1, N_MAX + 1):
+                for m0 in [*range(1, 31), 490, 511, 512]:  # 2q + 2m0 >= 1024 overflows
+                    assert q_max(n, m0, et) == scanned_q_max(n, m0, et), (n, m0, et)
+
+    @pytest.mark.parametrize("offset", [1, 2, 7, 40])
+    def test_guess_too_low_steps_up(self, monkeypatch, offset):
+        monkeypatch.setattr(resources, "_q_guess", lambda *a: max(_q_guess(*a) - offset, -1))
+        for et in [1e-12, 0.004, 0.999]:
+            for n in range(1, N_MAX + 1):
+                for m0 in range(1, 31):
+                    assert q_max(n, m0, et) == scanned_q_max(n, m0, et), (n, m0, et)
+
+    def test_guess_clamped_at_minus_one(self):
+        assert _q_guess(10, 9, 12) == -1 == q_max(10, 9, 0.004)
+        for n in (1, 2):  # 2^(2n) (1 - h(1/4)) <= 2^n: no room at all
+            assert -(2.0**n) - 2.0 ** (2 * n) * (H_QUARTER - 1.0) <= 0.0
+            assert _q_guess(n, 1, 4) == -1 == q_max(n, 1, 0.999)
+
+    def test_overflowing_bound_is_insecure(self):
+        # from 2q + 2m0 = 1024 the power raises OverflowError and the bound is inf;
+        # at 1022, k 2^1022 overflows to inf without raising
+        assert _count_bound_log2(N_MAX, 512, 0, 4) == math.inf
+        assert _count_bound_log2(N_MAX, 511, 0, 4) == math.inf
+        for m0 in (511, 512, 600):
+            assert q_max(N_MAX, m0, 0.999) == -1 == scanned_q_max(N_MAX, m0, 0.999)
+
+    def test_largest_factor_at_smallest_resolvable_eps_tilde(self):
+        et = 6.675221575521606e-308
+        with pytest.raises(ValueError, match="too small"):
+            rounding_size_logfactor(math.nextafter(et, 0.0))
+        assert math.ceil(rounding_size_logfactor(et)) == 1024
+        for n in range(1, N_MAX + 1):
+            for m0 in range(1, 31):
+                assert q_max(n, m0, et) == scanned_q_max(n, m0, et), (n, m0)
+        assert q_max(N_MAX, 1, et) == 23
 
     def test_corollary_scan(self):
         # closed-form budget always satisfies the counting bound

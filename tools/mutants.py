@@ -134,7 +134,13 @@ MUTANTS = [
            "inside criterion 7's 1e-10, and no tier-1 tolerance or digest resolves it"),
     Mutant("q-max-strict", "src/cvqpv/resources.py",
            "k_factor) < threshold:", "k_factor) <= threshold:", "equivalent",
-           "an exact float tie between the counting bound and -2^n is not expected"),
+           "it changes only the upward step's test, and only where the counting bound equals "
+           "-2^n exactly in floats, which is not expected"),
+    Mutant("q-max-no-step-down", "src/cvqpv/resources.py",
+           "while q >= 0 and _count_bound_log2(n, m0, q, k_factor) >= threshold:",
+           "while False:", "killed",
+           "the closed-form guess is exact wherever it was tried, so only a guess set too high "
+           "reaches the downward step; those tests compare q_max with the old scan"),
     Mutant("accepted-strict", "src/cvqpv/protocol.py",
            "accepted=mean_score < gamma,", "accepted=mean_score <= gamma,", "equivalent",
            "a session score exactly equal to gamma has probability zero"),
@@ -157,6 +163,10 @@ MUTANTS = [
            "np.bitwise_count(z) & 1", "np.bitwise_count(z) & 3", "killed",
            "the basis bit then takes values 2 and 3; the parity oracle and the balance tests "
            "see them, and the trace digests pin theta"),
+    Mutant("table-quote-scan-skipped", "src/cvqpv/cli.py",
+           "if fmt == \"csv\" and ('\"' in text", "if False and ('\"' in text", "killed",
+           "a field csv.writer would quote is then written bare; the quoting tests expect "
+           "ValueError and no file"),
     Mutant("failed-trace-kept", "src/cvqpv/cli.py",
            "os.unlink(path)", "pass", "killed",
            "a write that fails leaves a partial honest_rounds.csv; the failure tests list the "
