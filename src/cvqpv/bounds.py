@@ -99,7 +99,10 @@ class BoundResult:
     rhs_at_opt: float
 
 
-def _bracket(E: float, alpha: float, eps_tilde: float) -> float:
+def separation_rhs(E: float, alpha: float, eps_tilde: float) -> float:
+    """((1+a)/(2(1-a)) + a) B(E, a, et): the halved-prefactor form used in the eps condition."""
+    if not (E > 0.0):
+        raise ValueError("E must be positive")
     if not (0.0 < alpha <= 0.5):
         raise ValueError("alpha must lie in (0, 1/2]")
     if not (0.0 <= eps_tilde < 1.0):
@@ -107,14 +110,8 @@ def _bracket(E: float, alpha: float, eps_tilde: float) -> float:
     if eps_tilde == 0.0:
         return 0.0
     log_term = math.log2(E + 1.0) + math.log2(math.e / (alpha * (1.0 - eps_tilde)))
-    return 2.0 * eps_tilde * log_term + 6.0 * h_tilde((1.0 + alpha) / (1.0 - alpha) * eps_tilde)
-
-
-def separation_rhs(E: float, alpha: float, eps_tilde: float) -> float:
-    """Halved-prefactor form (1+a)/(2(1-a)) + a used in the eps condition."""
-    if not (E > 0.0):
-        raise ValueError("E must be positive")
-    return ((1.0 + alpha) / (2.0 * (1.0 - alpha)) + alpha) * _bracket(E, alpha, eps_tilde)
+    bracket = 2.0 * eps_tilde * log_term + 6.0 * h_tilde((1.0 + alpha) / (1.0 - alpha) * eps_tilde)
+    return ((1.0 + alpha) / (2.0 * (1.0 - alpha)) + alpha) * bracket
 
 
 def eps_cap(t: float, u: float) -> float:
@@ -206,32 +203,31 @@ def _bisect(E: float, alpha: float, cap_margin: float, top: float,
     Before the walk, up to _PROBES Illinois (regula falsi) probes between
     pos and top narrow that bracket. As the margin decreases in eps_tilde,
     a skipped midpoint goes the way its evaluation would, so the walk ends
-    where it would without them; they only save its calls.
+    where it would without them; they only save its calls. The margin at
+    top is not positive (_no_margin_above), and top is above 0, as
+    max_eps_tilde returns before the search at E = inf, the one input that
+    makes top 0; so the first chord is defined.
     """
-    neg = top  # a midpoint at or above neg goes down unevaluated
-    rhs = separation_rhs(E, alpha, top)
-    if rhs < cap_margin:  # top bounds the grid alphas' boundaries from above: not expected
-        pos = top
-    else:
-        a, fa, b, fb = pos, cap_margin - rhs_at_pos, top, cap_margin - rhs
-        side = 0  # the end the last probe moved: +1 the positive one, -1 the other
-        for _ in range(_PROBES):
-            x = (a * fb - b * fa) / (fb - fa)  # where the chord crosses zero
-            if b - a <= BISECT_TOL or not a < x < b:
-                break
-            rhs = separation_rhs(E, alpha, x)
-            # a second move of the same end halves the other end's value (Illinois)
-            if rhs < cap_margin:
-                a, fa = x, cap_margin - rhs
-                if side > 0:
-                    fb *= 0.5
-                side = 1
-            else:
-                b, fb = x, cap_margin - rhs
-                if side < 0:
-                    fa *= 0.5
-                side = -1
-        pos, neg = a, b
+    a, fa = pos, cap_margin - rhs_at_pos
+    b, fb = top, cap_margin - separation_rhs(E, alpha, top)
+    side = 0  # the end the last probe moved: +1 the positive one, -1 the other
+    for _ in range(_PROBES):
+        x = (a * fb - b * fa) / (fb - fa)  # where the chord crosses zero
+        if b - a <= BISECT_TOL or not a < x < b:
+            break
+        rhs = separation_rhs(E, alpha, x)
+        # a second move of the same end halves the other end's value (Illinois)
+        if rhs < cap_margin:
+            a, fa = x, cap_margin - rhs
+            if side > 0:
+                fb *= 0.5
+            side = 1
+        else:
+            b, fb = x, cap_margin - rhs
+            if side < 0:
+                fa *= 0.5
+            side = -1
+    pos, neg = a, b  # a midpoint at or above neg goes down unevaluated
     lo, hi = 0.0, 1.0 - 1e-12
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
@@ -272,19 +268,16 @@ def _alpha_guess(E: float, eps_tilde: float) -> int:
     + 2a et htilde'(et), the term's derivative in a vanishes where
     a = 1 / (ln 2 (2 B / et + 6 log2((1-et)/et))), B the bracket at a with
     htilde(et) and without its log2(1/(1-et)); two fixed-point steps from
-    a = 0.01 solve it. Any index is a valid first candidate, so where a step
-    leaves float range (eps_tilde 0, as at E = inf, or subnormal) it gives
-    the grid's middle one.
+    a = 0.01 solve it. max_eps_tilde calls it at top only, after returning
+    at E = inf, where top is 0; for finite E, top lies in about [2e-35,
+    0.042], where no step leaves float range.
     """
     a = 0.01
-    try:
-        rest = (4.0 * math.log2(E + 1.0) + 12.0 * h_tilde(eps_tilde) / eps_tilde
-                + 6.0 * math.log2((1.0 - eps_tilde) / eps_tilde))
-        for _ in range(2):
-            a = 1.0 / (math.log(2.0) * (rest + 4.0 * math.log2(math.e / a)))
-        j = round((math.log10(a) - _LOG_ALPHA_MIN) / _LOG_ALPHA_STEP)
-    except (ArithmeticError, ValueError):  # 0 or inf met a division, a log or round
-        return N_ALPHA // 2
+    rest = (4.0 * math.log2(E + 1.0) + 12.0 * h_tilde(eps_tilde) / eps_tilde
+            + 6.0 * math.log2((1.0 - eps_tilde) / eps_tilde))
+    for _ in range(2):
+        a = 1.0 / (math.log(2.0) * (rest + 4.0 * math.log2(math.e / a)))
+    j = round((math.log10(a) - _LOG_ALPHA_MIN) / _LOG_ALPHA_STEP)
     return min(max(j, 0), N_ALPHA - 1)
 
 
@@ -321,16 +314,19 @@ def max_eps_tilde(eps: float, E: float, t: float, u: float) -> BoundResult:
     on the margin being strictly unimodal along the grid at a fixed
     eps_tilde: the alphas positive at lo are then one run of the grid that
     holds the candidate.
+
+    E = inf is decided before the search, as infeasible: top is then 0, so
+    no eps_tilde above 0 has a positive margin.
     """
     if not (eps >= 0.0):
         raise ValueError("eps must be nonnegative")
     if not (E > 0.0):
         raise ValueError("E must be positive")
-    if not ChannelParams(t, u).feasible() or eps >= eps_cap(t, u):
-        return BoundResult(0.0, math.nan, False, math.nan)
-
-    # the margin is cap_margin > 0 at eps_tilde = 0 and, as t <= 1, negative at the top
+    feasible = ChannelParams(t, u).feasible()  # which checks t and u
+    # the margin is cap_margin at eps_tilde = 0 and, as t <= 1, negative at the top
     cap_margin = eps_cap(t, u) - eps
+    if not feasible or cap_margin <= 0.0 or E == math.inf:
+        return BoundResult(0.0, math.nan, False, math.nan)
     top = _no_margin_above(cap_margin, E)
     k = _alpha_guess(E, top)
     lo, hi = _bisect(E, _ALPHAS[k], cap_margin, top)

@@ -3,14 +3,8 @@
 ``PARAMS`` has one row per configuration key: its type, default, domain,
 the subcommands that take it and its help. The parser, the validation and
 the metadata echo are built from it. Each subcommand (see ``COMMANDS``)
-takes --config, --out, --seed and the keys of the rows that list it:
-
-    feasibility  --u-steps --t-steps --format
-    bounds       --eps --energy --t --u --format
-    resources    --n --m0 --eps-tilde --sigma
-    rounds       --eps --u --eps-hon --eps-unit
-    simulate     --eps --t --u --sigma --n --eps-hon --rounds --sessions --eps-unit --trace
-    sweep        --eps-tilde --n-lo --n-hi --m0-lo --m0-hi --format
+takes --config, --out, --seed and the keys of the rows that list it, as
+README's table and --help show.
 
 A key resolves as: default < config file (flat key=value, '#' comments) <
 flag. A config file may set any key of the table; a subcommand ignores the

@@ -72,13 +72,10 @@ class ProtocolParams:
             raise ValueError("sigma must be positive and finite")
         if not (1 <= self.n <= N_MAX):  # input strings are uint64 values below 1 << n
             raise ValueError(f"n must lie in [1, {N_MAX}]")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if not (0.0 < self.eps_hon < 1.0):
-            raise ValueError("eps_hon must lie in (0,1)")
+        gamma = gamma_threshold(self.N, self.eps_hon)  # which checks N and eps_hon
         if not (0 <= self.f_seed < 2**64):  # the keyed mix takes it as a uint64
             raise ValueError("f_seed must lie in [0, 2^64)")
-        object.__setattr__(self, "gamma", gamma_threshold(self.N, self.eps_hon))
+        object.__setattr__(self, "gamma", gamma)
 
 
 def gamma_threshold(N: int, eps_hon: float) -> float:
@@ -138,11 +135,21 @@ class SessionResult:
 
 def _residual_variance(p: ProtocolParams, ch: ChannelParams,
                        responder: GaussianResponder) -> float:
-    """Per-round variance s^2 = (a - sqrt(t))^2 sigma^2 + v of r' - sqrt(t) r."""
+    """Per-round variance s^2 = (a - sqrt(t))^2 sigma^2 + v of r' - sqrt(t) r.
+
+    inf where sigma^2 leaves float range (sigma above about 1.34e154) and the
+    gap is not 0, which rejects the session, as the traced engine's inf
+    terms do.
+    """
     gap = responder.mean_scale - math.sqrt(ch.t)
+    # keep this branch: s^2 is v at a zero gap, which the product below misses once
+    # sigma^2 leaves float range (0 * inf is nan); it lets simulate --sigma 1e200 run
     if gap == 0.0:
         return responder.noise_var
-    return gap * gap * p.sigma**2 + responder.noise_var
+    try:
+        return gap * gap * p.sigma**2 + responder.noise_var
+    except OverflowError:  # sigma**2 past float range
+        return math.inf
 
 
 def _round_engine(p: ProtocolParams, ch: ChannelParams, responder: GaussianResponder,

@@ -125,9 +125,6 @@ def q_max(n: int, m0: int, eps_tilde: float) -> int:
         q -= 1  # the guess was too high
     while _count_bound_log2(n, m0, q + 1, k_factor) < threshold:
         q += 1  # the guess was too low
-    closed_form = corollary_q(n, m0)
-    if closed_form is not None and eps_tilde >= 0.004 and closed_form > q:
-        raise AssertionError("closed-form corollary budget exceeds the numeric q_max")
     return q
 
 

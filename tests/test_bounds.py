@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from cvqpv.bounds import (
     BISECT_TOL,
     N_ALPHA,
     BoundInputs,
-    _bracket,
     _no_margin_above,
     condition_holds,
     condition_margin,
@@ -29,6 +29,7 @@ from cvqpv.bounds import (
     separation_rhs,
 )
 from cvqpv.channel import ChannelParams
+from cvqpv.gaussian import h_tilde
 
 
 class TestWinterRhs:
@@ -56,7 +57,10 @@ class TestWinterRhs:
         for _ in range(50):
             a = rng.uniform(1e-3, 0.5)
             et = rng.uniform(1e-5, 0.3)
-            winter = ((1.0 + a) / (1.0 - a) + 2.0 * a) * _bracket(1e3, a, et)
+            # the paper's bracket B(E, a, et)
+            bracket = (2.0 * et * (math.log2(1e3 + 1.0) + math.log2(math.e / (a * (1.0 - et))))
+                       + 6.0 * h_tilde((1.0 + a) / (1.0 - a) * et))
+            winter = ((1.0 + a) / (1.0 - a) + 2.0 * a) * bracket
             assert winter == pytest.approx(2.0 * separation_rhs(1e3, a, et), rel=1e-12)
 
     def test_domain_errors(self):
@@ -189,10 +193,25 @@ class TestMaxEpsTilde:
             monkeypatch.setattr(bounds, "eps_cap", lambda t, u: cap)
         assert repr(max_eps_tilde(*point)) == expected
 
-    @pytest.mark.parametrize("E", [5e-324, 1e3, 1e300, math.inf])
-    @pytest.mark.parametrize("et", [0.0, 5e-324, 1e-300, 1e-3, 0.49, 0.5, 0.99])
+    # E = inf, eps_tilde 0 or 5e-324, and 0.99 at E = 5e-324 leave float range, and no
+    # top is any of them: max_eps_tilde returns before the search at E = inf
+    @pytest.mark.parametrize("et,E", [(et, E) for et in [1e-300, 1e-3, 0.49, 0.5, 0.99]
+                                      for E in [5e-324, 1e3, 1e300] if (et, E) != (0.99, 5e-324)])
     def test_alpha_guess_is_a_grid_index(self, E, et):
         assert 0 <= bounds._alpha_guess(E, et) < N_ALPHA
+
+    def test_alpha_guess_is_a_grid_index_at_every_top(self):
+        # top rises with cap_margin and falls with E. The least cap margin is the float
+        # spacing below the least positive cap, where 4t / (e(1+2u)) is the float after 1
+        least_cap = 0.5 * math.log2(math.nextafter(1.0, 2.0))
+        margins = [least_cap - math.nextafter(least_cap, 0.0),
+                   *(10.0 ** k for k in range(-31, 0)), eps_cap(1.0, 0.0)]
+        energies = [5e-324, *(10.0 ** k for k in range(-320, 309, 4)), sys.float_info.max]
+        for cap_margin in margins:
+            for E in energies:
+                top = _no_margin_above(cap_margin, E)
+                assert 2e-35 < top < 0.042, (cap_margin, E)
+                assert 0 <= bounds._alpha_guess(E, top) < N_ALPHA, (cap_margin, E)
 
     def test_calc_table_grid_golden(self):
         text = "\n".join(repr(max_eps_tilde(*point)) for point in CALC_TABLE_GRID)

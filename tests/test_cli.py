@@ -599,15 +599,12 @@ class TestParamTable:
 
     @pytest.mark.parametrize("command", sorted(TAKES))
     def test_flag_tables_list_the_table_rows(self, command):
-        # the README table and the cli.py docstring table, each without --seed
+        # the README table, without --seed
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         readme_flags = {m[1]: set(re.findall(r"`(--[\w-]+)`", m[2]))
                         for m in re.finditer(r"^\| `(\w+)` \| (.*) \|$", readme, re.M)}
-        doc_flags = {m[1]: set(m[2].split())
-                     for m in re.finditer(r"^    (\w+) +(--.*)$", cli.__doc__, re.M)}
         rows = {p.flag for p in PARAMS.values() if command in p.commands.split()} - {"--seed"}
         assert readme_flags[command] == rows
-        assert doc_flags[command] == rows
 
 
 class TestEpsUnit:

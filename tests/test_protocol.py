@@ -129,6 +129,22 @@ class TestRunSession:
         assert res.mean_score == 0.0
         assert rng.bit_generator.state == state
 
+    def test_overflowing_residual_variance_rejects(self):
+        # sigma^2 leaves float range above sigma of about 1.34e154: s^2 is inf, and the
+        # session is rejected, as the traced engine's inf terms reject it
+        p = ProtocolParams(sigma=1e200, n=30, N=10, eps_hon=0.01)
+        ch = ChannelParams(1.0)
+        off = GaussianResponder("b", 0.5, 0.3)
+        for trace in (False, True):
+            res = run_session(p, ch, off, 0, trace=trace)
+            assert res.mean_score == math.inf and not res.accepted
+        assert acceptance_rate(p, ch, off, 5, 0) == 0.0
+        # a zero gap keeps s^2 = v, not 0 * inf
+        assert run_session(p, ch, HonestProver(ch), 0).accepted
+        # just below the overflow, s^2 is the finite product
+        below = _params(sigma=1.3e154)
+        assert protocol._residual_variance(below, ch, off) == 0.25 * 1.3e154**2 + 0.3 < math.inf
+
     def test_single_round_edge_case(self):
         ch = ChannelParams(1.0, 0.0)
         res = run_session(_params(N=1), ch, HonestProver(ch), 3)

@@ -189,13 +189,14 @@ class TestQMax:
         assert q_max(N_MAX, 1, et) == 23
 
     def test_corollary_scan(self):
-        # closed-form budget always satisfies the counting bound
-        for m0 in range(1, 11):
-            for n in range(2 * (m0 + 5) + 1, N_MAX + 1):
-                q = corollary_q(n, m0)
-                if q is None or q < 0:
-                    continue
-                assert count_bound_log2(n, m0, q, 0.004) < -(2**n)
+        # the closed-form budget satisfies the counting bound, so q_max is at least it,
+        # at every (n, m0) of its regime n > 2(m0 + 5) up to N_MAX
+        for et in (0.004, 0.01, 0.1):
+            for m0 in range(1, N_MAX):
+                for n in range(2 * (m0 + 5) + 1, N_MAX + 1):
+                    q = corollary_q(n, m0)
+                    assert count_bound_log2(n, m0, q, et) < -(2**n), (n, m0, et)
+                    assert q_max(n, m0, et) >= q, (n, m0, et)
 
 
 BITS = 256

@@ -128,6 +128,14 @@ MUTANTS = [
            "if lo == 0.0:", "if False:", "killed",
            "just below the cap the margin is positive at eps_tilde = 0 and at no midpoint; "
            "that point is pinned infeasible, in the library and in the bounds CLI"),
+    Mutant("einf-not-decided", "src/cvqpv/bounds.py",
+           "cap_margin <= 0.0 or E == math.inf:", "cap_margin <= 0.0:", "killed",
+           "E = inf makes top 0, where the guess's closed form divides by zero; the extreme-"
+           "input test pins E = inf to the infeasible result"),
+    Mutant("gamma-n-unchecked", "src/cvqpv/protocol.py",
+           "if N < 1:", "if False:", "killed",
+           "gamma_threshold is the one check of N, ProtocolParams' included; N = 0 then "
+           "divides by zero, and both are pinned to raise 'N must be >= 1'"),
     Mutant("phi-series-switch", "src/cvqpv/gaussian.py",
            "if y >= 0.1:", "if y >= 0.5:", "equivalent",
            "moves phi by at most 4.1e-11, the series' first omitted term at y = 0.5: "
